@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import astuple, fields, replace
 from pathlib import Path
 from typing import Optional
 
@@ -21,12 +22,7 @@ from . import __version__
 from .errors import SupermixError
 from .kernels import catalog_density, parse_kernel_id, sinc_approx_error
 from .priors import NIGParams, lemma_verification_table, nig_marginal_cdf, nig_sample
-from .transforms import (
-    gaussian_smoothing_error,
-    make_nonnegative,
-    spectral_symbol_check,
-    transform_analytic,
-)
+from .transforms import gaussian_smoothing_error, spectral_symbol_check, transform_analytic
 
 
 def _fmt(value) -> str:
@@ -40,6 +36,11 @@ def write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
     path.write_text("\n".join(lines) + "\n")
+
+
+def write_rows(path: Path, row_type, rows: list) -> None:
+    """CSV of dataclass rows, one column per field."""
+    write_csv(path, [f.name for f in fields(row_type)], [astuple(r) for r in rows])
 
 
 def write_meta(path: Path, config: dict) -> None:
@@ -62,6 +63,13 @@ def _parse_float_list(text: str) -> list[float]:
 
 def _parse_int_list(text: str) -> list[int]:
     return [int(p) for p in text.split(",") if p]
+
+
+def _parse_threads(text: str) -> int:
+    threads = int(text)
+    if threads < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {threads}")
+    return threads
 
 
 def _parse_p(text: str) -> float:
@@ -97,7 +105,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     def common(p):
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", type=Path, required=True)
-        p.add_argument("--threads", type=int, default=0, help="0 = auto")
+        p.add_argument("--threads", type=_parse_threads, default=0, help="0 = one per CPU")
 
     p = add_parser("approx", help="sinc/superkernel approximation error")
     common(p)
@@ -110,7 +118,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--density", required=True)
     p.add_argument("--sigma", type=_parse_float_list, required=True)
     p.add_argument("--order", type=int, default=None)
-    p.add_argument("--delta", type=float, default=None)
 
     p = add_parser("discretize", help="moment-matched discretization")
     common(p)
@@ -171,8 +178,6 @@ def cmd_transform(args) -> None:
         res = transform_analytic(cat.f, sigma, args.order)
         err = gaussian_smoothing_error(res, cat.f)
         dev = spectral_symbol_check(res.truncation_order, 0.5)
-        if args.delta is not None:
-            make_nonnegative(res, cat.f, args.delta)
         rows.append((sigma, err, res.mass_defect, dev))
     write_csv(args.out, ["sigma", "sup_error", "mass_defect", "identity_deviation"], rows)
 
@@ -255,11 +260,8 @@ def cmd_fit(args) -> None:
     from .posterior import blocked_gibbs_fit, default_py_config
 
     data = np.loadtxt(args.data)
-    cfg = default_py_config(args.prior)
-    from dataclasses import replace
-
     cfg = replace(
-        cfg,
+        default_py_config(args.prior),
         iterations=args.iterations,
         burn_in=args.burn_in,
         thinning=args.thinning,
@@ -277,16 +279,8 @@ def cmd_fit(args) -> None:
     write_csv(args.out, ["draw", "sigma", "loglik", "n_atoms", "atoms", "weights"], rows)
 
 
-def _resolve_threads(threads: int) -> int:
-    if threads == 0:  # auto
-        import os
-
-        return min(os.cpu_count() or 1, 8)
-    return threads
-
-
 def cmd_contract(args) -> None:
-    from .posterior import contraction_experiment
+    from .posterior import ContractionRow, contraction_experiment
 
     rows = contraction_experiment(
         args.truth,
@@ -294,30 +288,22 @@ def cmd_contract(args) -> None:
         args.n_ladder,
         args.replicates,
         seed=args.seed,
-        threads=_resolve_threads(args.threads),
+        threads=args.threads,
     )
-    write_csv(
-        args.out,
-        ["n", "replicate", "l1", "l2", "sup", "w2", "kl"],
-        [(r.n, r.replicate, r.l1, r.l2, r.sup, r.w2, r.kl) for r in rows],
-    )
+    write_rows(args.out, ContractionRow, rows)
 
 
 def cmd_w2(args) -> None:
-    from .posterior import wasserstein_recovery_experiment
+    from .posterior import W2Row, wasserstein_recovery_experiment
 
     rows = wasserstein_recovery_experiment(
         args.truth,
         args.n_ladder,
         args.replicates,
         seed=args.seed,
-        threads=_resolve_threads(args.threads),
+        threads=args.threads,
     )
-    write_csv(
-        args.out,
-        ["n", "replicate", "w2_median", "w2_q90", "w2_max"],
-        [(r.n, r.replicate, r.w2_median, r.w2_q90, r.w2_max) for r in rows],
-    )
+    write_rows(args.out, W2Row, rows)
 
 
 COMMANDS = {
@@ -340,18 +326,27 @@ def vars_config(args) -> dict:
     }
 
 
-def main(argv: Optional[list] = None) -> int:
+def parse_args(argv: Optional[list] = None) -> argparse.Namespace:
+    """Parse the command line; a ``--config`` file's values become the
+    subcommand's defaults, so argparse parses them with each flag's type
+    and explicit flags still win.  A key that is not a flag of the
+    subcommand is a usage error."""
     parser, subparsers = build_parser()
     args = parser.parse_args(argv)
     if args.config:
         overrides = _load_config_file(args.config)
-        sub = subparsers[args.command]
-        for key, raw in overrides.items():
-            default = sub.get_default(key)
-            # a flag left at its default is overridden by the file
-            if hasattr(args, key) and default == getattr(args, key):
-                caster = type(default) if default is not None else str
-                setattr(args, key, caster(raw))
+        unknown = sorted(set(overrides) - (set(vars(args)) - {"command", "config"}))
+        if unknown:
+            parser.error(
+                f"{args.config}: not flags of {args.command}: {', '.join(unknown)}"
+            )
+        subparsers[args.command].set_defaults(**overrides)
+        args = parser.parse_args(argv)
+    return args
+
+
+def main(argv: Optional[list] = None) -> int:
+    args = parse_args(argv)
     try:
         COMMANDS[args.command](args)
         if args.command not in ("discretize",):  # discretize writes its own meta

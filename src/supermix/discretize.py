@@ -308,11 +308,19 @@ def partition_discretize(
     edges = np.linspace(-a, a, n_cells + 1)
     order = int(math.ceil(constant * log_eps))
     n_nodes = (order + 1) // 2 + ((order + 1) % 2)
-    all_atoms, all_weights = [], []
+    atoms, weights = _cellwise_gauss(source, edges, n_nodes)
+    return DiscreteMixingMeasure(atoms, weights / weights.sum())
+
+
+def _cellwise_gauss(source: DiscreteMixingMeasure, edges: np.ndarray, n_nodes: int):
+    """Composite Gauss rule: an ``n_nodes``-point rule for the source
+    restricted to each cell ``[edges[k], edges[k+1])`` (the last cell
+    closed), weighted by the cell's mass; empty cells give no atoms.
+    Returns (atoms, weights)."""
+    atoms_list, weights_list = [], []
     for lo, hi in zip(edges[:-1], edges[1:]):
-        inside = (source.atoms >= lo) & (source.atoms < hi)
-        if lo == edges[-2]:
-            inside |= source.atoms == hi
+        below = source.atoms <= hi if hi == edges[-1] else source.atoms < hi
+        inside = (source.atoms >= lo) & below
         mass = source.weights[inside].sum()
         if mass <= 0:
             continue
@@ -321,11 +329,9 @@ def partition_discretize(
             source.atoms[inside] - mid, source.weights[inside], n_nodes
         )
         nodes, weights = _gauss_from_recurrence(alpha, beta)
-        all_atoms.append(nodes + mid)
-        all_weights.append(weights / weights.sum() * mass)
-    atoms = np.concatenate(all_atoms)
-    weights = np.concatenate(all_weights)
-    return DiscreteMixingMeasure(atoms, weights / weights.sum())
+        atoms_list.append(nodes + mid)
+        weights_list.append(weights / weights.sum() * mass)
+    return np.concatenate(atoms_list), np.concatenate(weights_list)
 
 
 # ---------------------------------------------------------------------
@@ -385,21 +391,7 @@ def finite_gaussian_mixture(
     cap = int(BUDGET_CONSTANT * (a_sigma / sigma) ** 2)
     nodes_per_cell = max(2, min(nodes_per_cell, max(2, (cap - 1) // max(n_cells, 1))))
     edges = np.linspace(-a_sigma, a_sigma, n_cells + 1)
-    atoms_list, weights_list = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        inside = (source.atoms >= lo) & (source.atoms < hi)
-        mass = source.weights[inside].sum()
-        if mass <= 1e-300:
-            continue
-        mid = 0.5 * (lo + hi)
-        alpha, beta = _lanczos_jacobi(
-            source.atoms[inside] - mid, source.weights[inside], nodes_per_cell
-        )
-        nodes, weights = _gauss_from_recurrence(alpha, beta)
-        atoms_list.append(nodes + mid)
-        weights_list.append(weights / weights.sum() * mass)
-    atoms = np.concatenate(atoms_list)
-    weights = np.concatenate(weights_list)
+    atoms, weights = _cellwise_gauss(source, edges, nodes_per_cell)
 
     # Gaussian floor keeps the mixture strictly positive everywhere
     d_sigma = sigma ** (-(floor_power - 1.0)) * math.exp(

@@ -82,10 +82,6 @@ class GridFunction:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def from_values(cls, half_width: float, values) -> "GridFunction":
-        return cls(half_width, values)
-
-    @classmethod
     def from_spectrum(cls, half_width: float, n_points: int, spectrum) -> "GridFunction":
         """Build from the DFT twin; values are synthesized by inverse DFT."""
         spectrum = np.asarray(spectrum, dtype=complex)

@@ -20,18 +20,6 @@ from .gridfn import GridFunction, lp_norm
 KL_FLOOR = 1e-300
 
 
-@dataclass(frozen=True)
-class MixingDistancePair:
-    """A pair of discrete mixing measures with the comparison order."""
-
-    f1: DiscreteMixingMeasure
-    f2: DiscreteMixingMeasure
-    p: float = 2.0
-
-    def distance(self) -> float:
-        return wasserstein(self.f1, self.f2, self.p)
-
-
 def wasserstein(f1: DiscreteMixingMeasure, f2: DiscreteMixingMeasure, p: float) -> float:
     """Order-p Wasserstein distance between discrete measures on the line.
 

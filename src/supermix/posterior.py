@@ -1,7 +1,9 @@
 """Desk-scale posterior inference for Gaussian-location mixtures.
 
-Two blocked Gibbs samplers are provided, chosen so that their stationary
-laws are exactly the stated truncated priors:
+One blocked Gibbs sweep (allocation, bandwidth slice update, log
+likelihood) serves two priors through a per-prior weight/atom block,
+chosen so that the stationary laws are exactly the stated truncated
+priors:
 
 * Pitman-Yor / Dirichlet: truncated stick-breaking with conjugate Beta
   stick updates, conjugate (or truncated-conjugate) atom updates, and a
@@ -21,6 +23,7 @@ independent of scheduling.
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -172,14 +175,48 @@ def blocked_gibbs_fit(
     cfg: FitConfig,
     rng: np.random.Generator,
 ) -> list[PosteriorDraw]:
-    """Run the blocked Gibbs sampler; returns post-burn-in thinned draws."""
+    """Run the blocked Gibbs sampler; returns post-burn-in thinned draws.
+
+    One sweep allocates every observation, updates the prior's weight and
+    atom block, slice-samples the bandwidth and records the log likelihood.
+    """
     data = np.asarray(data, dtype=float)
     if data.size < 10:
         raise InvalidConfig("need at least 10 observations")
+    if not np.all(np.isfinite(data)):
+        raise InvalidConfig("data must be finite")
+    n = data.size
+    sigma = _init_sigma(data, cfg, rng)
     if isinstance(cfg.prior, NIGPartitionPrior):
-        draws, logliks = _gibbs_nig(data, cfg, rng)
+        block = _NIGCells(cfg.prior)
     else:
-        draws, logliks = _gibbs_py(data, cfg, rng)
+        block = _PYSticks(cfg.prior, cfg.truncation, rng)
+    draws: list[PosteriorDraw] = []
+    logliks: list[float] = []
+
+    for it in range(cfg.iterations):
+        logmat = block.log_weights()[None, :] + _log_phi_matrix(data, block.atoms, sigma)
+        alloc = _categorical_rows(logmat, rng)
+        counts = np.bincount(alloc, minlength=block.atoms.size)
+
+        block.update(data, alloc, counts, sigma, rng)
+
+        if cfg.fixed_sigma is None:
+            resid = data - block.atoms[alloc]
+            ss = float((resid ** 2).sum())
+            logpost = _sigma_logpost(cfg.scale_prior, n, ss)
+            sigma = math.exp(_slice_sample_log(logpost, math.log(sigma), rng))
+
+        ll = _mixture_loglik(logmat)
+        logliks.append(ll)
+        if it >= cfg.burn_in and (it - cfg.burn_in) % cfg.thinning == 0:
+            draws.append(
+                PosteriorDraw(
+                    mixing=DiscreteMixingMeasure(block.atoms.copy(), block.weights()),
+                    sigma=sigma,
+                    loglik=ll,
+                )
+            )
     _monitor_burn_in(np.array(logliks), cfg.burn_in)
     return draws
 
@@ -207,48 +244,34 @@ def _init_sigma(data: np.ndarray, cfg: FitConfig, rng: np.random.Generator) -> f
     return min(max(sigma, 1e-3), 10.0 * spread)
 
 
-def _gibbs_py(data: np.ndarray, cfg: FitConfig, rng: np.random.Generator):
-    prior: PYParams = cfg.prior
-    base = prior.base
-    n, L = data.size, cfg.truncation
-    js = np.arange(1, L + 1)
+def _mixture_loglik(logmat: np.ndarray) -> float:
+    m = logmat.max(axis=1, keepdims=True)
+    return float((m[:, 0] + np.log(np.exp(logmat - m).sum(axis=1))).sum())
 
-    sigma = _init_sigma(data, cfg, rng)
-    sticks = rng.beta(1.0 - prior.d, prior.c + prior.d * js)
-    sticks[-1] = 1.0
-    atoms = base.sample(rng, L)
-    draws: list[PosteriorDraw] = []
-    logliks: list[float] = []
 
-    for it in range(cfg.iterations):
-        log_w = _stick_log_weights(sticks)
-        logmat = log_w[None, :] + _log_phi_matrix(data, atoms, sigma)
-        alloc = _categorical_rows(logmat, rng)
-        counts = np.bincount(alloc, minlength=L)
+class _PYSticks:
+    """Pitman-Yor weight/atom block: truncated sticks with conjugate Beta
+    updates and conjugate (or truncated-conjugate) atom updates."""
 
-        sticks = _update_sticks(counts, prior, js, rng)
+    def __init__(self, prior: PYParams, truncation: int, rng: np.random.Generator):
+        self.prior = prior
+        self.js = np.arange(1, truncation + 1)
+        self.sticks = rng.beta(1.0 - prior.d, prior.c + prior.d * self.js)
+        self.sticks[-1] = 1.0
+        self.atoms = prior.base.sample(rng, truncation)
 
-        atoms = _update_atoms_py(data, alloc, counts, sigma, base, rng, L)
+    def log_weights(self) -> np.ndarray:
+        return _stick_log_weights(self.sticks)
 
-        if cfg.fixed_sigma is None:
-            resid = data - atoms[alloc]
-            ss = float((resid ** 2).sum())
-            logpost = _sigma_logpost(cfg.scale_prior, n, ss)
-            sigma = math.exp(_slice_sample_log(logpost, math.log(sigma), rng))
+    def weights(self) -> np.ndarray:
+        weights = np.exp(self.log_weights())
+        return weights / weights.sum()
 
-        ll = _mixture_loglik(logmat)
-        logliks.append(ll)
-        if it >= cfg.burn_in and (it - cfg.burn_in) % cfg.thinning == 0:
-            weights = np.exp(_stick_log_weights(sticks))
-            weights = weights / weights.sum()
-            draws.append(
-                PosteriorDraw(
-                    mixing=DiscreteMixingMeasure(atoms.copy(), weights),
-                    sigma=sigma,
-                    loglik=ll,
-                )
-            )
-    return draws, logliks
+    def update(self, data, alloc, counts, sigma, rng) -> None:
+        self.sticks = _update_sticks(counts, self.prior, self.js, rng)
+        self.atoms = _update_atoms_py(
+            data, alloc, counts, sigma, self.prior.base, rng, self.js.size
+        )
 
 
 def _update_sticks(
@@ -269,11 +292,6 @@ def _stick_log_weights(sticks: np.ndarray) -> np.ndarray:
     log_v = np.log(sticks)
     log_1mv = np.log1p(-np.clip(sticks, None, 1.0 - 1e-15))
     return log_v + np.concatenate([[0.0], np.cumsum(log_1mv[:-1])])
-
-
-def _mixture_loglik(logmat: np.ndarray) -> float:
-    m = logmat.max(axis=1, keepdims=True)
-    return float((m[:, 0] + np.log(np.exp(logmat - m).sum(axis=1))).sum())
 
 
 def _update_atoms_py(data, alloc, counts, sigma, base: BaseMeasure, rng, L):
@@ -298,52 +316,33 @@ def _update_atoms_py(data, alloc, counts, sigma, base: BaseMeasure, rng, L):
     raise InvalidConfig(f"no conjugate atom update for base family {base.family!r}")
 
 
-def _gibbs_nig(data: np.ndarray, cfg: FitConfig, rng: np.random.Generator):
-    prior: NIGPartitionPrior = cfg.prior
-    atoms = prior.cell_midpoints()
-    alphas = prior.cell_alphas()
-    n, K = data.size, atoms.size
+class _NIGCells:
+    """N-IG weight block on a fixed partition: atoms stay at the cell
+    midpoints; the un-normalized cell increments y are updated through
+    the latent total-mass scale."""
 
-    sigma = _init_sigma(data, cfg, rng)
-    y = np.maximum(alphas.copy(), 1e-8)
-    draws: list[PosteriorDraw] = []
-    logliks: list[float] = []
+    def __init__(self, prior: NIGPartitionPrior):
+        self.atoms = prior.cell_midpoints()
+        self.alphas = prior.cell_alphas()
+        self.y = np.maximum(self.alphas.copy(), 1e-8)
 
-    for it in range(cfg.iterations):
-        weights = y / y.sum()
-        logmat = np.log(weights)[None, :] + _log_phi_matrix(data, atoms, sigma)
-        alloc = _categorical_rows(logmat, rng)
-        counts = np.bincount(alloc, minlength=K)
+    def log_weights(self) -> np.ndarray:
+        return np.log(self.weights())
 
+    def weights(self) -> np.ndarray:
+        return self.y / self.y.sum()
+
+    def update(self, data, alloc, counts, sigma, rng) -> None:
         # latent total-mass scale: u | y ~ Gamma(n, rate = sum y)
-        u = rng.gamma(n, 1.0 / y.sum())
+        u = rng.gamma(data.size, 1.0 / self.y.sum())
         # y_k | rest ~ GIG(p = counts_k - 1/2, a = 1 + 2u, b = alpha_k^2)
-        p = counts - 0.5
         a_gig = 1.0 + 2.0 * u
-        b_gig = alphas ** 2
+        b_gig = self.alphas ** 2
         y = geninvgauss.rvs(
-            p, np.sqrt(a_gig * b_gig), scale=np.sqrt(b_gig / a_gig), random_state=rng
+            counts - 0.5, np.sqrt(a_gig * b_gig), scale=np.sqrt(b_gig / a_gig),
+            random_state=rng,
         )
-        y = np.maximum(y, 1e-300)
-
-        if cfg.fixed_sigma is None:
-            resid = data - atoms[alloc]
-            ss = float((resid ** 2).sum())
-            logpost = _sigma_logpost(cfg.scale_prior, n, ss)
-            sigma = math.exp(_slice_sample_log(logpost, math.log(sigma), rng))
-
-        ll = _mixture_loglik(logmat)
-        logliks.append(ll)
-        if it >= cfg.burn_in and (it - cfg.burn_in) % cfg.thinning == 0:
-            w = y / y.sum()
-            draws.append(
-                PosteriorDraw(
-                    mixing=DiscreteMixingMeasure(atoms.copy(), w),
-                    sigma=sigma,
-                    loglik=ll,
-                )
-            )
-    return draws, logliks
+        self.y = np.maximum(y, 1e-300)
 
 
 # ---------------------------------------------------------------------
@@ -463,12 +462,46 @@ def _task_seed(seed: int, task_index: int) -> int:
     return (int(seed) ^ int(task_index)) & 0xFFFFFFFFFFFFFFFF
 
 
-def _contraction_task(args):
-    truth_id, prior_id, n, replicate, task_index, seed, cfg = args
+def _worker_count(threads: int, n_tasks: int, cpu_count: Optional[int] = None) -> int:
+    """Process-pool size for ``threads`` (0 = one per CPU), clamped to
+    ``[1, min(cpu_count, n_tasks)]``."""
+    if threads < 0:
+        raise InvalidConfig(f"threads must be >= 0, got {threads}")
+    cap = min(cpu_count or os.cpu_count() or 1, n_tasks)
+    return max(1, min(threads or cap, cap))
+
+
+def _run_task(args):
+    summarize, truth_id, n, replicate, task_index, seed, cfg = args
     truth = resolve_truth(truth_id)
     rng = np.random.default_rng(_task_seed(seed, task_index))
     data = truth.sample(n, rng)
     draws = blocked_gibbs_fit(data, cfg, rng)
+    return summarize(truth, draws, n, replicate)
+
+
+def _run_experiment(summarize, truth_id, n_ladder, replicates, cfg, seed, threads):
+    """Fit ``cfg`` across an increasing-n ladder, one task per replicate.
+
+    Replicate seeds are ``seed XOR task_index`` with tasks enumerated in
+    (ladder, replicate) order; output order matches the enumeration, so
+    equal seeds give byte-identical tables regardless of thread count.
+    """
+    if list(n_ladder) != sorted(n_ladder):
+        raise InvalidConfig("n ladder must be increasing")
+    tasks = [
+        (summarize, truth_id, int(n), rep, i * replicates + rep, seed, cfg)
+        for i, n in enumerate(n_ladder)
+        for rep in range(replicates)
+    ]
+    workers = _worker_count(threads, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(_run_task, tasks))
+    return [_run_task(t) for t in tasks]
+
+
+def _contraction_summary(truth: TruthSpec, draws, n: int, replicate: int) -> ContractionRow:
     grid = experiment_grid()
     f0 = truth.density(grid)
     mean = posterior_mean_density(draws, grid)
@@ -494,42 +527,10 @@ def contraction_experiment(
     seed: int = 0,
     threads: int = 1,
 ) -> list[ContractionRow]:
-    """Fit the prior across an increasing-n ladder and tabulate errors.
-
-    Replicate seeds are ``seed XOR task_index`` with tasks enumerated in
-    (ladder, replicate) order; output order matches the enumeration, so
-    equal seeds give byte-identical tables regardless of thread count.
-    """
-    if list(n_ladder) != sorted(n_ladder):
-        raise InvalidConfig("n ladder must be increasing")
+    """Fit the prior across an increasing-n ladder and tabulate errors."""
     cfg = cfg or default_py_config(prior_id)
-    tasks = []
-    for i, n in enumerate(n_ladder):
-        for rep in range(replicates):
-            tasks.append(
-                (truth_id, prior_id, int(n), rep, i * replicates + rep, seed, cfg)
-            )
-    if threads and threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(_contraction_task, tasks))
-    else:
-        rows = [_contraction_task(t) for t in tasks]
-    return rows
-
-
-def _w2_task(args):
-    truth_id, n, replicate, task_index, seed, cfg = args
-    truth = resolve_truth(truth_id)
-    rng = np.random.default_rng(_task_seed(seed, task_index))
-    data = truth.sample(n, rng)
-    draws = blocked_gibbs_fit(data, cfg, rng)
-    w2 = np.array([wasserstein(d.mixing, truth.mixing, 2.0) for d in draws])
-    return W2Row(
-        n=n,
-        replicate=replicate,
-        w2_median=float(np.median(w2)),
-        w2_q90=float(np.quantile(w2, 0.9)),
-        w2_max=float(w2.max()),
+    return _run_experiment(
+        _contraction_summary, truth_id, n_ladder, replicates, cfg, seed, threads
     )
 
 
@@ -540,6 +541,17 @@ class W2Row:
     w2_median: float
     w2_q90: float
     w2_max: float
+
+
+def _w2_summary(truth: TruthSpec, draws, n: int, replicate: int) -> W2Row:
+    w2 = np.array([wasserstein(d.mixing, truth.mixing, 2.0) for d in draws])
+    return W2Row(
+        n=n,
+        replicate=replicate,
+        w2_median=float(np.median(w2)),
+        w2_q90=float(np.quantile(w2, 0.9)),
+        w2_max=float(w2.max()),
+    )
 
 
 def default_w2_config(theta_half_width: float = 4.0) -> FitConfig:
@@ -560,16 +572,5 @@ def wasserstein_recovery_experiment(
     threads: int = 1,
 ) -> list[W2Row]:
     """Posterior Wasserstein recovery of a compactly supported mixing truth."""
-    if list(n_ladder) != sorted(n_ladder):
-        raise InvalidConfig("n ladder must be increasing")
     cfg = cfg or default_w2_config()
-    tasks = []
-    for i, n in enumerate(n_ladder):
-        for rep in range(replicates):
-            tasks.append((truth_id, int(n), rep, i * replicates + rep, seed, cfg))
-    if threads and threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(_w2_task, tasks))
-    else:
-        rows = [_w2_task(t) for t in tasks]
-    return rows
+    return _run_experiment(_w2_summary, truth_id, n_ladder, replicates, cfg, seed, threads)

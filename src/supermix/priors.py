@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy.special import gammaln, kve, ndtr, ndtri
@@ -109,10 +110,6 @@ class PYParams:
             raise InvalidDiscount(f"discount must lie in [0, 1), got {self.d}")
         if not self.c > -self.d:
             raise InvalidDiscount(f"need c > -d, got c={self.c}, d={self.d}")
-
-    def stick_beta_params(self, j: int) -> tuple[float, float]:
-        """Beta(1-d, c+dj) parameters of the j-th stick (1-based)."""
-        return 1.0 - self.d, self.c + self.d * j
 
 
 @dataclass(frozen=True)
@@ -386,6 +383,13 @@ PY_LOCATIONS_RATE = 1.0
 NIG_RATE = 2.0
 
 
+def _mc_estimate(hit: np.ndarray) -> tuple[float, float]:
+    """Monte-Carlo probability of an event and its binomial standard error."""
+    p = hit.mean()
+    se = math.sqrt(max(p * (1.0 - p), 1e-300) / hit.size)
+    return float(p), se
+
+
 def py_sticks_exponent(n: int, eps: float, v_max: float, d: float) -> float:
     return n * max(
         math.log(n / eps), d * n * math.log(1.0 / (1.0 - v_max)) if d > 0 else 0.0
@@ -428,10 +432,7 @@ def simulate_py_stick_event(
     # sum_{j<=N} sum_{h<=j} |V_h - v_h| = sum_h (N - h + 1) |V_h - v_h|
     coef = n - js + 1.0
     dist = (coef * np.abs(draws - v)).sum(axis=1)
-    hit = (dist <= 2.0 * eps) & (draws.min(axis=1) > eps / n ** 2)
-    p = hit.mean()
-    se = math.sqrt(max(p * (1.0 - p), 1e-300) / n_mc)
-    return float(p), se
+    return _mc_estimate((dist <= 2.0 * eps) & (draws.min(axis=1) > eps / n ** 2))
 
 
 def py_locations_exponent(n: int, eps: float, a: float, base: BaseMeasure) -> float:
@@ -465,10 +466,7 @@ def simulate_py_location_event(
 ) -> tuple[float, float]:
     z = np.asarray(z_targets, dtype=float)
     draws = base.sample(rng, (n_mc, z.size))
-    hit = np.abs(draws - z).sum(axis=1) <= eps
-    p = hit.mean()
-    se = math.sqrt(max(p * (1.0 - p), 1e-300) / n_mc)
-    return float(p), se
+    return _mc_estimate(np.abs(draws - z).sum(axis=1) <= eps)
 
 
 def nig_exponent(n: int, eps: float, z0: np.ndarray) -> float:
@@ -515,12 +513,9 @@ def simulate_nig_event(
 ) -> tuple[float, float]:
     z0 = np.asarray(z0, dtype=float)
     draws = nig_sample(params, rng, size=n_mc)
-    hit = (np.abs(draws - z0).sum(axis=1) <= 2.0 * eps) & (
-        draws.min(axis=1) > eps ** 2 / 2.0
+    return _mc_estimate(
+        (np.abs(draws - z0).sum(axis=1) <= 2.0 * eps) & (draws.min(axis=1) > eps ** 2 / 2.0)
     )
-    p = hit.mean()
-    se = math.sqrt(max(p * (1.0 - p), 1e-300) / n_mc)
-    return float(p), se
 
 
 @dataclass(frozen=True)
@@ -538,9 +533,10 @@ class LemmaCheckRow:
         return self.mc_estimate + 3.0 * self.mc_stderr >= self.analytic_bound
 
 
-#: verification grids: one reference configuration (used for the fit) and
-#: at least six strictly harder ones per lemma
+#: verification grids: the reference configuration (used for the fit)
+#: first, then at least six strictly harder ones per lemma
 _PY_STICKS_GRID = [
+    (np.array([0.5, 0.35]), 0.2, 1.0, 0.0),
     (np.array([0.5, 0.35]), 0.10, 1.0, 0.0),
     (np.array([0.5, 0.35, 0.3]), 0.20, 1.0, 0.0),
     (np.array([0.5, 0.35, 0.3]), 0.15, 1.0, 0.0),
@@ -550,6 +546,7 @@ _PY_STICKS_GRID = [
     (np.array([0.4, 0.35, 0.3, 0.25]), 0.25, 1.0, 0.25),
 ]
 _PY_LOCATIONS_GRID = [
+    (np.array([0.3]), 0.2, 0.5),
     (np.array([0.3]), 0.10, 0.5),
     (np.array([-0.5, 0.5]), 0.30, 0.8),
     (np.array([-0.5, 0.5]), 0.20, 0.8),
@@ -558,6 +555,7 @@ _PY_LOCATIONS_GRID = [
     (np.array([-1.2, -0.4, 0.4, 1.2]), 0.50, 1.5),
 ]
 _NIG_GRID = [
+    (np.array([0.5, 0.5]), 0.25, np.array([0.5, 0.5])),
     (np.array([0.5, 0.5]), 0.15, np.array([0.5, 0.5])),
     (np.array([0.5, 0.5]), 0.10, np.array([0.4, 0.4])),
     (np.ones(3) / 3, 0.20, np.array([0.5, 0.5, 0.5])),
@@ -569,55 +567,62 @@ _NIG_GRID = [
 FIT_LOG_MARGIN = 0.7
 
 
+# A lemma case is (label, simulate(n_mc, rng) -> (p, se), exponent(),
+# log_bound(constants)) for one configuration tuple of the lemma's grid.
+
+
+def _py_sticks_case(v, eps, c, d):
+    args = (v.size, eps, float(v.max()))
+    return (
+        f"N={v.size} eps={eps} c={c} d={d}",
+        partial(simulate_py_stick_event, v, eps, c, d),
+        partial(py_sticks_exponent, *args, d),
+        partial(prior_mass_bound_py_sticks, *args, c, d),
+    )
+
+
+def _py_locations_case(z, eps, a):
+    base = BaseMeasure("gaussian", 1.0)
+    return (
+        f"N={z.size} eps={eps} a={a}",
+        partial(simulate_py_location_event, z, eps, base),
+        partial(py_locations_exponent, z.size, eps, a, base),
+        partial(prior_mass_bound_py_locations, z.size, eps, a, base),
+    )
+
+
+def _nig_case(z0, eps, alphas):
+    params = NIGParams(alphas)
+    return (
+        f"N={z0.size} eps={eps}",
+        partial(simulate_nig_event, z0, eps, params),
+        partial(nig_exponent, z0.size, eps, z0),
+        partial(prior_mass_bound_nig, z0.size, eps, z0, params),
+    )
+
+
+_LEMMAS = {
+    "py-sticks": (_py_sticks_case, PY_STICKS_RATE, _PY_STICKS_GRID),
+    "py-locations": (_py_locations_case, PY_LOCATIONS_RATE, _PY_LOCATIONS_GRID),
+    "nig": (_nig_case, NIG_RATE, _NIG_GRID),
+}
+
+
 def lemma_verification_table(
     lemma: str, budget: int, rng: np.random.Generator
 ) -> tuple[FittedConstants, list[LemmaCheckRow]]:
     """Fit the lemma constants on the smallest configuration, then compare
     the bound with Monte-Carlo probabilities on the harder grid."""
-    rows: list[LemmaCheckRow] = []
-    if lemma == "py-sticks":
-        v_ref, eps_ref, c_ref, d_ref = np.array([0.5, 0.35]), 0.2, 1.0, 0.0
-        p_ref, _ = simulate_py_stick_event(v_ref, eps_ref, c_ref, d_ref, budget, rng)
-        exp_ref = py_sticks_exponent(2, eps_ref, float(v_ref.max()), d_ref)
-        consts = FittedConstants.fit(
-            math.log(p_ref), exp_ref, PY_STICKS_RATE, FIT_LOG_MARGIN
-        )
-        for v, eps, c, d in _PY_STICKS_GRID:
-            n = v.size
-            p, se = simulate_py_stick_event(v, eps, c, d, budget, rng)
-            log_bound = prior_mass_bound_py_sticks(n, eps, float(v.max()), c, d, consts)
-            rows.append(
-                LemmaCheckRow(
-                    f"N={n} eps={eps} c={c} d={d}", p, se, math.exp(log_bound)
-                )
-            )
-    elif lemma == "py-locations":
-        base = BaseMeasure("gaussian", 1.0)
-        z_ref, eps_ref, a_ref = np.array([0.3]), 0.2, 0.5
-        p_ref, _ = simulate_py_location_event(z_ref, eps_ref, base, budget, rng)
-        exp_ref = py_locations_exponent(1, eps_ref, a_ref, base)
-        consts = FittedConstants.fit(
-            math.log(p_ref), exp_ref, PY_LOCATIONS_RATE, FIT_LOG_MARGIN
-        )
-        for z, eps, a in _PY_LOCATIONS_GRID:
-            n = z.size
-            p, se = simulate_py_location_event(z, eps, base, budget, rng)
-            log_bound = prior_mass_bound_py_locations(n, eps, a, base, consts)
-            rows.append(LemmaCheckRow(f"N={n} eps={eps} a={a}", p, se, math.exp(log_bound)))
-    elif lemma == "nig":
-        z_ref, eps_ref = np.array([0.5, 0.5]), 0.25
-        params_ref = NIGParams(np.array([0.5, 0.5]))
-        p_ref, _ = simulate_nig_event(z_ref, eps_ref, params_ref, budget, rng)
-        exp_ref = nig_exponent(2, eps_ref, z_ref)
-        consts = FittedConstants.fit(math.log(p_ref), exp_ref, NIG_RATE, FIT_LOG_MARGIN)
-        for z0, eps, alphas in _NIG_GRID:
-            n = z0.size
-            params = NIGParams(alphas)
-            p, se = simulate_nig_event(z0, eps, params, budget, rng)
-            log_bound = prior_mass_bound_nig(n, eps, z0, params, consts)
-            rows.append(LemmaCheckRow(f"N={n} eps={eps}", p, se, math.exp(log_bound)))
-    else:
+    if lemma not in _LEMMAS:
         raise ValueError(f"unknown lemma id {lemma!r}")
+    case, rate, (reference, *grid) = _LEMMAS[lemma]
+    _, simulate, exponent, _ = case(*reference)
+    p_ref, _ = simulate(budget, rng)
+    consts = FittedConstants.fit(math.log(p_ref), exponent(), rate, FIT_LOG_MARGIN)
+    rows = []
+    for label, simulate, _, log_bound in (case(*config) for config in grid):
+        p, se = simulate(budget, rng)
+        rows.append(LemmaCheckRow(label, p, se, math.exp(log_bound(consts))))
     return consts, rows
 
 

@@ -138,9 +138,7 @@ def _auto_order(sigma: float, coef_cap: int = MAX_ORDER) -> int:
     return coef_cap
 
 
-def _band_symbol_multiplier(
-    f0: GridFunction, sigma: float, order: int, k_max: Optional[int] = None
-) -> np.ndarray:
+def _band_symbol_multiplier(f0: GridFunction, sigma: float, order: int) -> np.ndarray:
     """Spectral multiplier of the corrected function: the truncated symbol
     inside the band, 1 outside (sinc kills every correction term there)."""
     t = f0.freqs()
@@ -148,16 +146,8 @@ def _band_symbol_multiplier(
         raise CutoffAboveNyquist(
             f"1/sigma = {1/sigma:g} exceeds Nyquist {f0.nyquist:g}"
         )
-    coef = coefficients(order)
     band = np.abs(t) <= 1.0 / sigma
-    u = (sigma * t) ** 2 / 2.0
-    v = -2.0 * u
-    acc = np.zeros_like(u)
-    top = order if k_max is None else min(order, k_max)
-    for k in range(top // 2, 0, -1):
-        acc = acc * v + coef.d[2 * k]
-    series = acc * v
-    return np.where(band, 1.0 - series, 1.0)
+    return np.where(band, coefficients(order).symbol((sigma * t) ** 2 / 2.0), 1.0)
 
 
 def transform_analytic(

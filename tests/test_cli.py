@@ -4,8 +4,9 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from supermix.cli import main
+from supermix.cli import main, parse_args
 
 
 def run_cli(args):
@@ -79,6 +80,50 @@ def test_config_file_override(tmp_path):
           "--budget", "7000", "--out", str(out2)])
     meta2 = json.loads(Path(str(out2) + ".meta.json").read_text())
     assert meta2["config"]["budget"] == 7000
+
+
+def test_config_file_values_parse_by_flag_type(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n_ladder=60,120\nreplicates=3\n")
+    args = parse_args(["--config", str(cfg), "contract", "--out", "c.csv"])
+    assert args.n_ladder == [60, 120]
+    assert args.replicates == 3
+
+
+def test_config_file_explicit_flag_at_default_wins(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("budget=5000\n")
+    args = parse_args(["--config", str(cfg), "nig-check", "--alphas", "1,1",
+                       "--budget", "100000", "--out", "c.csv"])
+    assert args.budget == 100000
+
+
+def test_config_file_unknown_key_exits_2(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("bugdet=5000\n")
+    out = tmp_path / "c.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(cfg), "nig-check", "--alphas", "1,1", "--out", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
+    assert not Path(str(out) + ".meta.json").exists()
+
+
+def test_negative_threads_exits_2(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["w2", "--n-ladder", "60", "--replicates", "1", "--threads", "-3",
+              "--out", str(tmp_path / "w2.csv")])
+    assert exc.value.code == 2
+
+
+def test_fit_non_finite_data_exits_2(tmp_path):
+    data_file = tmp_path / "data.txt"
+    data_file.write_text("\n".join(["0.1", "nan"] + ["0.5"] * 20) + "\n")
+    out = tmp_path / "fit.csv"
+    code = main(["fit", "--data", str(data_file), "--iterations", "60",
+                 "--burn-in", "20", "--truncation", "10", "--out", str(out)])
+    assert code == 2
+    assert not out.exists()
 
 
 def test_prior_mass_csv_shape(tmp_path):

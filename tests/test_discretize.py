@@ -170,6 +170,13 @@ class TestFiniteGaussianMixture:
         assert kls[-1] <= 1e-3 and m2s[-1] <= 1e-3
         assert np.all(np.diff(kls) < 0) and np.all(np.diff(m2s) < 0)
 
+    def test_symmetric_truth_gives_symmetric_atoms(self, gaussian_truth):
+        # at sigma = 0.4 the window edge a_sigma = 5 is a grid point, so the
+        # last cell must be closed for the source atom at +5 to be kept
+        approx = finite_gaussian_mixture(gaussian_truth, 0.4)
+        atoms = approx.mixing.atoms
+        assert np.abs(atoms + atoms[::-1]).max() <= 1e-10
+
     def test_rejects_heavy_tailed_truth(self, cauchy_truth):
         with pytest.raises(ValueError):
             finite_gaussian_mixture(cauchy_truth, 0.3)

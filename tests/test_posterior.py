@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.stats import beta as beta_dist
@@ -13,12 +15,15 @@ from supermix import (
 )
 from supermix.errors import InvalidConfig, TooFewDraws
 from supermix.posterior import (
+    _worker_count,
+    contraction_experiment,
     default_py_config,
     default_w2_config,
     experiment_grid,
     mixture_density_values,
     prior_predictive_density,
     resolve_truth,
+    wasserstein_recovery_experiment,
 )
 from supermix.priors import BaseMeasure
 
@@ -53,6 +58,22 @@ class TestConfigValidation:
         rng = np.random.default_rng(0)
         with pytest.raises(InvalidConfig):
             blocked_gibbs_fit(np.zeros(5), small_config(), rng)
+
+    def test_non_finite_data_rejected(self):
+        data = np.random.default_rng(0).standard_normal(20)
+        data[3] = np.nan
+        with pytest.raises(InvalidConfig):
+            blocked_gibbs_fit(data, small_config(), np.random.default_rng(0))
+
+    def test_worker_count_clamp(self):
+        assert _worker_count(0, 30, cpu_count=4) == 4
+        assert _worker_count(0, 3, cpu_count=4) == 3
+        assert _worker_count(1, 30, cpu_count=4) == 1
+        assert _worker_count(16, 30, cpu_count=4) == 4
+        assert _worker_count(16, 2, cpu_count=4) == 2
+        assert _worker_count(2, 0, cpu_count=4) == 1
+        with pytest.raises(InvalidConfig):
+            _worker_count(-3, 30, cpu_count=4)
 
 
 class TestGibbsPY:
@@ -225,3 +246,21 @@ class TestPosteriorSummaries:
             prior_predictive_density(cfg, grid, np.random.default_rng(10)) - f0, 1
         )
         assert post_err <= prior_err
+
+
+class TestExperiments:
+    def test_rows_independent_of_thread_count(self):
+        # two tasks each: with two or more CPUs, threads=2 runs a two-worker pool
+        tiny = dict(iterations=110, burn_in=60, thinning=1, truncation=10)
+        cfg = small_config(**tiny)
+        rows = [
+            contraction_experiment("gaussian:1", "dp", [30, 40], 1, cfg=cfg, seed=3, threads=t)
+            for t in (1, 2)
+        ]
+        assert rows[0] == rows[1]
+        w2_cfg = dataclasses.replace(default_w2_config(), **tiny)
+        rows = [
+            wasserstein_recovery_experiment("twopoint", [30, 40], 1, cfg=w2_cfg, seed=3, threads=t)
+            for t in (1, 2)
+        ]
+        assert rows[0] == rows[1]
