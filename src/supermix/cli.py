@@ -2,8 +2,9 @@
 
 Every subcommand writes a CSV with a header row (floats serialized with
 17 significant digits) plus a ``<out>.meta.json`` sidecar echoing the full
-configuration, package and library versions, and the seed.  Exit codes:
-0 success, 2 validation/usage error, 1 runtime error.
+configuration, package and library versions, and the seed; the two are
+written as a pair, so a failed run leaves neither.  Exit codes: 0 success,
+2 validation/usage error, 1 runtime error.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import astuple, fields, replace
 from pathlib import Path
@@ -31,19 +33,19 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
+def _csv_text(header: list[str], rows: list[tuple]) -> str:
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
-def write_rows(path: Path, row_type, rows: list) -> None:
-    """CSV of dataclass rows, one column per field."""
-    write_csv(path, [f.name for f in fields(row_type)], [astuple(r) for r in rows])
+def _dataclass_table(row_type, rows: list) -> tuple[list[str], list[tuple]]:
+    """Header and rows of dataclass rows, one column per field."""
+    return [f.name for f in fields(row_type)], [astuple(r) for r in rows]
 
 
-def write_meta(path: Path, config: dict) -> None:
+def _meta_text(config: dict) -> str:
     import scipy
 
     meta = {
@@ -54,7 +56,29 @@ def write_meta(path: Path, config: dict) -> None:
             "scipy": scipy.__version__,
         },
     }
-    Path(str(path) + ".meta.json").write_text(json.dumps(meta, sort_keys=True, indent=1))
+    return json.dumps(meta, sort_keys=True, indent=1)
+
+
+def write_outputs(out: Path, header: list[str], rows: list[tuple], config: dict) -> None:
+    """Write the CSV and its ``<out>.meta.json`` sidecar as one pair.
+
+    Both go to temporary files next to their targets and replace the
+    targets only after both were written; the temporary files are removed
+    whatever happens, so a failed write leaves the previous pair (or none)
+    and nothing else.
+    """
+    texts = {out: _csv_text(header, rows), Path(str(out) + ".meta.json"): _meta_text(config)}
+    staged = {}
+    try:
+        for target, text in texts.items():
+            tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+            staged[tmp] = target
+            tmp.write_text(text)
+        for tmp, target in staged.items():
+            os.replace(tmp, target)
+    finally:
+        for tmp in staged:
+            tmp.unlink(missing_ok=True)
 
 
 def _parse_float_list(text: str) -> list[float]:
@@ -162,16 +186,21 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     return parser, subparsers
 
 
-def cmd_approx(args) -> None:
+#: what a subcommand returns: CSV header, CSV rows and the entries it adds
+#: to the sidecar's config
+Output = tuple[list[str], list[tuple], dict]
+
+
+def cmd_approx(args) -> Output:
     cat = catalog_density(args.density)
     rows = []
     for sigma in args.sigma:
         err = sinc_approx_error(cat.f, cat.smooth, sigma, args.p)
         rows.append((cat.name, cat.smooth.rho, cat.smooth.r, sigma, args.p, err))
-    write_csv(args.out, ["density", "rho", "r", "sigma", "p", "error"], rows)
+    return ["density", "rho", "r", "sigma", "p", "error"], rows, {}
 
 
-def cmd_transform(args) -> None:
+def cmd_transform(args) -> Output:
     cat = catalog_density(args.density)
     rows = []
     for sigma in args.sigma:
@@ -179,10 +208,10 @@ def cmd_transform(args) -> None:
         err = gaussian_smoothing_error(res, cat.f)
         dev = spectral_symbol_check(res.truncation_order, 0.5)
         rows.append((sigma, err, res.mass_defect, dev))
-    write_csv(args.out, ["sigma", "sup_error", "mass_defect", "identity_deviation"], rows)
+    return ["sigma", "sup_error", "mass_defect", "identity_deviation"], rows, {}
 
 
-def cmd_discretize(args) -> None:
+def cmd_discretize(args) -> Output:
     from .discretize import DiscreteMixingMeasure, moment_match, partition_discretize, support_budget
     from .errors import RegimeUnavailable
 
@@ -209,15 +238,10 @@ def cmd_discretize(args) -> None:
     f_in = source.mixture_density(kernel, args.sigma, xs)
     f_out = out.mixture_density(kernel, args.sigma, xs)
     sup = float(np.abs(f_in - f_out).max())
-    write_csv(
-        args.out,
+    return (
         ["atom", "weight"],
         list(zip(out.atoms.tolist(), out.weights.tolist())),
-    )
-    write_meta(
-        args.out,
         {
-            **vars_config(args),
             "regime": regime,
             "n_atoms": len(out),
             "sup_distance": sup,
@@ -226,20 +250,20 @@ def cmd_discretize(args) -> None:
     )
 
 
-def cmd_prior_mass(args) -> None:
+def cmd_prior_mass(args) -> Output:
     rng = np.random.default_rng(args.seed)
     _, rows = lemma_verification_table(args.lemma, args.budget, rng)
-    write_csv(
-        args.out,
+    return (
         ["config", "mc_estimate", "mc_stderr", "analytic_bound", "holds"],
         [
             (r.config, r.mc_estimate, r.mc_stderr, r.analytic_bound, int(r.holds))
             for r in rows
         ],
+        {},
     )
 
 
-def cmd_nig_check(args) -> None:
+def cmd_nig_check(args) -> Output:
     rng = np.random.default_rng(args.seed)
     params = NIGParams(np.array(args.alphas))
     draws = nig_sample(params, rng, size=args.budget)
@@ -253,10 +277,10 @@ def cmd_nig_check(args) -> None:
             np.abs(np.interp(emp, zs, cdf) - np.arange(1, emp.size + 1) / emp.size).max()
         )
         rows.append(("marginal_ks", ks))
-    write_csv(args.out, ["statistic", "value"], rows)
+    return ["statistic", "value"], rows, {}
 
 
-def cmd_fit(args) -> None:
+def cmd_fit(args) -> Output:
     from .posterior import blocked_gibbs_fit, default_py_config
 
     data = np.loadtxt(args.data)
@@ -276,10 +300,10 @@ def cmd_fit(args) -> None:
              ";".join(_fmt(a) for a in d.mixing.atoms),
              ";".join(_fmt(w) for w in d.mixing.weights))
         )
-    write_csv(args.out, ["draw", "sigma", "loglik", "n_atoms", "atoms", "weights"], rows)
+    return ["draw", "sigma", "loglik", "n_atoms", "atoms", "weights"], rows, {}
 
 
-def cmd_contract(args) -> None:
+def cmd_contract(args) -> Output:
     from .posterior import ContractionRow, contraction_experiment
 
     rows = contraction_experiment(
@@ -290,10 +314,10 @@ def cmd_contract(args) -> None:
         seed=args.seed,
         threads=args.threads,
     )
-    write_rows(args.out, ContractionRow, rows)
+    return (*_dataclass_table(ContractionRow, rows), {})
 
 
-def cmd_w2(args) -> None:
+def cmd_w2(args) -> Output:
     from .posterior import W2Row, wasserstein_recovery_experiment
 
     rows = wasserstein_recovery_experiment(
@@ -303,7 +327,7 @@ def cmd_w2(args) -> None:
         seed=args.seed,
         threads=args.threads,
     )
-    write_rows(args.out, W2Row, rows)
+    return (*_dataclass_table(W2Row, rows), {})
 
 
 COMMANDS = {
@@ -330,7 +354,7 @@ def parse_args(argv: Optional[list] = None) -> argparse.Namespace:
     """Parse the command line; a ``--config`` file's values become the
     subcommand's defaults, so argparse parses them with each flag's type
     and explicit flags still win.  A key that is not a flag of the
-    subcommand is a usage error."""
+    subcommand, or a value outside its flag's choices, is a usage error."""
     parser, subparsers = build_parser()
     args = parser.parse_args(argv)
     if args.config:
@@ -342,15 +366,22 @@ def parse_args(argv: Optional[list] = None) -> argparse.Namespace:
             )
         subparsers[args.command].set_defaults(**overrides)
         args = parser.parse_args(argv)
+        # argparse checks choices only for values given on the command line
+        for action in subparsers[args.command]._actions:
+            value = getattr(args, action.dest, None)
+            if action.dest in overrides and action.choices and value not in action.choices:
+                parser.error(
+                    f"{args.config}: {action.dest}={value!r} is not one of "
+                    f"{', '.join(map(str, action.choices))}"
+                )
     return args
 
 
 def main(argv: Optional[list] = None) -> int:
     args = parse_args(argv)
     try:
-        COMMANDS[args.command](args)
-        if args.command not in ("discretize",):  # discretize writes its own meta
-            write_meta(args.out, vars_config(args))
+        header, rows, extra = COMMANDS[args.command](args)
+        write_outputs(args.out, header, rows, {**vars_config(args), **extra})
         return 0
     except (SupermixError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

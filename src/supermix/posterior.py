@@ -11,7 +11,10 @@ priors:
 * Normalized inverse-Gaussian on a fixed partition: the exact
   finite-dimensional law of the weights is preserved by a latent-scale
   augmentation that makes the un-normalized cell increments conditionally
-  generalized-inverse-Gaussian.
+  generalized-inverse-Gaussian (GIG), drawn for all cells in one
+  :func:`~supermix.priors.gig_sample` call per sweep.  That sampler
+  replaced ``scipy.stats.geninvgauss``, so fixed-seed N-IG outputs differ
+  from versions before it; the Pitman-Yor / Dirichlet stream is unchanged.
 
 Experiments report directional contraction diagnostics (L^p errors of the
 posterior mean density, Wasserstein recovery of the mixing measure); all
@@ -30,14 +33,20 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from scipy.stats import geninvgauss
 
 from .discretize import DiscreteMixingMeasure
 from .errors import InvalidConfig, NonConvergenceWarning, TooFewDraws
 from .gridfn import GridFunction, lp_norm
 from .kernels import catalog_density
 from .metrics import kl_divergence, wasserstein
-from .priors import BaseMeasure, NIGParams, PYParams, ScalePriorA0, truncated_normal_sample
+from .priors import (
+    BaseMeasure,
+    NIGParams,
+    PYParams,
+    ScalePriorA0,
+    gig_sample,
+    truncated_normal_sample,
+)
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -336,12 +345,7 @@ class _NIGCells:
         # latent total-mass scale: u | y ~ Gamma(n, rate = sum y)
         u = rng.gamma(data.size, 1.0 / self.y.sum())
         # y_k | rest ~ GIG(p = counts_k - 1/2, a = 1 + 2u, b = alpha_k^2)
-        a_gig = 1.0 + 2.0 * u
-        b_gig = self.alphas ** 2
-        y = geninvgauss.rvs(
-            counts - 0.5, np.sqrt(a_gig * b_gig), scale=np.sqrt(b_gig / a_gig),
-            random_state=rng,
-        )
+        y = gig_sample(counts - 0.5, 1.0 + 2.0 * u, self.alphas ** 2, rng)
         self.y = np.maximum(y, 1e-300)
 
 
@@ -454,8 +458,11 @@ def default_py_config(prior_id: str = "dp") -> FitConfig:
     """Named sampler defaults: ``dp``, ``py`` (d=0.25), or ``nig``."""
     if prior_id == "nig":
         return FitConfig(prior=NIGPartitionPrior())
-    d = 0.25 if prior_id == "py" else 0.0
-    return FitConfig(prior=PYParams(c=1.0, d=d, base=BaseMeasure("gaussian", 2.0)))
+    discounts = {"dp": 0.0, "py": 0.25}
+    if prior_id not in discounts:
+        raise InvalidConfig(f"unknown prior id {prior_id!r}; expected dp, py or nig")
+    base = BaseMeasure("gaussian", 2.0)
+    return FitConfig(prior=PYParams(c=1.0, d=discounts[prior_id], base=base))
 
 
 def _task_seed(seed: int, task_index: int) -> int:

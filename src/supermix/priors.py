@@ -16,7 +16,6 @@ from functools import partial
 
 import numpy as np
 from scipy.special import gammaln, kve, ndtr, ndtri
-from scipy.stats import invgamma
 
 from .errors import (
     BoundaryPoint,
@@ -285,6 +284,95 @@ def inverse_gaussian_sample(
     return np.where(accept, x, mu ** 2 / x)
 
 
+#: rejection rounds after which :func:`gig_sample` gives up; a round
+#: accepts each pending draw with probability at least 0.67 (measured for
+#: p from 1 to 5000.5 and sqrt(ab) from 1e-6 to 1e4), so the cap is only
+#: reached when the bounding rectangle is broken
+GIG_MAX_ROUNDS = 100
+
+
+def gig_sample(p, a, b, rng: np.random.Generator) -> np.ndarray:
+    """Generalized inverse-Gaussian draws, one per broadcast (p, a, b).
+
+    The density is proportional to ``y^(p-1) exp(-(a y + b / y) / 2)`` with
+    a, b > 0.  Only |p| = 1/2 and |p| >= 1 are supported (the Gibbs sweep
+    needs p = count - 1/2); other p raise ``ValueError``.  Uses
+    GIG(p, a, b) = 1 / GIG(-p, b, a).  |p| = 1/2 is an inverse Gaussian,
+    GIG(-1/2, a, b) = IG(mean sqrt(b/a), shape b); |p| >= 1 uses the
+    ratio-of-uniforms with mode shift of Hoermann & Leydold, "Generating
+    generalized inverse Gaussian random variates", Stat. Comput. 24 (2014),
+    on GIG(p, a, b) = sqrt(b/a) GIG(p, sqrt(ab), sqrt(ab)).
+    """
+    p, a, b = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (p, a, b)))
+    q = np.abs(p)
+    half = q == 0.5
+    if not np.all(half | ((q >= 1.0) & (q < np.inf))):
+        raise ValueError("gig_sample supports |p| = 1/2 and finite |p| >= 1 only")
+    if not np.all((a > 0) & (a < np.inf) & (b > 0) & (b < np.inf)):
+        raise ValueError("GIG parameters a and b must be positive and finite")
+    # flip to the canonical sign of each branch: p = -1/2, or p >= 1
+    flip = np.where(half, p > 0, p < 0)
+    a, b = np.where(flip, b, a), np.where(flip, a, b)
+    x = np.empty(p.shape)
+    x[half] = inverse_gaussian_sample(np.sqrt(b[half] / a[half]), b[half], rng)
+    rou = ~half
+    x[rou] = np.sqrt(b[rou] / a[rou]) * _gig_ratio_of_uniforms(
+        q[rou], np.sqrt(a[rou] * b[rou]), rng
+    )
+    return np.where(flip, 1.0 / x, x)
+
+
+def _gig_log_ratio(x, q, w, m):
+    """log h(x) - log h(m) for h(x) = x^(q-1) exp(-w (x + 1/x) / 2); -inf at x <= 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = (q - 1.0) * np.log(x / m) - 0.5 * w * ((x - m) + (1.0 / x - 1.0 / m))
+    return np.where(x > 0, out, -np.inf)
+
+
+def _gig_ratio_of_uniforms(q, w, rng: np.random.Generator) -> np.ndarray:
+    """GIG(q, w, w) draws for q >= 1: ratio-of-uniforms around the mode m,
+    one rejection loop over the indices still pending.
+
+    The v-bounds sit at the two positive roots of the cubic
+    x^3 + a2 x^2 + a1 x + m whose zeros extremize (x - m) sqrt(h(x)).  The
+    largest root comes from Cardano's trigonometric form; the one below m
+    from Vieta's relations, because the trigonometric form loses it to
+    cancellation once the roots differ by many orders of magnitude (at
+    q = 1, w = 1e-6 it comes out negative instead of 5e-4)."""
+    m = (q - 1.0 + np.sqrt((q - 1.0) ** 2 + w ** 2)) / w
+    a2 = -2.0 * (q + 1.0) / w - m
+    a1 = 2.0 * m * (q - 1.0) / w - 1.0
+    p1 = a1 - a2 ** 2 / 3.0
+    q1 = 2.0 * a2 ** 3 / 27.0 - a2 * a1 / 3.0 + m
+    phi = np.arccos(np.clip(-q1 * np.sqrt(-27.0 / p1 ** 3) / 2.0, -1.0, 1.0))
+    top = np.sqrt(-4.0 * p1 / 3.0) * np.cos(phi / 3.0) - a2 / 3.0
+    # the other two roots have product -m / top < 0 and sum (a1 + m / top) / top
+    prod = -m / top
+    half_sum = 0.5 * (a1 - prod) / top
+    disc = np.sqrt(half_sum ** 2 - prod)
+    low = np.where(half_sum >= 0.0, half_sum + disc, -prod / (disc + np.abs(half_sum)))
+    vmin, vmax = ((r - m) * np.exp(0.5 * _gig_log_ratio(r, q, w, m)) for r in (low, top))
+    if not np.all((vmin < 0.0) & (vmax > 0.0)):
+        raise RuntimeError("GIG ratio-of-uniforms bounds are not finite and of opposite sign")
+    x = np.empty(q.shape)
+    pending = np.arange(q.size)
+    for _ in range(GIG_MAX_ROUNDS):
+        if not pending.size:
+            return x
+        u = 1.0 - rng.random(pending.size)  # (0, 1]: v / u stays finite
+        v = vmin[pending] + (vmax[pending] - vmin[pending]) * rng.random(pending.size)
+        cand = v / u + m[pending]
+        accept = 2.0 * np.log(u) <= _gig_log_ratio(cand, q[pending], w[pending], m[pending])
+        x[pending[accept]] = cand[accept]
+        pending = pending[~accept]
+    if pending.size:
+        raise RuntimeError(
+            f"GIG ratio-of-uniforms stalled: {pending.size} draws still rejected "
+            f"after {GIG_MAX_ROUNDS} rounds"
+        )
+    return x
+
+
 def nig_sample(params: NIGParams, rng: np.random.Generator, size: int = 1) -> np.ndarray:
     """Draws from the N-IG law: normalized independent IG increments.
 
@@ -335,7 +423,12 @@ class ScalePriorA0:
         sigma = np.asarray(sigma, dtype=float)
         if np.any(sigma <= 0):
             raise NonPositiveSigma("sigma must be positive")
-        return invgamma.logpdf(sigma, self.nu, scale=self.lam)
+        return (
+            self.nu * math.log(self.lam)
+            - math.lgamma(self.nu)
+            - (self.nu + 1.0) * np.log(sigma)
+            - self.lam / sigma
+        )
 
     def sample(self, rng: np.random.Generator, size=None) -> np.ndarray:
         # 1 / Gamma(nu, rate=lam)

@@ -170,3 +170,65 @@ def test_fit_contract_smoke(tmp_path):
     rows = out2.read_text().splitlines()
     assert rows[0] == "n,replicate,l1,l2,sup,w2,kl"
     assert len(rows) == 3
+
+
+@pytest.mark.parametrize("line", ["prior=bogus", "prior=DP"])
+def test_config_file_value_outside_choices_exits_2(tmp_path, capsys, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    out = tmp_path / "c.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(cfg), "contract", "--n-ladder", "60", "--replicates", "1",
+              "--out", str(out)])
+    assert exc.value.code == 2
+    assert "is not one of dp, py, nig" in capsys.readouterr().err
+    assert not out.exists()
+    # an explicit flag still wins over the file, and is checked by argparse
+    args = parse_args(["--config", str(cfg), "contract", "--prior", "py", "--out", "c.csv"])
+    assert args.prior == "py"
+
+
+def test_config_file_value_inside_choices(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("prior=nig\n")
+    args = parse_args(["--config", str(cfg), "fit", "--data", "d.txt", "--out", "f.csv"])
+    assert args.prior == "nig"
+
+
+def test_failed_sidecar_write_leaves_previous_pair(tmp_path, monkeypatch):
+    out = tmp_path / "nig.csv"
+    meta = Path(str(out) + ".meta.json")
+    argv = ["nig-check", "--alphas", "1,1", "--budget", "2000", "--out", str(out)]
+    assert main(argv + ["--seed", "1"]) == 0
+    before = out.read_bytes(), meta.read_bytes()
+
+    real_write_text = Path.write_text
+
+    def failing_sidecar(self, *args, **kwargs):
+        if ".meta.json" in self.name:
+            real_write_text(self, "{partial")  # some bytes land, then the disk fills
+            raise OSError("No space left on device")
+        return real_write_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", failing_sidecar)
+    assert main(argv + ["--seed", "2"]) == 2
+    monkeypatch.undo()
+    assert (out.read_bytes(), meta.read_bytes()) == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["nig.csv", "nig.csv.meta.json"]
+    # a first run that fails writes nothing at all
+    fresh = tmp_path / "fresh.csv"
+    monkeypatch.setattr(Path, "write_text", failing_sidecar)
+    assert main(argv[:-1] + [str(fresh)]) == 2
+    monkeypatch.undo()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["nig.csv", "nig.csv.meta.json"]
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # importing scipy.stats costs ~0.8 s and ~38 MB; the library does not need it
+    code = (
+        "import sys, supermix, supermix.cli, supermix.posterior; "
+        "print('scipy.stats' in sys.modules)"
+    )
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"

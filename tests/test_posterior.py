@@ -65,6 +65,16 @@ class TestConfigValidation:
         with pytest.raises(InvalidConfig):
             blocked_gibbs_fit(data, small_config(), np.random.default_rng(0))
 
+    @pytest.mark.parametrize("prior_id", ["bogus", "DP", "", "nig "])
+    def test_unknown_prior_id_rejected(self, prior_id):
+        with pytest.raises(InvalidConfig, match="unknown prior id"):
+            default_py_config(prior_id)
+
+    def test_named_priors(self):
+        assert default_py_config("dp").prior.d == 0.0
+        assert default_py_config("py").prior.d == 0.25
+        assert isinstance(default_py_config("nig").prior, NIGPartitionPrior)
+
     def test_worker_count_clamp(self):
         assert _worker_count(0, 30, cpu_count=4) == 4
         assert _worker_count(0, 3, cpu_count=4) == 3
@@ -163,6 +173,22 @@ class TestGibbsNIG:
         for d in draws[::10]:
             assert np.array_equal(d.mixing.atoms, mids)
             assert abs(d.mixing.weights.sum() - 1.0) <= 1e-9
+
+    def test_one_vectorised_gig_draw_per_sweep(self, gaussian_data, monkeypatch):
+        from supermix import posterior
+
+        calls = []
+        real = posterior.gig_sample
+
+        def counting(p, a, b, rng):
+            calls.append(np.shape(p))
+            return real(p, a, b, rng)
+
+        monkeypatch.setattr(posterior, "gig_sample", counting)
+        prior = NIGPartitionPrior()
+        cfg = FitConfig(prior=prior, iterations=30, burn_in=10, thinning=2)
+        blocked_gibbs_fit(gaussian_data[1], cfg, np.random.default_rng(4))
+        assert calls == [(prior.n_cells,)] * cfg.iterations
 
     def test_cell_masses_positive(self):
         prior = NIGPartitionPrior()

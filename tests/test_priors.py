@@ -1,11 +1,13 @@
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import beta as beta_dist
-from scipy.stats import kstest
+from scipy.stats import invgamma, kstest
 
 from supermix import (
     BaseMeasure,
@@ -28,6 +30,7 @@ from supermix.errors import (
     PreconditionViolated,
 )
 from supermix.priors import (
+    gig_sample,
     inverse_gaussian_sample,
     lemma_verification_table,
     log_bessel_k_half,
@@ -36,6 +39,9 @@ from supermix.priors import (
     simulate_py_location_event,
     truncated_normal_sample,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
+from check_gig import GIBBS_A, ks_pvalue  # noqa: E402
 
 
 class TestStickBreaking:
@@ -212,6 +218,55 @@ class TestNIGSampler:
         assert abs(y.var() - 8.0 / 3.0) / (8.0 / 3.0) <= 0.05
 
 
+class TestGIGSample:
+    # the range N-IG fits at n = 1000 produce: p from -1/2 to a few
+    # hundred, omega = sqrt(ab) from about 8.5e-4 to 4
+    P = (-0.5, 0.5, 1.5, 2.5, 10.5, 309.5)
+    OMEGA = (8e-4, 4e-3, 0.37, 2.4, 4.0)
+    KS_P_MIN = 1e-3
+
+    def test_ks_against_reference_cdf(self):
+        rng = np.random.default_rng(20140401)
+        pvalues = {
+            (p, w): ks_pvalue(p, w, 10_000, rng) for p in self.P for w in self.OMEGA
+        }
+        low = {cell: v for cell, v in pvalues.items() if v < self.KS_P_MIN}
+        assert not low, low
+
+    def test_broadcasts_mixed_branches_and_reciprocal_symmetry(self):
+        p = np.array([-0.5, 0.5, 1.5, -1.5, 3.0])
+        a = np.array([2.0, 3.0, 0.5, 4.0, 1.0])
+        b = np.array([0.7, 0.2, 6.0, 0.3, 2.0])
+        y = gig_sample(p, a, b, np.random.default_rng(0))
+        assert y.shape == p.shape and np.all(y > 0)
+        # GIG(p, a, b) = 1 / GIG(-p, b, a): the same uniforms give reciprocals
+        z = gig_sample(-p, b, a, np.random.default_rng(0))
+        assert np.allclose(y * z, 1.0, rtol=1e-12)
+
+    @pytest.mark.parametrize("p", [0.0, 0.25, -0.75, 0.9, np.nan, np.inf])
+    def test_unsupported_order_raises(self, p):
+        with pytest.raises(ValueError):
+            gig_sample(np.array([1.5, p]), 1.0, 1.0, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("a, b", [(0.0, 1.0), (1.0, -1.0), (np.inf, 1.0)])
+    def test_nonpositive_or_infinite_scale_raises(self, a, b):
+        with pytest.raises(ValueError):
+            gig_sample(2.5, a, b, np.random.default_rng(0))
+
+    def test_stalled_rejection_loop_raises(self):
+        class StuckUniforms:
+            """u = 1 and v = vmin: every candidate is x = m + vmin, and
+            u = 1 would need h(x) >= h(m), so each one is rejected."""
+
+            def random(self, size):
+                return np.zeros(size)
+
+            standard_normal = random
+
+        with pytest.raises(RuntimeError, match="stalled"):
+            gig_sample(np.full(3, 2.5), GIBBS_A, 1e-3, StuckUniforms())
+
+
 class TestScalePrior:
     def test_mode(self):
         assert abs(ScalePriorA0(2.0, 1.0).mode - 1.0 / 3.0) <= 1e-15
@@ -239,6 +294,16 @@ class TestScalePrior:
     def test_nonpositive_sigma(self):
         with pytest.raises(NonPositiveSigma):
             ScalePriorA0().logpdf(np.array([0.0]))
+        with pytest.raises(NonPositiveSigma):
+            ScalePriorA0().logpdf(-1.0)
+
+    @pytest.mark.parametrize("nu, lam", [(2.0, 0.5), (3.0, 1.0), (0.7, 2.5)])
+    def test_logpdf_matches_inverse_gamma(self, nu, lam):
+        sigma = np.logspace(-3, 3, 241)
+        prior = ScalePriorA0(nu, lam)
+        expected = invgamma.logpdf(sigma, nu, scale=lam)
+        assert np.max(np.abs(prior.logpdf(sigma) - expected)) <= 1e-12
+        assert abs(prior.logpdf(0.7) - invgamma.logpdf(0.7, nu, scale=lam)) <= 1e-12
 
 
 class TestPriorMassBounds:
