@@ -271,14 +271,21 @@ def nig_density(z, params: NIGParams):
 def inverse_gaussian_sample(
     mu: np.ndarray, lam: np.ndarray, rng: np.random.Generator, size=None
 ) -> np.ndarray:
-    """Inverse-Gaussian variates by the Michael-Schucany-Haas transform."""
+    """Inverse-Gaussian variates by the Michael-Schucany-Haas transform.
+
+    The two roots of the transform multiply to mu^2; the small one is taken
+    as mu^2 over the large one, a sum of positive terms, because the usual
+    difference form cancels catastrophically when lam / mu is small.
+    """
     mu = np.asarray(mu, dtype=float)
     lam = np.asarray(lam, dtype=float)
     if size is None:
         size = np.broadcast(mu, lam).shape
     nu = rng.standard_normal(size) ** 2
-    x = mu + mu ** 2 * nu / (2.0 * lam) - (mu / (2.0 * lam)) * np.sqrt(
-        4.0 * mu * lam * nu + (mu * nu) ** 2
+    x = mu ** 2 / (
+        mu
+        + mu ** 2 * nu / (2.0 * lam)
+        + (mu / (2.0 * lam)) * np.sqrt(4.0 * mu * lam * nu + (mu * nu) ** 2)
     )
     accept = rng.random(size) <= mu / (mu + x)
     return np.where(accept, x, mu ** 2 / x)

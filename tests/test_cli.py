@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -6,13 +7,24 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import supermix
 from supermix.cli import main, parse_args
 
 
-def run_cli(args):
+def run_python(args):
+    """``python <args>`` in a child that imports the same supermix as the tests."""
+    src = str(Path(supermix.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "supermix", *args], capture_output=True, text=True
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def run_cli(args):
+    return run_python(["-m", "supermix", *args])
 
 
 def test_fvp_approx_error_column_zero(tmp_path):
@@ -126,6 +138,16 @@ def test_fit_non_finite_data_exits_2(tmp_path):
     assert not out.exists()
 
 
+def test_fit_negative_burn_in_exits_2(tmp_path):
+    data_file = tmp_path / "data.txt"
+    data_file.write_text("\n".join(["0.5", "-0.5"] * 10) + "\n")
+    out = tmp_path / "fit.csv"
+    code = main(["fit", "--data", str(data_file), "--iterations", "60",
+                 "--burn-in", "-3", "--truncation", "10", "--out", str(out)])
+    assert code == 2
+    assert not out.exists()
+
+
 def test_prior_mass_csv_shape(tmp_path):
     out = tmp_path / "pm.csv"
     code = main(["prior-mass", "--lemma", "py-locations", "--budget", "20000",
@@ -229,6 +251,6 @@ def test_import_leaves_scipy_stats_unloaded():
         "import sys, supermix, supermix.cli, supermix.posterior; "
         "print('scipy.stats' in sys.modules)"
     )
-    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    res = run_python(["-c", code])
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "False"

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -11,10 +12,13 @@ from supermix import (
     PYParams,
     blocked_gibbs_fit,
     lp_norm,
+    posterior,
     posterior_mean_density,
 )
 from supermix.errors import InvalidConfig, TooFewDraws
 from supermix.posterior import (
+    LOG_2PI,
+    _allocate,
     _worker_count,
     contraction_experiment,
     default_py_config,
@@ -53,6 +57,15 @@ class TestConfigValidation:
     def test_need_some_scale(self):
         with pytest.raises(InvalidConfig):
             FitConfig(scale_prior=None, fixed_sigma=None)
+
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_fixed_sigma_finite_positive(self, sigma):
+        with pytest.raises(InvalidConfig, match="fixed_sigma"):
+            FitConfig(scale_prior=None, fixed_sigma=sigma)
+
+    def test_negative_burn_in_rejected(self):
+        with pytest.raises(InvalidConfig, match="burn_in"):
+            FitConfig(burn_in=-3)
 
     def test_short_data_rejected(self):
         rng = np.random.default_rng(0)
@@ -160,6 +173,67 @@ class TestGibbsPY:
         for d in draws[::50]:
             assert d.sigma == 1.0
             assert np.all(np.abs(d.mixing.atoms) <= 4.0)
+
+
+def _oracle_allocate(data, atoms, log_w, sigma, rng):
+    """The allocation step as separate passes: the full n x L log-density
+    matrix, a categorical draw per row, and a log-sum-exp per row."""
+    z = (data[:, None] - atoms[None, :]) / sigma
+    logmat = log_w[None, :] + (-0.5 * z ** 2 - math.log(sigma) - 0.5 * LOG_2PI)
+    m = logmat.max(axis=1, keepdims=True)
+    cdf = np.cumsum(np.exp(logmat - m), axis=1)
+    u = rng.random(data.size)[:, None] * cdf[:, -1:]
+    alloc = (u > cdf).sum(axis=1)
+    loglik = float((m[:, 0] + np.log(np.exp(logmat - m).sum(axis=1))).sum())
+    return alloc, loglik
+
+
+class TestAllocate:
+    @pytest.mark.parametrize("n,L", [(15, 10), (1000, 64), (4000, 50)])
+    @pytest.mark.parametrize("far", [False, True])
+    def test_matches_oracle(self, n, L, far):
+        for seed in range(5):
+            g = np.random.default_rng(seed)
+            log_w = np.log(g.dirichlet(np.ones(L)))
+            if far:
+                # sigma = 1e-3 and every point about 50 sigma from its two
+                # nearest atoms: the log densities sit near -1250, so
+                # exponentiating without the max subtraction underflows
+                sigma = 1e-3
+                atoms = 0.1 * np.arange(L)
+                data = atoms[g.integers(0, L - 1, n)] + 0.05 + 1e-5 * g.standard_normal(n)
+            else:
+                sigma = g.uniform(0.05, 2.0)
+                atoms = 2.0 * g.standard_normal(L)
+                data = g.standard_normal(n)
+            ref_rng, rng = np.random.default_rng(seed + 100), np.random.default_rng(seed + 100)
+            want, want_ll = _oracle_allocate(data, atoms, log_w, sigma, ref_rng)
+            got, got_ll = _allocate(data, atoms, log_w, sigma, rng, np.empty((L, n)))
+            assert np.array_equal(got, want)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+            assert math.isfinite(got_ll)
+            assert abs(got_ll - want_ll) <= 1e-12 * abs(want_ll)
+
+    @pytest.mark.parametrize("prior_id", ["dp", "nig"])
+    def test_fit_matches_oracle_sweep(self, gaussian_data, monkeypatch, prior_id):
+        cfg = dataclasses.replace(
+            default_py_config(prior_id), iterations=80, burn_in=30, thinning=1, truncation=12
+        )
+        real = blocked_gibbs_fit(gaussian_data[1], cfg, np.random.default_rng(5))
+        monkeypatch.setattr(
+            posterior,
+            "_allocate",
+            lambda data, atoms, log_w, sigma, rng, out: _oracle_allocate(
+                data, atoms, log_w, sigma, rng
+            ),
+        )
+        ref = blocked_gibbs_fit(gaussian_data[1], cfg, np.random.default_rng(5))
+        assert len(real) == len(ref) == 50
+        for a, b in zip(real, ref):
+            assert a.sigma == b.sigma
+            assert np.array_equal(a.mixing.atoms, b.mixing.atoms)
+            assert np.array_equal(a.mixing.weights, b.mixing.weights)
+            assert abs(a.loglik - b.loglik) <= 1e-12 * abs(b.loglik)
 
 
 class TestGibbsNIG:

@@ -217,6 +217,30 @@ class TestNIGSampler:
         assert abs(y.mean() - 2.0) <= 4 * y.std() / math.sqrt(y.size)
         assert abs(y.var() - 8.0 / 3.0) / (8.0 / 3.0) <= 0.05
 
+    @pytest.mark.parametrize("omega", [1e-2, 1e-4, 1e-6, 1e-8])
+    def test_inverse_gaussian_root_against_mpmath(self, omega):
+        # small omega = lam / mu is where the difference form of the
+        # Michael-Schucany-Haas root cancels; replay the draw's normals and
+        # uniforms and redo the transform at 50 digits
+        import mpmath
+
+        size = 200
+        for mu in (0.3, 1.0, 7.0):
+            lam = omega * mu
+            y = inverse_gaussian_sample(mu, lam, np.random.default_rng(11), size=size)
+            replay = np.random.default_rng(11)
+            nus = replay.standard_normal(size) ** 2
+            us = replay.random(size)
+            with mpmath.workdps(50):
+                m, lm = mpmath.mpf(mu), mpmath.mpf(lam)
+                for got, nu, u in zip(y, nus, us):
+                    nu = mpmath.mpf(nu)
+                    root = m + m ** 2 * nu / (2 * lm) - (m / (2 * lm)) * mpmath.sqrt(
+                        4 * m * lm * nu + (m * nu) ** 2
+                    )
+                    ref = root if u <= m / (m + root) else m ** 2 / root
+                    assert abs(got - ref) <= 1e-12 * ref, (mu, float(nu))
+
 
 class TestGIGSample:
     # the range N-IG fits at n = 1000 produce: p from -1/2 to a few
