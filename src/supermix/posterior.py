@@ -43,7 +43,7 @@ import numpy as np
 from .discretize import DiscreteMixingMeasure
 from .errors import InvalidConfig, NonConvergenceWarning, TooFewDraws
 from .gridfn import GridFunction, lp_norm
-from .kernels import catalog_density
+from .kernels import KernelSpec, catalog_density
 from .metrics import kl_divergence, wasserstein
 from .priors import (
     BaseMeasure,
@@ -55,6 +55,7 @@ from .priors import (
 )
 
 LOG_2PI = math.log(2.0 * math.pi)
+_GAUSSIAN = KernelSpec("gaussian")
 
 
 @dataclass(frozen=True)
@@ -377,14 +378,6 @@ class _NIGCells:
 # posterior summaries
 
 
-def mixture_density_values(
-    mixing: DiscreteMixingMeasure, sigma: float, x: np.ndarray
-) -> np.ndarray:
-    z = (x[None, :] - mixing.atoms[:, None]) / sigma
-    block = np.exp(-0.5 * z ** 2)
-    return (mixing.weights @ block) / (sigma * math.sqrt(2.0 * math.pi))
-
-
 def posterior_mean_density(
     draws: Sequence[PosteriorDraw],
     grid: GridFunction,
@@ -396,7 +389,7 @@ def posterior_mean_density(
     x = grid.grid()
     acc = np.zeros_like(x)
     for d in draws:
-        acc += mixture_density_values(d.mixing, d.sigma, x)
+        acc += d.mixing.mixture_density(_GAUSSIAN, d.sigma, x)
     return GridFunction(grid.half_width, acc / len(draws))
 
 
@@ -423,7 +416,7 @@ def prior_predictive_density(
             if cfg.fixed_sigma is not None
             else float(cfg.scale_prior.sample(rng))
         )
-        acc += mixture_density_values(mix, sigma, x)
+        acc += mix.mixture_density(_GAUSSIAN, sigma, x)
     return GridFunction(grid.half_width, acc / n_draws)
 
 
@@ -448,7 +441,7 @@ class TruthSpec:
     kernel_sigma: float = 1.0
 
     def density(self, grid: GridFunction) -> GridFunction:
-        vals = mixture_density_values(self.mixing, self.kernel_sigma, grid.grid())
+        vals = self.mixing.mixture_density(_GAUSSIAN, self.kernel_sigma, grid.grid())
         return GridFunction(grid.half_width, vals)
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:

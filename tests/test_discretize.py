@@ -21,6 +21,68 @@ def mixture_sup_distance(f1, f2, kernel, sigma, a):
     ).max()
 
 
+def per_atom_density(mixing, kernel, sigma, x):
+    """Reference for ``mixture_density``: one kernel evaluation per atom,
+    summed in atom order.  Returns the signed sum and the sum of the
+    terms' absolute values (the scale of its rounding error)."""
+    dens = KernelSpec(kernel.family, sigma, kernel.shape).density_fn()
+    out = np.zeros_like(np.asarray(x, dtype=float))
+    scale = np.zeros_like(out)
+    for a, w in zip(mixing.atoms, mixing.weights):
+        term = w * dens(x - a)
+        out += term
+        scale += np.abs(term)
+    return out, scale
+
+
+class TestMixtureDensity:
+    GRID = np.linspace(-40.0, 40.0, 2 ** 14, endpoint=False)
+
+    @staticmethod
+    def mixing():
+        # 40 atoms in [-5, 5] (three blocks on a 2^14-point grid) plus
+        # atoms far outside the grid on both sides
+        rng = np.random.default_rng(17)
+        atoms = np.concatenate([rng.uniform(-5, 5, 40), [-1e4, -200.0, 150.0, 3e5]])
+        weights = rng.dirichlet(np.ones(atoms.size))
+        return DiscreteMixingMeasure(atoms, weights)
+
+    @pytest.mark.parametrize(
+        "kernel_id, sigma",
+        [("gaussian", 0.05), ("gaussian", 0.25), ("gaussian", 1.0), ("cauchy", 0.5),
+         ("student_t:3", 0.5), ("sinc", 0.5), ("fvp", 0.5)],
+    )
+    def test_matches_per_atom_sum(self, kernel_id, sigma):
+        from supermix import parse_kernel_id
+
+        kernel = parse_kernel_id(kernel_id)
+        mixing = self.mixing()
+        got = mixing.mixture_density(kernel, sigma, self.GRID)
+        want, scale = per_atom_density(mixing, kernel, sigma, self.GRID)
+        # Gaussian terms below the smallest normal float are dropped, each
+        # worth at most tiny / (sigma sqrt(2 pi)) after normalisation
+        tiny = np.finfo(float).tiny
+        floor = max(tiny, tiny / (sigma * math.sqrt(2.0 * math.pi)))
+        assert np.all(np.abs(got - want) <= 1e-13 * scale + floor)
+
+    @pytest.mark.parametrize("kernel_id", ["gaussian", "cauchy"])
+    def test_permuted_x_gives_permuted_output(self, kernel_id):
+        from supermix import parse_kernel_id
+
+        kernel = parse_kernel_id(kernel_id)
+        mixing = self.mixing()
+        base = mixing.mixture_density(kernel, 0.25, self.GRID)
+        perm = np.random.default_rng(3).permutation(self.GRID.size)
+        shuffled = mixing.mixture_density(kernel, 0.25, self.GRID[perm])
+        assert np.array_equal(shuffled, base[perm])
+        square = mixing.mixture_density(kernel, 0.25, self.GRID[perm].reshape(128, -1))
+        assert np.array_equal(square, base[perm].reshape(128, -1))
+
+    def test_nan_x_raises(self):
+        with pytest.raises(ValueError):
+            self.mixing().mixture_density(KernelSpec("gaussian"), 1.0, np.array([0.0, np.nan]))
+
+
 class TestDiscreteMixingMeasure:
     def test_weight_validation(self):
         with pytest.raises(ValueError):
@@ -176,6 +238,18 @@ class TestFiniteGaussianMixture:
         approx = finite_gaussian_mixture(gaussian_truth, 0.4)
         atoms = approx.mixing.atoms
         assert np.abs(atoms + atoms[::-1]).max() <= 1e-10
+
+    def test_density_peak_memory(self, gaussian_truth):
+        # evaluating 1,025 atoms on 2^14 points densely would hold ~134 MB
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            finite_gaussian_mixture(gaussian_truth, 0.25)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2 ** 20
 
     def test_rejects_heavy_tailed_truth(self, cauchy_truth):
         with pytest.raises(ValueError):

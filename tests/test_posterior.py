@@ -8,6 +8,7 @@ from scipy.stats import kstest
 
 from supermix import (
     FitConfig,
+    KernelSpec,
     NIGPartitionPrior,
     PYParams,
     blocked_gibbs_fit,
@@ -24,12 +25,13 @@ from supermix.posterior import (
     default_py_config,
     default_w2_config,
     experiment_grid,
-    mixture_density_values,
     prior_predictive_density,
     resolve_truth,
     wasserstein_recovery_experiment,
 )
 from supermix.priors import BaseMeasure
+
+GAUSSIAN = KernelSpec("gaussian")
 
 
 def small_config(**kw):
@@ -128,12 +130,12 @@ class TestGibbsPY:
         draws = blocked_gibbs_fit(data, small_config(), rng)
         d = draws[-1]
         x = np.linspace(-5, 5, 100)
-        base = mixture_density_values(d.mixing, d.sigma, x)
+        base = d.mixing.mixture_density(GAUSSIAN, d.sigma, x)
         perm = np.random.default_rng(0).permutation(len(d.mixing))
         from supermix import DiscreteMixingMeasure
 
         shuffled = DiscreteMixingMeasure(d.mixing.atoms[perm], d.mixing.weights[perm])
-        assert np.array_equal(mixture_density_values(shuffled, d.sigma, x), base)
+        assert np.array_equal(shuffled.mixture_density(GAUSSIAN, d.sigma, x), base)
 
     def test_fit_quality_median_l1(self):
         # repeated-run calibration: median posterior-mean L1 error at
@@ -279,7 +281,7 @@ class TestPosteriorSummaries:
         draws = blocked_gibbs_fit(data, small_config(), rng)
         grid = experiment_grid()
         one = posterior_mean_density(draws[:1], grid, min_draws=1)
-        direct = mixture_density_values(draws[0].mixing, draws[0].sigma, grid.grid())
+        direct = draws[0].mixing.mixture_density(GAUSSIAN, draws[0].sigma, grid.grid())
         assert np.array_equal(one.values, direct)
 
     def test_mean_density_is_density(self, gaussian_data):
@@ -297,7 +299,7 @@ class TestPosteriorSummaries:
         grid = experiment_grid()
         mean = posterior_mean_density(draws, grid)
         naive = sum(
-            mixture_density_values(d.mixing, d.sigma, grid.grid()) for d in draws
+            d.mixing.mixture_density(GAUSSIAN, d.sigma, grid.grid()) for d in draws
         ) / len(draws)
         assert np.abs(mean.values - naive).max() <= 1e-12
 
@@ -324,7 +326,7 @@ class TestPosteriorSummaries:
         l1 = [
             lp_norm(
                 type(f0)(grid.half_width,
-                         mixture_density_values(d.mixing, d.sigma, grid.grid()))
+                         d.mixing.mixture_density(GAUSSIAN, d.sigma, grid.grid()))
                 - f0,
                 1,
             )

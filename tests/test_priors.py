@@ -29,6 +29,7 @@ from supermix.errors import (
     NonPositiveSigma,
     PreconditionViolated,
 )
+from supermix import priors
 from supermix.priors import (
     gig_sample,
     inverse_gaussian_sample,
@@ -408,3 +409,74 @@ class TestTruncatedNormal:
         pdf = np.exp(-((xs - 0.5) ** 2) / 2)
         target = (xs * pdf).sum() / pdf.sum()
         assert abs(draws.mean() - target) <= 4 * draws.std() / math.sqrt(draws.size)
+
+
+# Reference versions of the Monte-Carlo event tests as row-wise
+# (axis=1) reductions over broadcast inverse-Gaussian parameters; the
+# library reduces column by column and must give the same bits.
+
+
+def _nig_sample_axis1(params, rng, size):
+    a = params.alphas
+    out = np.zeros((size, a.size))
+    pos = a > 0
+    mu = np.broadcast_to(a[pos], (size, pos.sum()))
+    out[:, pos] = inverse_gaussian_sample(mu, mu ** 2, rng)
+    out /= out.sum(axis=1, keepdims=True)
+    return out
+
+
+def _py_sticks_axis1(v, eps, c, d, n_mc, rng):
+    n = v.size
+    js = np.arange(1, n + 1)
+    draws = rng.beta(1.0 - d, c + d * js, size=(n_mc, n))
+    dist = ((n - js + 1.0) * np.abs(draws - v)).sum(axis=1)
+    return priors._mc_estimate((dist <= 2.0 * eps) & (draws.min(axis=1) > eps / n ** 2))
+
+
+def _py_locations_axis1(z, eps, a, n_mc, rng):
+    draws = BaseMeasure("gaussian", 1.0).sample(rng, (n_mc, z.size))
+    return priors._mc_estimate(np.abs(draws - z).sum(axis=1) <= eps)
+
+
+def _nig_axis1(z0, eps, alphas, n_mc, rng):
+    draws = _nig_sample_axis1(NIGParams(alphas), rng, n_mc)
+    return priors._mc_estimate(
+        (np.abs(draws - z0).sum(axis=1) <= 2.0 * eps) & (draws.min(axis=1) > eps ** 2 / 2.0)
+    )
+
+
+_AXIS1_ORACLES = {
+    "py-sticks": (priors._PY_STICKS_GRID, priors._py_sticks_case, _py_sticks_axis1),
+    "py-locations": (priors._PY_LOCATIONS_GRID, priors._py_locations_case, _py_locations_axis1),
+    "nig": (priors._NIG_GRID, priors._nig_case, _nig_axis1),
+}
+
+
+class TestColumnReductions:
+    @pytest.mark.parametrize(
+        "lemma, index",
+        [(lemma, i) for lemma, (grid, _, _) in _AXIS1_ORACLES.items() for i in range(len(grid))],
+    )
+    def test_simulate_matches_axis1_oracle(self, lemma, index):
+        grid, case, oracle = _AXIS1_ORACLES[lemma]
+        config = grid[index]
+        _, simulate, _, _ = case(*config)
+        got = simulate(1000, np.random.default_rng(index))
+        want = oracle(*config, 1000, np.random.default_rng(index))
+        assert got == want
+
+    @pytest.mark.parametrize("alphas", [[0.5, 2.0], [0.0, 1.0, 0.3], np.full(4, 0.25),
+                                        np.linspace(0.0, 1.0, 9), np.full(64, 0.1)])
+    def test_nig_sample_matches_axis1_oracle(self, alphas):
+        params = NIGParams(np.asarray(alphas, dtype=float))
+        got = nig_sample(params, np.random.default_rng(4), size=500)
+        want = _nig_sample_axis1(params, np.random.default_rng(4), 500)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n_cols", range(1, 11))
+    def test_across_columns_matches_axis1_reduce(self, n_cols):
+        rng = np.random.default_rng(n_cols)
+        draws = rng.random((2000, n_cols)) * 10.0 ** rng.uniform(-8, 8, (2000, n_cols))
+        for op in (np.add, np.minimum):
+            assert np.array_equal(priors._across_columns(op, draws), op.reduce(draws, axis=1))
