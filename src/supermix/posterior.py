@@ -513,6 +513,8 @@ def _run_experiment(summarize, truth_id, n_ladder, replicates, cfg, seed, thread
     """
     if list(n_ladder) != sorted(n_ladder):
         raise InvalidConfig("n ladder must be increasing")
+    if replicates < 1:
+        raise InvalidConfig(f"need at least one replicate, got {replicates}")
     tasks = [
         (summarize, truth_id, int(n), rep, i * replicates + rep, seed, cfg)
         for i, n in enumerate(n_ladder)

@@ -194,6 +194,15 @@ def test_fit_contract_smoke(tmp_path):
     assert len(rows) == 3
 
 
+@pytest.mark.parametrize(
+    "argv", [["contract", "--replicates", "0"], ["w2", "--replicates", "-2"]]
+)
+def test_no_replicates_exits_2(tmp_path, argv):
+    out = tmp_path / "empty.csv"
+    assert main(argv + ["--n-ladder", "60", "--out", str(out)]) == 2
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("line", ["prior=bogus", "prior=DP"])
 def test_config_file_value_outside_choices_exits_2(tmp_path, capsys, line):
     cfg = tmp_path / "run.cfg"
