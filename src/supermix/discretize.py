@@ -365,20 +365,22 @@ def partition_discretize(
 
 def _cellwise_gauss(source: DiscreteMixingMeasure, edges: np.ndarray, n_nodes: int):
     """Composite Gauss rule: an ``n_nodes``-point rule for the source
-    restricted to each cell ``[edges[k], edges[k+1])`` (the last cell
-    closed), weighted by the cell's mass; empty cells give no atoms.
+    restricted to each closed cell ``[edges[k], edges[k+1]]``, weighted by
+    the cell's mass; empty cells give no atoms.  A source atom on an
+    interior edge gives half its weight to each neighbouring cell, so on
+    mirror-symmetric edges the rule commutes with x -> -x.
     Returns (atoms, weights)."""
     atoms_list, weights_list = [], []
     for lo, hi in zip(edges[:-1], edges[1:]):
-        below = source.atoms <= hi if hi == edges[-1] else source.atoms < hi
-        inside = (source.atoms >= lo) & below
-        mass = source.weights[inside].sum()
+        inside = (source.atoms >= lo) & (source.atoms <= hi)
+        atoms, weights = source.atoms[inside], source.weights[inside]
+        on_edge = ((atoms == lo) & (lo != edges[0])) | ((atoms == hi) & (hi != edges[-1]))
+        weights = np.where(on_edge, 0.5 * weights, weights)
+        mass = weights.sum()
         if mass <= 0:
             continue
         mid = 0.5 * (lo + hi)
-        alpha, beta = _lanczos_jacobi(
-            source.atoms[inside] - mid, source.weights[inside], n_nodes
-        )
+        alpha, beta = _lanczos_jacobi(atoms - mid, weights, n_nodes)
         nodes, weights = _gauss_from_recurrence(alpha, beta)
         atoms_list.append(nodes + mid)
         weights_list.append(weights / weights.sum() * mass)

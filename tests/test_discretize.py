@@ -11,6 +11,7 @@ from supermix import (
     partition_discretize,
     support_budget,
 )
+from supermix.discretize import _cellwise_gauss
 from supermix.errors import IllConditionedMoments, InvalidSupport, RegimeUnavailable
 
 
@@ -232,12 +233,40 @@ class TestFiniteGaussianMixture:
         assert kls[-1] <= 1e-3 and m2s[-1] <= 1e-3
         assert np.all(np.diff(kls) < 0) and np.all(np.diff(m2s) < 0)
 
-    def test_symmetric_truth_gives_symmetric_atoms(self, gaussian_truth):
+    @pytest.mark.parametrize(
+        "sigma",
+        [0.4] + [
+            pytest.param(s, marks=pytest.mark.xfail(strict=True, reason=(
+                "round-off in the transformed mixing density is not mirror-"
+                "symmetric (4e-16 absolute, up to 1e-2 relative in the tails "
+                "of the window), which moves tail Gauss nodes")))
+            for s in (0.3, 0.25)
+        ],
+    )
+    def test_symmetric_truth_gives_symmetric_atoms(self, gaussian_truth, sigma):
         # at sigma = 0.4 the window edge a_sigma = 5 is a grid point, so the
         # last cell must be closed for the source atom at +5 to be kept
-        approx = finite_gaussian_mixture(gaussian_truth, 0.4)
-        atoms = approx.mixing.atoms
-        assert np.abs(atoms + atoms[::-1]).max() <= 1e-10
+        approx = finite_gaussian_mixture(gaussian_truth, sigma)
+        atoms, weights = approx.mixing.atoms, approx.mixing.weights
+        assert np.abs(atoms + atoms[::-1]).max() <= 1e-12
+        assert np.abs(weights - weights[::-1]).max() <= 1e-12
+
+    @pytest.mark.parametrize("sigma, half", [(0.4, 5.0), (0.3, 7.0), (0.25, 8.0)])
+    def test_cell_rule_commutes_with_mirror(self, gaussian_truth, sigma, half):
+        # the cells finite_gaussian_mixture uses at sigma, on an exactly
+        # mirror-symmetric source; at sigma = 0.25 thirteen interior edges
+        # are source atoms
+        x = gaussian_truth.f.grid()
+        x = x[np.abs(x) <= half]
+        w = np.exp(-(x ** 2) / 2.0)
+        source = DiscreteMixingMeasure(x, w / w.sum())
+        edges = np.linspace(-half, half, math.ceil(2.0 * half / sigma) + 1)
+        atoms, weights = _cellwise_gauss(source, edges, 16)
+        order = np.argsort(atoms)
+        atoms, weights = atoms[order], weights[order]
+        assert np.abs(atoms + atoms[::-1]).max() <= 1e-12
+        assert np.abs(weights - weights[::-1]).max() <= 1e-12
+        assert abs(weights.sum() - 1.0) <= 1e-12
 
     def test_density_peak_memory(self, gaussian_truth):
         # evaluating 1,025 atoms on 2^14 points densely would hold ~134 MB
