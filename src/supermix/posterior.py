@@ -22,6 +22,10 @@ and the RNG stream are bit-identical to the earlier three-pass path; the
 log likelihood differs in its last bits (a sequential instead of a
 pairwise sum over components).
 
+Mixture densities on a grid (the truth, the posterior mean, the prior
+predictive) come from the blocked evaluator
+:meth:`~supermix.discretize.DiscreteMixingMeasure.mixture_density`.
+
 Experiments report directional contraction diagnostics (L^p errors of the
 posterior mean density, Wasserstein recovery of the mixing measure); all
 randomness flows through explicit seeds, replicate k of an experiment

@@ -40,24 +40,28 @@ class TestMixtureDensity:
     GRID = np.linspace(-40.0, 40.0, 2 ** 14, endpoint=False)
 
     @staticmethod
-    def mixing():
-        # 40 atoms in [-5, 5] (three blocks on a 2^14-point grid) plus
-        # atoms far outside the grid on both sides
+    def mixing(far=True):
+        # 40 atoms in [-5, 5] (three blocks on a 2^14-point grid), with
+        # ``far`` also atoms far outside the grid on both sides, which
+        # widen the first and last block's window to the whole grid
         rng = np.random.default_rng(17)
-        atoms = np.concatenate([rng.uniform(-5, 5, 40), [-1e4, -200.0, 150.0, 3e5]])
+        atoms = rng.uniform(-5, 5, 40)
+        if far:
+            atoms = np.concatenate([atoms, [-1e4, -200.0, 150.0, 3e5]])
         weights = rng.dirichlet(np.ones(atoms.size))
         return DiscreteMixingMeasure(atoms, weights)
 
+    @pytest.mark.parametrize("far", [False, True])
     @pytest.mark.parametrize(
         "kernel_id, sigma",
         [("gaussian", 0.05), ("gaussian", 0.25), ("gaussian", 1.0), ("cauchy", 0.5),
          ("student_t:3", 0.5), ("sinc", 0.5), ("fvp", 0.5)],
     )
-    def test_matches_per_atom_sum(self, kernel_id, sigma):
+    def test_matches_per_atom_sum(self, kernel_id, sigma, far):
         from supermix import parse_kernel_id
 
         kernel = parse_kernel_id(kernel_id)
-        mixing = self.mixing()
+        mixing = self.mixing(far)
         got = mixing.mixture_density(kernel, sigma, self.GRID)
         want, scale = per_atom_density(mixing, kernel, sigma, self.GRID)
         # Gaussian terms below the smallest normal float are dropped, each
@@ -65,6 +69,13 @@ class TestMixtureDensity:
         tiny = np.finfo(float).tiny
         floor = max(tiny, tiny / (sigma * math.sqrt(2.0 * math.pi)))
         assert np.all(np.abs(got - want) <= 1e-13 * scale + floor)
+
+    def test_terms_below_tiny_are_exactly_zero(self):
+        # one block holds both atoms, so its window covers [-6.9, 6.9];
+        # on [-1, 1] both terms are at least 80 sigma away
+        mixing = DiscreteMixingMeasure(np.array([-5.0, 5.0]), np.array([0.5, 0.5]))
+        got = mixing.mixture_density(KernelSpec("gaussian"), 0.05, np.linspace(-1, 1, 201))
+        assert np.all(got == 0.0)
 
     @pytest.mark.parametrize("kernel_id", ["gaussian", "cauchy"])
     def test_permuted_x_gives_permuted_output(self, kernel_id):
