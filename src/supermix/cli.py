@@ -264,6 +264,8 @@ def cmd_prior_mass(args) -> Output:
 
 
 def cmd_nig_check(args) -> Output:
+    if args.budget < 1:
+        raise ValueError(f"Monte-Carlo budget must be >= 1, got {args.budget}")
     rng = np.random.default_rng(args.seed)
     params = NIGParams(np.array(args.alphas))
     draws = nig_sample(params, rng, size=args.budget)

@@ -300,6 +300,8 @@ def sinc_approx_error(
     For the sinc kernel only p in [2, inf] is controlled; a superkernel
     extends the law to p in [1, 2).
     """
+    if not 0.0 < sigma < math.inf:
+        raise ValueError(f"sigma must be finite and positive, got {sigma}")
     if 1.0 / sigma > f.nyquist:
         raise CutoffAboveNyquist(f"1/sigma = {1/sigma:g} beyond Nyquist {f.nyquist:g}")
     sinc_like = kernel is None or kernel.family == "sinc"

@@ -16,11 +16,15 @@ priors:
   replaced ``scipy.stats.geninvgauss``, so fixed-seed N-IG outputs differ
   from versions before it; the Pitman-Yor / Dirichlet stream is unchanged.
 
-Allocation and log likelihood come from one fused pass, :func:`_allocate`,
-over a components x observations buffer allocated once per fit.  Labels
-and the RNG stream are bit-identical to the earlier three-pass path; the
-log likelihood differs in its last bits (a sequential instead of a
-pairwise sum over components).
+Allocation and log likelihood come from :func:`_allocate`, over a
+components x observations buffer allocated once per fit: one matrix
+product writes the log-density relative to the largest log-weight, then
+one exponentiation, one cumulative sum and one comparison draw the labels.
+The exponent is rounded differently from the direct difference-and-square
+form, so a label could in principle move when a uniform falls within a
+few ulps of a cumulative-sum boundary; over 12,000 sweeps of DP
+(n = 4000) and N-IG (n = 1000) fits the labels and the RNG stream equal
+the direct form's, and the log likelihood agrees within 2e-15 relative.
 
 Mixture densities on a grid (the truth, the posterior mean, the prior
 predictive) come from the blocked evaluator
@@ -169,24 +173,40 @@ def _slice_sample_log(logpdf, x0: float, rng: np.random.Generator, width=1.0, ma
     return x0
 
 
-def _allocate(data, atoms, log_w, sigma, rng, out):
-    """Allocate every observation and score the mixture in one pass.
+#: a column total below this is rebuilt with the exact per-observation
+#: shift: a term that underflowed or was rounded as a subnormal is off by
+#: at most 2^-1075, which stays below 2^-53 of a total above 2^-969
+_RESCUE_FLOOR = np.finfo(float).tiny * 2.0 ** 53
 
-    Builds the (L, n) log-density ``log w_j + log phi_sigma(x_i - atom_j)``
-    in ``out``, subtracts the per-observation max, exponentiates once and
-    accumulates over components; one uniform per observation is compared
-    against that cumulative sum, and its last row gives the normalizer of
-    the log likelihood.  Returns ``(alloc, loglik)``; ``out`` is clobbered.
+
+def _allocate(data, atoms, log_w, sigma, rng, out):
+    """Allocate every observation and score the mixture.
+
+    One matrix product writes the (L, n) log-density relative to the
+    largest log-weight ``top``, ``log w_j - top - (x_i - atom_j)^2 /
+    (2 sigma^2)``, into ``out``: an (L, 3) coefficient matrix times the
+    (3, n) design ``[x, 1, x^2]``, with data and atoms centred at the data
+    mean so that the expanded square keeps its rounding error near
+    ``eps * spread^2 / sigma^2``.  Every entry is at most 0 up to rounding,
+    so no per-observation max is needed before exponentiating.  The
+    buffer is exponentiated and accumulated over components; one uniform
+    per observation is compared against that cumulative sum, and its last
+    row gives the normalizer of the log likelihood.  A column whose total
+    falls below ``_RESCUE_FLOOR`` (every component far from the point) is
+    rebuilt from the difference ``x_i - atom_j`` with its own max shift.
+
+    Returns ``(alloc, loglik)``; ``out`` is clobbered.
     """
-    np.subtract(data[None, :], atoms[:, None], out=out)
-    out /= sigma
-    np.square(out, out=out)
-    out *= -0.5
-    out -= math.log(sigma)
-    out -= 0.5 * LOG_2PI
-    out += log_w[:, None]
-    m = out.max(axis=0)
-    out -= m
+    top = float(log_w.max())
+    centre = data.mean()
+    xc = data - centre
+    ac = atoms - centre
+    inv_var = 1.0 / (sigma * sigma)
+    coef = np.empty((atoms.size, 3))
+    coef[:, 0] = ac * inv_var
+    coef[:, 1] = (log_w - top) - 0.5 * inv_var * ac * ac
+    coef[:, 2] = -0.5 * inv_var
+    np.matmul(coef, np.stack([xc, np.ones_like(xc), xc * xc]), out=out)
     np.exp(out, out=out)
     # cumulative sum over components, one row at a time: np.cumsum(axis=0)
     # runs its inner loop down each column (stride n) and takes about five
@@ -194,11 +214,21 @@ def _allocate(data, atoms, log_w, sigma, rng, out):
     for j in range(1, out.shape[0]):
         np.add(out[j - 1], out[j], out=out[j])
     tot = out[-1]
+    shift = np.zeros(data.size)
+    far = np.flatnonzero(~(tot >= _RESCUE_FLOOR))  # a nan total is rebuilt too
+    if far.size:
+        z = (data[far] - atoms[:, None]) / sigma
+        np.square(z, out=z)
+        z *= -0.5
+        z += (log_w - top)[:, None]
+        shift[far] = z.max(axis=0)
+        out[:, far] = np.cumsum(np.exp(z - shift[far]), axis=0)
     u = rng.random(data.size) * tot
     # labels are below L, so the count fits the smallest integer type that
     # holds L; summing the booleans into a wider type casts every cell
     alloc = (u > out).sum(axis=0, dtype=np.min_scalar_type(out.shape[0]))
-    return alloc, float((m + np.log(tot)).sum())
+    const = top - math.log(sigma) - 0.5 * LOG_2PI
+    return alloc, float((shift + np.log(tot)).sum()) + data.size * const
 
 
 def _sigma_logpost(scale_prior: ScalePriorA0, n: int, ss: float):
@@ -225,6 +255,8 @@ def blocked_gibbs_fit(
     atom block, slice-samples the bandwidth and records the log likelihood.
     """
     data = np.asarray(data, dtype=float)
+    if data.ndim != 1:
+        raise InvalidConfig("data must be one value per observation")
     if data.size < 10:
         raise InvalidConfig("need at least 10 observations")
     if not np.all(np.isfinite(data)):

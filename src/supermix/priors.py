@@ -730,6 +730,8 @@ def lemma_verification_table(
     the bound with Monte-Carlo probabilities on the harder grid."""
     if lemma not in _LEMMAS:
         raise ValueError(f"unknown lemma id {lemma!r}")
+    if budget < 1:
+        raise ValueError(f"Monte-Carlo budget must be >= 1, got {budget}")
     case, rate, (reference, *grid) = _LEMMAS[lemma]
     _, simulate, exponent, _ = case(*reference)
     p_ref, _ = simulate(budget, rng)

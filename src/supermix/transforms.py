@@ -158,6 +158,8 @@ def transform_analytic(
     ``order`` defaults to the smallest even J with |d_J| below the series
     tolerance (the in-band term bound at the band edge), capped at 120.
     """
+    if not 0.0 < sigma < math.inf:
+        raise ValueError(f"sigma must be finite and positive, got {sigma}")
     if order is None:
         order = _auto_order(sigma)
     else:

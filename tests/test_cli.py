@@ -11,15 +11,16 @@ import supermix
 from supermix.cli import main, parse_args
 
 
-def run_python(args):
-    """``python <args>`` in a child that imports the same supermix as the tests."""
+def run_python(args, env=None):
+    """``python <args>`` in a child that imports the same supermix as the
+    tests, with ``env`` added to the environment."""
     src = str(Path(supermix.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, *args],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env={**os.environ, **(env or {}), "PYTHONPATH": path},
     )
 
 
@@ -148,6 +149,43 @@ def test_fit_negative_burn_in_exits_2(tmp_path):
     assert not out.exists()
 
 
+def test_fit_two_column_data_exits_2(tmp_path, capsys):
+    data_file = tmp_path / "data.txt"
+    data_file.write_text("\n".join(["0.5 1.5", "-0.5 2.5"] * 15) + "\n")
+    out = tmp_path / "fit.csv"
+    code = main(["fit", "--data", str(data_file), "--iterations", "60",
+                 "--burn-in", "20", "--truncation", "10", "--out", str(out)])
+    assert code == 2
+    assert "one value per observation" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [data_file]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["prior-mass", "--lemma", "nig", "--budget", "0"],
+     ["prior-mass", "--lemma", "py-sticks", "--budget", "-5"],
+     ["nig-check", "--alphas", "1,1", "--budget", "0"]],
+)
+def test_empty_monte_carlo_budget_exits_2(tmp_path, capsys, argv):
+    assert main(argv + ["--out", str(tmp_path / "mc.csv")]) == 2
+    assert "budget must be >= 1" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["transform", "--density", "gaussian:1", "--sigma", "-0.5"],
+     ["transform", "--density", "gaussian:1", "--sigma", "0.5,0"],
+     ["transform", "--density", "gaussian:1", "--sigma", "nan"],
+     ["approx", "--density", "fvp:1", "--sigma", "0"],
+     ["approx", "--density", "fvp:1", "--sigma", "-1"]],
+)
+def test_non_positive_bandwidth_exits_2(tmp_path, capsys, argv):
+    assert main(argv + ["--out", str(tmp_path / "s.csv")]) == 2
+    assert "sigma must be finite and positive" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_prior_mass_csv_shape(tmp_path):
     out = tmp_path / "pm.csv"
     code = main(["prior-mass", "--lemma", "py-locations", "--budget", "20000",
@@ -263,3 +301,26 @@ def test_import_leaves_scipy_stats_unloaded():
     res = run_python(["-c", code])
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "False"
+
+
+def test_fit_independent_of_blas_threads():
+    # the allocation step is a matrix product, which the BLAS may split
+    # across threads; the draws must not depend on that split
+    code = (
+        "import dataclasses, hashlib, numpy as np; from supermix import posterior; "
+        "rng = np.random.default_rng(11); "
+        "data = posterior.resolve_truth('gaussian:1').sample(4000, rng); "
+        "cfg = dataclasses.replace(posterior.default_py_config('dp'), "
+        "iterations=40, burn_in=10, thinning=1); "
+        "h = hashlib.sha256(); "
+        "[h.update(np.array([d.sigma, d.loglik, *d.mixing.atoms, *d.mixing.weights]).tobytes()) "
+        "for d in posterior.blocked_gibbs_fit(data, cfg, rng)]; "
+        "print(h.hexdigest())"
+    )
+    digests = []
+    for threads in ("1", "2"):
+        res = run_python(["-c", code], env={"OPENBLAS_NUM_THREADS": threads})
+        assert res.returncode == 0, res.stderr
+        digests.append(res.stdout.strip())
+    assert len(digests[0]) == 64
+    assert digests[0] == digests[1]

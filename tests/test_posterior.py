@@ -192,22 +192,39 @@ def _oracle_allocate(data, atoms, log_w, sigma, rng):
 
 class TestAllocate:
     @pytest.mark.parametrize("n,L", [(15, 10), (1000, 64), (4000, 50)])
-    @pytest.mark.parametrize("far", [False, True])
-    def test_matches_oracle(self, n, L, far):
+    # False and True are the near and far cases
+    @pytest.mark.parametrize("case", [False, True, "offset", "mixed", "light"])
+    def test_matches_oracle(self, n, L, case):
         for seed in range(5):
             g = np.random.default_rng(seed)
             log_w = np.log(g.dirichlet(np.ones(L)))
-            if far:
+            if case is True or case == "mixed":
                 # sigma = 1e-3 and every point about 50 sigma from its two
                 # nearest atoms: the log densities sit near -1250, so
                 # exponentiating without the max subtraction underflows
                 sigma = 1e-3
                 atoms = 0.1 * np.arange(L)
                 data = atoms[g.integers(0, L - 1, n)] + 0.05 + 1e-5 * g.standard_normal(n)
+                if case == "mixed":
+                    # every other point sits on an atom, so only the far
+                    # half needs the max subtraction
+                    data[::2] -= 0.05
             else:
                 sigma = g.uniform(0.05, 2.0)
                 atoms = 2.0 * g.standard_normal(L)
                 data = g.standard_normal(n)
+                if case == "offset":
+                    # expanded about 0 instead of the data mean, the square
+                    # would carry a rounding error near 2e-8 / sigma^2
+                    atoms += 1e4
+                    data += 1e4
+                elif case == "light":
+                    # the heaviest component is far from every point and
+                    # the others weigh e^-730 as much or less: the column
+                    # totals without the max subtraction are subnormal
+                    log_w[1:] -= 730.0
+                    log_w[0] = 0.0
+                    atoms[0] = data.max() + 60.0 * sigma
             ref_rng, rng = np.random.default_rng(seed + 100), np.random.default_rng(seed + 100)
             want, want_ll = _oracle_allocate(data, atoms, log_w, sigma, ref_rng)
             got, got_ll = _allocate(data, atoms, log_w, sigma, rng, np.empty((L, n)))
