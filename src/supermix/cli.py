@@ -46,15 +46,9 @@ def _dataclass_table(row_type, rows: list) -> tuple[list[str], list[tuple]]:
 
 
 def _meta_text(config: dict) -> str:
-    import scipy
-
     meta = {
         "config": {k: (v if not isinstance(v, Path) else str(v)) for k, v in config.items()},
-        "versions": {
-            "supermix": __version__,
-            "numpy": np.__version__,
-            "scipy": scipy.__version__,
-        },
+        "versions": {"supermix": __version__, "numpy": np.__version__},
     }
     return json.dumps(meta, sort_keys=True, indent=1)
 
@@ -81,12 +75,19 @@ def write_outputs(out: Path, header: list[str], rows: list[tuple], config: dict)
             tmp.unlink(missing_ok=True)
 
 
+def _parse_list(text: str, item) -> list:
+    values = [item(p) for p in text.split(",") if p]
+    if not values:
+        raise argparse.ArgumentTypeError(f"empty list {text!r}")
+    return values
+
+
 def _parse_float_list(text: str) -> list[float]:
-    return [float(p) for p in text.split(",") if p]
+    return _parse_list(text, float)
 
 
 def _parse_int_list(text: str) -> list[int]:
-    return [int(p) for p in text.split(",") if p]
+    return _parse_list(text, int)
 
 
 def _parse_threads(text: str) -> int:
@@ -215,6 +216,9 @@ def cmd_discretize(args) -> Output:
     from .discretize import DiscreteMixingMeasure, moment_match, partition_discretize, support_budget
     from .errors import RegimeUnavailable
 
+    for flag, value in (("--a", args.a), ("--sigma", args.sigma)):
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{flag} must be finite and positive, got {value}")
     kernel = parse_kernel_id(args.kernel)
     if args.atoms_csv is not None:
         raw = np.loadtxt(args.atoms_csv, delimiter=",", ndmin=2)

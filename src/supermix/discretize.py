@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import IllConditionedMoments, InvalidSupport, RegimeUnavailable
 from .gridfn import GridFunction
@@ -204,7 +203,8 @@ def _moment_jacobi(moments: np.ndarray, n_nodes: int):
 def _gauss_from_recurrence(alpha, beta, total_mass: float = 1.0):
     if alpha.size == 1:
         return alpha.copy(), np.array([total_mass])
-    nodes, vecs = eigh_tridiagonal(alpha, beta)
+    jacobi = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
+    nodes, vecs = np.linalg.eigh(jacobi)
     weights = total_mass * vecs[0] ** 2
     return nodes, weights
 

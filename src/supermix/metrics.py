@@ -42,30 +42,6 @@ def wasserstein(f1: DiscreteMixingMeasure, f2: DiscreteMixingMeasure, p: float) 
     return float(((levels - prev) * gaps ** p).sum()) ** (1.0 / p)
 
 
-def wasserstein_lp_oracle(
-    f1: DiscreteMixingMeasure, f2: DiscreteMixingMeasure, p: float
-) -> float:
-    """Brute-force transport LP; test oracle for few-atom measures."""
-    from scipy.optimize import linprog
-
-    n, m = len(f1), len(f2)
-    cost = np.abs(f1.atoms[:, None] - f2.atoms[None, :]) ** p
-    a_eq = []
-    for i in range(n):
-        row = np.zeros((n, m))
-        row[i, :] = 1.0
-        a_eq.append(row.ravel())
-    for j in range(m):
-        row = np.zeros((n, m))
-        row[:, j] = 1.0
-        a_eq.append(row.ravel())
-    b_eq = np.concatenate([f1.weights, f2.weights])
-    res = linprog(cost.ravel(), A_eq=np.array(a_eq), b_eq=b_eq, bounds=(0, None))
-    if not res.success:
-        raise RuntimeError(f"transport LP failed: {res.message}")
-    return float(res.fun) ** (1.0 / p)
-
-
 def _check_support(f0: GridFunction, f: GridFunction) -> np.ndarray:
     if not f0.same_grid(f):
         raise SupportViolation("densities live on different grids")

@@ -12,9 +12,7 @@ priors:
   finite-dimensional law of the weights is preserved by a latent-scale
   augmentation that makes the un-normalized cell increments conditionally
   generalized-inverse-Gaussian (GIG), drawn for all cells in one
-  :func:`~supermix.priors.gig_sample` call per sweep.  That sampler
-  replaced ``scipy.stats.geninvgauss``, so fixed-seed N-IG outputs differ
-  from versions before it; the Pitman-Yor / Dirichlet stream is unchanged.
+  :func:`~supermix.priors.gig_sample` call per sweep.
 
 Allocation and log likelihood come from :func:`_allocate`, over a
 components x observations buffer allocated once per fit: one matrix

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -186,6 +187,49 @@ def test_non_positive_bandwidth_exits_2(tmp_path, capsys, argv):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["approx", "--density", "fvp:1", "--sigma", ","],
+     ["transform", "--density", "gaussian:1", "--sigma", ",,"],
+     ["contract", "--n-ladder", ",", "--replicates", "1"],
+     ["w2", "--n-ladder", ",", "--replicates", "1"],
+     ["nig-check", "--alphas", ","]],
+)
+def test_empty_list_exits_2(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path / "e.csv")])
+    assert exc.value.code == 2
+    assert "empty list" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("alphas", ["1,nan", "1,inf", "nan,nan"])
+def test_nig_check_non_finite_alphas_exits_2(tmp_path, capsys, alphas):
+    assert main(["nig-check", "--alphas", alphas, "--budget", "100",
+                 "--out", str(tmp_path / "n.csv")]) == 2
+    assert "alphas must be finite" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [(["--a", "-2", "--sigma", "0.5"], "--a must be finite and positive, got -2.0"),
+     (["--a", "0", "--sigma", "0.5"], "--a must be finite and positive, got 0.0"),
+     (["--a", "inf", "--sigma", "0.5"], "--a must be finite and positive, got inf"),
+     (["--a", "2", "--sigma", "-0.5"], "--sigma must be finite and positive, got -0.5"),
+     (["--a", "2", "--sigma", "nan"], "--sigma must be finite and positive, got nan")],
+)
+def test_discretize_bad_window_exits_2(tmp_path, capsys, flags, message):
+    # the check comes before the window: no divide-by-zero warning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["discretize", "--density", "gaussian:1", "--epsilon", "1e-3", *flags,
+                     "--out", str(tmp_path / "d.csv")])
+    assert code == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_prior_mass_csv_shape(tmp_path):
     out = tmp_path / "pm.csv"
     code = main(["prior-mass", "--lemma", "py-locations", "--budget", "20000",
@@ -301,6 +345,34 @@ def test_import_leaves_scipy_stats_unloaded():
     res = run_python(["-c", code])
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "False"
+
+
+def test_runs_without_loading_scipy(tmp_path):
+    # the runtime needs numpy only: an N-IG fit, a W2 fit on the uniform
+    # base (truncated-normal atom draws), the Gauss rules of discretize,
+    # the N-IG density (Bessel K) and the N-IG cell masses (normal cdf)
+    np.savetxt(tmp_path / "data.txt", np.random.default_rng(3).normal(size=40))
+    runs = [
+        ["fit", "--data", str(tmp_path / "data.txt"), "--prior", "nig",
+         "--iterations", "30", "--burn-in", "10"],
+        ["w2", "--n-ladder", "40", "--replicates", "1"],
+        ["discretize", "--density", "gaussian:1", "--epsilon", "1e-3", "--a", "2",
+         "--sigma", "0.5"],
+        ["nig-check", "--alphas", "1,1", "--budget", "2000"],
+        ["prior-mass", "--lemma", "nig", "--budget", "2000"],
+    ]
+    code = (
+        "import json, sys, supermix; from supermix.cli import main; "
+        f"codes = [main(argv + ['--out', '{tmp_path}/o%d.csv' % i]) "
+        f"for i, argv in enumerate({runs!r})]; "
+        "print(json.dumps([codes, sorted(m for m in sys.modules "
+        "if m == 'scipy' or m.startswith('scipy.'))]))"
+    )
+    res = run_python(["-c", code])
+    assert res.returncode == 0, res.stderr
+    codes, loaded = json.loads(res.stdout.strip().splitlines()[-1])
+    assert codes == [0] * len(runs)
+    assert loaded == []
 
 
 def test_fit_independent_of_blas_threads():

@@ -11,7 +11,7 @@ from supermix import (
     partition_discretize,
     support_budget,
 )
-from supermix.discretize import _cellwise_gauss
+from supermix.discretize import _cellwise_gauss, _gauss_from_recurrence
 from supermix.errors import IllConditionedMoments, InvalidSupport, RegimeUnavailable
 
 
@@ -139,6 +139,21 @@ class TestMomentMatch:
             m_in = (src.weights * src.atoms ** j).sum()
             m_out = (out.weights * out.atoms ** j).sum()
             assert abs(m_in - m_out) <= 1e-8 * max(abs(m_in), 2.0 ** j)
+
+    def test_gauss_rule_matches_tridiagonal_solver(self):
+        # the dense symmetric eigen-solve against scipy's tridiagonal one
+        from scipy.linalg import eigh_tridiagonal
+
+        rng = np.random.default_rng(21)
+        for n in (2, 3, 8, 16, 33, 60):
+            alpha = rng.normal(size=n)
+            beta = rng.uniform(0.01, 2.0, size=n - 1)
+            nodes, weights = _gauss_from_recurrence(alpha, beta, total_mass=2.5)
+            ref_nodes, vecs = eigh_tridiagonal(alpha, beta)
+            scale = np.abs(ref_nodes).max()
+            assert np.abs(nodes - ref_nodes).max() <= 1e-14 * scale
+            assert np.abs(weights - 2.5 * vecs[0] ** 2).max() <= 1e-13
+            assert abs(weights.sum() - 2.5) <= 1e-13
 
     def test_ill_conditioned_moments_raise(self):
         moments = [2.0 / (j + 1) if j % 2 == 0 else 0.0 for j in range(42)]

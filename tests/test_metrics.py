@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from supermix import (
     DiscreteMixingMeasure,
@@ -15,7 +16,7 @@ from supermix import (
 )
 from supermix.errors import SupportViolation
 from supermix.kernels import kernel_grid, parse_kernel_id
-from supermix.metrics import floored_mass, wasserstein_lp_oracle
+from supermix.metrics import floored_mass
 
 from conftest import random_gaussian_mixture
 
@@ -26,6 +27,28 @@ def random_measure(rng, max_atoms=4):
     while np.any(np.diff(atoms) < 1e-6):
         atoms = np.sort(rng.uniform(-3, 3, k))
     return DiscreteMixingMeasure(atoms, rng.dirichlet(np.ones(k)))
+
+
+def wasserstein_lp_oracle(
+    f1: DiscreteMixingMeasure, f2: DiscreteMixingMeasure, p: float
+) -> float:
+    """Brute-force transport LP; test oracle for few-atom measures."""
+    n, m = len(f1), len(f2)
+    cost = np.abs(f1.atoms[:, None] - f2.atoms[None, :]) ** p
+    a_eq = []
+    for i in range(n):
+        row = np.zeros((n, m))
+        row[i, :] = 1.0
+        a_eq.append(row.ravel())
+    for j in range(m):
+        row = np.zeros((n, m))
+        row[:, j] = 1.0
+        a_eq.append(row.ravel())
+    b_eq = np.concatenate([f1.weights, f2.weights])
+    res = linprog(cost.ravel(), A_eq=np.array(a_eq), b_eq=b_eq, bounds=(0, None))
+    if not res.success:
+        raise RuntimeError(f"transport LP failed: {res.message}")
+    return float(res.fun) ** (1.0 / p)
 
 
 class TestWasserstein:

@@ -35,6 +35,9 @@ from supermix.priors import (
     inverse_gaussian_sample,
     lemma_verification_table,
     log_bessel_k_half,
+    log_bessel_k_scaled,
+    ndtr,
+    ndtri,
     nig_marginal_cdf,
     py_expected_weights,
     simulate_py_location_event,
@@ -43,6 +46,7 @@ from supermix.priors import (
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
 from check_gig import GIBBS_A, ks_pvalue  # noqa: E402
+from check_special import TOLERANCES, largest_errors  # noqa: E402
 
 
 class TestStickBreaking:
@@ -177,6 +181,67 @@ class TestNIGDensity:
             ours = log_bessel_k_half(m, x)
             ref = np.log(kv(m / 2.0, x))
             assert np.abs(ours - ref).max() <= 1e-12
+
+
+class TestSpecialFunctions:
+    """The standard-library and numpy special functions against
+    ``scipy.special`` and mpmath."""
+
+    def test_ndtr_matches_scipy(self):
+        from scipy.special import ndtr as ref
+
+        x = np.linspace(-8.0, 8.0, 20001)
+        ours = np.array([ndtr(v) for v in x.tolist()])
+        assert np.abs(ours / ref(x) - 1.0).max() <= 5e-14
+
+    def test_ndtri_matches_scipy(self):
+        from scipy.special import ndtri as ref
+
+        tails = np.geomspace(1e-15, 0.5, 5000)
+        q = np.concatenate([tails, 1.0 - tails, np.linspace(1e-15, 1.0 - 1e-15, 10001)])
+        q = q[q != 0.5]
+        ours = np.array([ndtri(v) for v in q.tolist()])
+        assert np.abs(ours / ref(q) - 1.0).max() <= 4e-15
+        assert ndtri(0.5) == 0.0
+
+    @pytest.mark.parametrize("nu", range(1, 33))
+    def test_bessel_k_matches_scipy(self, nu):
+        from scipy.special import kve
+
+        # compare K itself, not its log, so the reference is not rounded
+        # to the spacing of a log of size up to ~330
+        x = np.geomspace(1e-3, 1e3, 401)
+        ours = np.exp(log_bessel_k_scaled(nu, x))
+        assert np.abs(ours / kve(nu, x) - 1.0).max() <= 1e-13
+
+    def test_bessel_k_half_integer_orders_agree(self):
+        x = np.geomspace(1e-2, 1e2, 101)
+        for m in (1, 3, 5, 7, 33):
+            exact = log_bessel_k_half(m, x) + x
+            assert np.abs(log_bessel_k_scaled(m / 2.0, x) - exact).max() <= 1e-13
+
+    def test_bessel_k_keeps_shape_and_rejects_bad_arguments(self):
+        x = np.array([[0.5, 2.0], [10.0, 40.0]])
+        assert log_bessel_k_scaled(2, x).shape == (2, 2)
+        assert log_bessel_k_scaled(2, np.empty(0)).shape == (0,)
+        for bad in (0.0, -1.0, np.inf, np.nan):
+            with pytest.raises(ValueError):
+                log_bessel_k_scaled(1, np.array([1.0, bad]))
+        with pytest.raises(ValueError):
+            log_bessel_k_scaled(-1, np.array([1.0]))
+
+    def test_against_mpmath_small_grid(self):
+        errors = largest_errors(points=9, orders=(1, 2, 5, 16, 32))
+        assert all(errors[name] <= TOLERANCES[name] for name in TOLERANCES), errors
+
+    def test_ball_mass_matches_scipy(self):
+        from scipy.special import ndtr as ref
+
+        base = BaseMeasure("gaussian", 1.5)
+        for center, radius in ((0.0, 0.1), (3.0, 2.0), (-9.0, 0.5), (12.0, 1.0)):
+            lo, hi = (center - radius) / 1.5, (center + radius) / 1.5
+            expected = ref(hi) - ref(lo)
+            assert abs(base.ball_mass(center, radius) - expected) <= 1e-13 * expected
 
 
 class TestNIGSampler:
