@@ -59,7 +59,7 @@ def _elementwise(fn, x) -> np.ndarray:
 
 
 def log_bessel_k_scaled(nu: float, x) -> np.ndarray:
-    """log(K_nu(x) e^x) for real nu >= 0 and finite x > 0, elementwise.
+    """log(K_nu(x) e^x) for real nu >= 1/2 and finite x > 0, elementwise.
 
     The trapezoid rule on K_nu(x) = 1/2 int exp(nu t - x cosh t) dt, on a
     grid through the integrand's peak t* = asinh(nu / x).  With
@@ -70,12 +70,13 @@ def log_bessel_k_scaled(nu: float, x) -> np.ndarray:
     |Im u| < pi/2 and is a Gaussian of curvature kappa at the peak; the
     step 1 / sqrt(24 + 2 kappa) keeps the discretization error of both
     regimes below e^-38 relative, and the sum stops once every new term
-    is below e^-40 of the peak.  ``scripts/check_special.py`` checks the
-    result against mpmath.
+    is below e^-40 of the peak.  The left drop grows at least like
+    nu (u - 1), so nu >= 1/2 bounds the number of steps at any x.
+    ``scripts/check_special.py`` checks the result against mpmath.
     """
     x = np.asarray(x, dtype=float)
-    if not (nu >= 0 and np.all((x > 0) & (x < np.inf))):
-        raise ValueError("log_bessel_k_scaled needs nu >= 0 and finite x > 0")
+    if not (nu >= 0.5 and np.all((x > 0) & (x < np.inf))):
+        raise ValueError("log_bessel_k_scaled needs nu >= 1/2 and finite x > 0")
     kappa = np.hypot(x, nu)
     half_excess = 0.5 * x / (kappa + nu) * x  # (kappa - nu) / 2
     h = 1.0 / np.sqrt(24.0 + 2.0 * kappa)

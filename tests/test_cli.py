@@ -41,7 +41,7 @@ def test_fvp_approx_error_column_zero(tmp_path):
     assert lines[1].split(",")[-1] == "0"
     meta = json.loads(Path(str(out) + ".meta.json").read_text())
     assert meta["config"]["seed"] == 0
-    assert "numpy" in meta["versions"]
+    assert sorted(meta["versions"]) == ["numpy", "supermix"]
 
 
 def test_unknown_flag_exits_2():

@@ -227,8 +227,13 @@ class TestSpecialFunctions:
         for bad in (0.0, -1.0, np.inf, np.nan):
             with pytest.raises(ValueError):
                 log_bessel_k_scaled(1, np.array([1.0, bad]))
-        with pytest.raises(ValueError):
-            log_bessel_k_scaled(-1, np.array([1.0]))
+        for nu in (-1.0, 0.0, 0.25, np.nan):
+            with pytest.raises(ValueError):
+                log_bessel_k_scaled(nu, np.array([1.0]))
+        # the smallest order far below x = 1, where the left tail is longest
+        tiny = np.array([1e-300, 1e-30])
+        exact = log_bessel_k_half(1, tiny) + tiny
+        assert np.abs(log_bessel_k_scaled(0.5, tiny) - exact).max() <= 1e-12
 
     def test_against_mpmath_small_grid(self):
         errors = largest_errors(points=9, orders=(1, 2, 5, 16, 32))
