@@ -5,7 +5,6 @@ inverse-Gaussian priors, and desk-scale posterior experiments."""
 __version__ = "0.1.0"
 
 from .gridfn import (
-    BandIndicator,
     GridFunction,
     band_limit,
     convolve,
@@ -16,7 +15,6 @@ from .kernels import (
     CatalogDensity,
     KernelSpec,
     SupersmoothClass,
-    build_superkernel,
     catalog_density,
     kernel_grid,
     parse_kernel_id,

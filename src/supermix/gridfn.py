@@ -210,7 +210,7 @@ def convolve(f: GridFunction, g: GridFunction) -> GridFunction:
         raise GridMismatch("convolve requires a common grid")
     _warn_if_aliasing(f, "convolve")
     _warn_if_aliasing(g, "convolve")
-    return GridFunction.from_spectrum(f.half_width, f.n_points, f.spectrum * g.spectrum)
+    return apply_multiplier(f, g.spectrum)
 
 
 def band_limit(f: GridFunction, cutoff: float) -> GridFunction:
@@ -221,9 +221,7 @@ def band_limit(f: GridFunction, cutoff: float) -> GridFunction:
     """
     if cutoff > f.nyquist:
         raise CutoffAboveNyquist(f"cutoff {cutoff:g} exceeds Nyquist {f.nyquist:g}")
-    t = f.freqs()
-    spec = np.where(np.abs(t) <= cutoff, f.spectrum, 0.0)
-    return GridFunction.from_spectrum(f.half_width, f.n_points, spec)
+    return apply_multiplier(f, np.abs(f.freqs()) <= cutoff)
 
 
 def spectral_derivative(f: GridFunction, order: int) -> GridFunction:
@@ -251,23 +249,3 @@ def lp_norm(f: GridFunction, p: float) -> float:
     absv = np.abs(f.values)
     return float((absv ** p).sum() * f.dx) ** (1.0 / p)
 
-
-class BandIndicator:
-    """Multiplication by the frequency indicator ``1_{[-T, T]}``.
-
-    Application to a grid function is exactly convolution with
-    ``sinc_{1/T}``; the cutoff must not exceed the grid's Nyquist band.
-    """
-
-    __slots__ = ("cutoff",)
-
-    def __init__(self, cutoff: float):
-        if not cutoff > 0:
-            raise ValueError("cutoff must be positive")
-        self.cutoff = float(cutoff)
-
-    def __call__(self, f: GridFunction) -> GridFunction:
-        return band_limit(f, self.cutoff)
-
-    def __repr__(self):
-        return f"BandIndicator(cutoff={self.cutoff:g})"

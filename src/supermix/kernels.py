@@ -10,7 +10,7 @@ above its spectral support.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -103,7 +103,7 @@ class KernelSpec:
             return lambda t: (np.abs(t) <= 1.0 / s).astype(float)
         if self.family == "superkernel":
             flat, cutoff = self.shape
-            return lambda t: _trapezoid(np.abs(t) * s, flat, cutoff)
+            return lambda t: np.clip((cutoff - np.abs(t) * s) / (cutoff - flat), 0.0, 1.0)
         return None  # student_t: computed numerically from the density
 
     def density_fn(self) -> Optional[Callable[[np.ndarray], np.ndarray]]:
@@ -198,10 +198,6 @@ def _superkernel_density(x: np.ndarray, flat: float, cutoff: float) -> np.ndarra
     return out
 
 
-def _trapezoid(a: np.ndarray, flat: float, cutoff: float) -> np.ndarray:
-    return np.clip((cutoff - a) / (cutoff - flat), 0.0, 1.0)
-
-
 def kernel_grid(
     spec: KernelSpec,
     half_width: float = DEFAULT_HALF_WIDTH,
@@ -252,37 +248,23 @@ def supersmooth_class(
     return SupersmoothClass(rho=rho, r=r, L=L, spectral_support=support)
 
 
-def build_superkernel(
-    flat: float = 1.0,
-    cutoff: float = 2.0,
-    half_width: float = DEFAULT_HALF_WIDTH,
-    n_points: int = DEFAULT_N_POINTS,
-) -> GridFunction:
-    """Trapezoidal-spectrum superkernel: Shat = 1 on [-flat, flat], linear
-    decay to 0 at +-cutoff, 0 beyond.
-
-    Closed form ``(cos(flat x) - cos(cutoff x)) / (pi (cutoff-flat) x^2)``;
-    real, symmetric, integral exactly 1 on the grid.
-    """
-    if not 0 < flat < cutoff:
-        raise InvalidShape("superkernel needs 0 < flat < cutoff")
-    return kernel_grid(KernelSpec("superkernel", 1.0, (flat, cutoff)), half_width, n_points)
-
-
-def smoothing_multiplier(kernel: Optional[KernelSpec], sigma: float, t: np.ndarray) -> np.ndarray:
-    """Spectral multiplier of convolution with ``kernel_sigma``.
+def smoothing_multiplier(
+    kernel: Optional[KernelSpec], sigma: float, f: GridFunction
+) -> np.ndarray:
+    """Spectral multiplier of convolution with ``kernel_sigma`` on f's grid.
 
     ``kernel=None`` selects the sinc kernel (band indicator at 1/sigma).
+    sigma must be finite and positive, and ``1/sigma`` must lie inside
+    f's Nyquist band.
     """
-    if kernel is None or kernel.family == "sinc":
-        return (np.abs(t) <= 1.0 / sigma).astype(float)
-    if kernel.family == "superkernel":
-        flat, cutoff = kernel.shape
-        return _trapezoid(sigma * np.abs(t), flat, cutoff)
-    char = KernelSpec(kernel.family, sigma, kernel.shape).char_fn()
+    if not 0.0 < sigma < math.inf:
+        raise ValueError(f"sigma must be finite and positive, got {sigma}")
+    if 1.0 / sigma > f.nyquist:
+        raise CutoffAboveNyquist(f"1/sigma = {1/sigma:g} exceeds Nyquist {f.nyquist:g}")
+    char = replace(kernel if kernel is not None else KernelSpec("sinc"), scale=sigma).char_fn()
     if char is None:
         raise UnknownFamily(f"no spectral form for {kernel.family}")
-    return char(t)
+    return char(f.freqs())
 
 
 def sinc_approx_error(
@@ -300,17 +282,11 @@ def sinc_approx_error(
     For the sinc kernel only p in [2, inf] is controlled; a superkernel
     extends the law to p in [1, 2).
     """
-    if not 0.0 < sigma < math.inf:
-        raise ValueError(f"sigma must be finite and positive, got {sigma}")
-    if 1.0 / sigma > f.nyquist:
-        raise CutoffAboveNyquist(f"1/sigma = {1/sigma:g} beyond Nyquist {f.nyquist:g}")
+    mult = smoothing_multiplier(kernel, sigma, f)
     sinc_like = kernel is None or kernel.family == "sinc"
     if p < 2 and sinc_like and not cls.spectral_support < math.inf:
         raise InvalidP("sinc approximation controls only p >= 2; pass a superkernel")
-    t = f.freqs()
-    mult = smoothing_multiplier(kernel, sigma, t)
-    smoothed = apply_multiplier(f, mult)
-    return lp_norm(smoothed - f, p)
+    return lp_norm(apply_multiplier(f, mult) - f, p)
 
 
 def sinc_quadratic_variation(n_extrema: int) -> float:

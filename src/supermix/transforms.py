@@ -28,8 +28,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import CutoffAboveNyquist, NegativeDelta, SeriesNotConverged
-from .gridfn import GridFunction
+from .errors import NegativeDelta, SeriesNotConverged
+from .gridfn import GridFunction, apply_multiplier, lp_norm
 from .kernels import KernelSpec, smoothing_multiplier
 
 #: floor constant delta = 1 - sqrt(e)/2 used by the non-negativization
@@ -60,8 +60,8 @@ class TransformCoefficients:
     def abs_d_sum(self) -> float:
         return float(np.abs(self.d).sum())
 
-    def symbol(self, u) -> np.ndarray:
-        """In-band spectral symbol ``1 - sum_j d_j s_j(u)`` at u = (t sigma)^2/2.
+    def correction(self, u, order: int) -> np.ndarray:
+        """Correction series ``sum_{j <= order} d_j s_j(u)`` at u = (t sigma)^2/2.
 
         Uses s_{2k}(u) = (-2u)^k; odd terms vanish with the odd d's.
         """
@@ -69,9 +69,13 @@ class TransformCoefficients:
         v = -2.0 * u
         # Horner over powers of v; odd orders contribute nothing
         acc = np.zeros_like(u)
-        for k in range(self.max_order // 2, 0, -1):
+        for k in range(order // 2, 0, -1):
             acc = acc * v + self.d[2 * k]
-        return 1.0 - acc * v
+        return acc * v
+
+    def symbol(self, u) -> np.ndarray:
+        """In-band spectral symbol ``1 - sum_j d_j s_j(u)`` up to ``max_order``."""
+        return 1.0 - self.correction(u, self.max_order)
 
 
 @lru_cache(maxsize=8)
@@ -129,25 +133,34 @@ class TransformResult:
     mass_defect: float
 
 
-def _auto_order(sigma: float, coef_cap: int = MAX_ORDER) -> int:
-    coef = coefficients(coef_cap)
+def _auto_order() -> int:
+    coef = coefficients(MAX_ORDER)
     # in-band term bound |d_J| (sigma * t)^J <= |d_J| at t = 1/sigma
-    for j in range(10, coef_cap + 1, 2):
+    for j in range(10, MAX_ORDER + 1, 2):
         if abs(coef.d[j]) <= SERIES_TOL:
             return j
-    return coef_cap
+    return MAX_ORDER
 
 
-def _band_symbol_multiplier(f0: GridFunction, sigma: float, order: int) -> np.ndarray:
-    """Spectral multiplier of the corrected function: the truncated symbol
-    inside the band, 1 outside (sinc kills every correction term there)."""
-    t = f0.freqs()
-    if 1.0 / sigma > f0.nyquist:
-        raise CutoffAboveNyquist(
-            f"1/sigma = {1/sigma:g} exceeds Nyquist {f0.nyquist:g}"
-        )
-    band = np.abs(t) <= 1.0 / sigma
-    return np.where(band, coefficients(order).symbol((sigma * t) ** 2 / 2.0), 1.0)
+def _corrected(
+    f0: GridFunction, sigma: float, order: int, kernel: Optional[KernelSpec] = None
+) -> TransformResult:
+    """Corrected function with the series truncated at ``order``.
+
+    The spectral multiplier is ``1 - correction(u) * smooth`` where the
+    smoothing multiplier of ``kernel_sigma`` (sinc by default) is nonzero,
+    and exactly 1 elsewhere, where the smoothing kills every term.
+    """
+    smooth = smoothing_multiplier(kernel, sigma, f0)
+    u = (sigma * f0.freqs()) ** 2 / 2.0
+    correction = coefficients(max(order, 2)).correction(u, order)
+    t_sigma = apply_multiplier(f0, np.where(smooth != 0.0, 1.0 - correction * smooth, 1.0))
+    return TransformResult(
+        t_sigma=t_sigma,
+        sigma=sigma,
+        truncation_order=order,
+        mass_defect=abs(t_sigma.integral() - 1.0),
+    )
 
 
 def transform_analytic(
@@ -158,10 +171,8 @@ def transform_analytic(
     ``order`` defaults to the smallest even J with |d_J| below the series
     tolerance (the in-band term bound at the band edge), capped at 120.
     """
-    if not 0.0 < sigma < math.inf:
-        raise ValueError(f"sigma must be finite and positive, got {sigma}")
     if order is None:
-        order = _auto_order(sigma)
+        order = _auto_order()
     else:
         coef = coefficients(max(order, 2))
         if order < coef.d.shape[0] and abs(coef.d[order]) > SERIES_TOL:
@@ -169,14 +180,7 @@ def transform_analytic(
                 f"order {order} leaves in-band term {abs(coef.d[order]):.2e} "
                 f"above {SERIES_TOL:g}; increase the truncation order"
             )
-    mult = _band_symbol_multiplier(f0, sigma, order)
-    t_sigma = GridFunction.from_spectrum(f0.half_width, f0.n_points, f0.spectrum * mult)
-    return TransformResult(
-        t_sigma=t_sigma,
-        sigma=sigma,
-        truncation_order=order,
-        mass_defect=abs(t_sigma.integral() - 1.0),
-    )
+    return _corrected(f0, sigma, order)
 
 
 def transform_sobolev(
@@ -193,24 +197,7 @@ def transform_sobolev(
     """
     if k0 < 1:
         raise ValueError("k0 must be >= 1")
-    if 1.0 / sigma > f0.nyquist:
-        raise CutoffAboveNyquist(
-            f"1/sigma = {1/sigma:g} exceeds Nyquist {f0.nyquist:g}"
-        )
-    t = f0.freqs()
-    coef = coefficients(max(k0, 2))
-    smooth = smoothing_multiplier(superkernel, sigma, t)
-    series = np.zeros_like(t)
-    for j in range(2, k0, 2):  # odd d's vanish
-        series += coef.d[j] * (sigma * t) ** j * (-1) ** (j // 2)
-    mult = 1.0 - series * smooth
-    t_sigma = GridFunction.from_spectrum(f0.half_width, f0.n_points, f0.spectrum * mult)
-    return TransformResult(
-        t_sigma=t_sigma,
-        sigma=sigma,
-        truncation_order=k0 - 1,
-        mass_defect=abs(t_sigma.integral() - 1.0),
-    )
+    return _corrected(f0, sigma, k0 - 1, superkernel)
 
 
 @dataclass(frozen=True)
@@ -246,11 +233,5 @@ def gaussian_smoothing_error(
     result: TransformResult, f0: GridFunction, p: float = math.inf
 ) -> float:
     """||T(f0) * phi_sigma - f0||_p computed spectrally."""
-    from .gridfn import lp_norm
-
-    t = f0.freqs()
-    gauss = np.exp(-((result.sigma * t) ** 2) / 2.0)
-    smoothed = GridFunction.from_spectrum(
-        f0.half_width, f0.n_points, result.t_sigma.spectrum * gauss
-    )
-    return lp_norm(smoothed - f0, p)
+    gauss = KernelSpec("gaussian", result.sigma).char_fn()(f0.freqs())
+    return lp_norm(apply_multiplier(result.t_sigma, gauss) - f0, p)

@@ -5,7 +5,6 @@ import pytest
 
 from supermix import GridFunction, band_limit, convolve, lp_norm, spectral_derivative
 from supermix.errors import AliasingRisk, CutoffAboveNyquist, GridMismatch, InvalidP
-from supermix.gridfn import BandIndicator
 from supermix.kernels import kernel_grid, parse_kernel_id
 
 
@@ -117,10 +116,6 @@ class TestBandLimit:
         tail = math.sqrt(math.pi) * erfc(2.0)  # int_{|t|>2} e^{-t^2} dt
         expected = math.sqrt(tail / (2 * math.pi))
         assert abs(err - expected) / expected <= 0.01
-
-    def test_band_indicator_wrapper(self, phi1):
-        ind = BandIndicator(2.0)
-        assert np.array_equal(ind(phi1).values, band_limit(phi1, 2.0).values)
 
 
 class TestSpectralDerivative:

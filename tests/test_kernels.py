@@ -9,7 +9,6 @@ from scipy.special import erfc
 
 from supermix import (
     KernelSpec,
-    build_superkernel,
     convolve,
     kernel_grid,
     lp_norm,
@@ -141,11 +140,11 @@ class TestSuperkernel:
         assert spec(np.array([2.5]))[0] == 0.0
 
     def test_unit_integral(self):
-        S = build_superkernel(1.0, 2.0)
+        S = kernel_grid(KernelSpec("superkernel", 1.0, (1.0, 2.0)))
         assert abs(S.integral() - 1.0) <= 1e-10
 
     def test_absolute_mass(self):
-        S = build_superkernel(1.0, 2.0)
+        S = kernel_grid(KernelSpec("superkernel", 1.0, (1.0, 2.0)))
         grid_l1 = lp_norm(S, 1)
         # oracle: direct quadrature of |cos x - cos 2x| / (pi x^2)
         body, _ = quad(
@@ -157,14 +156,14 @@ class TestSuperkernel:
         assert abs(grid_l1 - oracle) <= 0.02
 
     def test_strictly_below_one_outside_flat(self):
-        S = build_superkernel(1.0, 2.0)
+        S = kernel_grid(KernelSpec("superkernel", 1.0, (1.0, 2.0)))
         t = S.freqs()
         outside = np.abs(t) > 1.0
         assert np.all(np.abs(S.spectrum[outside]) < 1.0)
 
     def test_invalid_shape(self):
         with pytest.raises(InvalidShape):
-            build_superkernel(2.0, 1.0)
+            kernel_grid(KernelSpec("superkernel", 1.0, (2.0, 1.0)))
 
 
 class TestSincApproxError:
