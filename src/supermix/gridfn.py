@@ -219,6 +219,8 @@ def band_limit(f: GridFunction, cutoff: float) -> GridFunction:
     Equals convolution with the sinc kernel of bandwidth ``1/cutoff``.
     Exact projection: applying it twice returns bitwise-identical values.
     """
+    if not 0.0 < cutoff < math.inf:
+        raise ValueError(f"cutoff must be finite and positive, got {cutoff}")
     if cutoff > f.nyquist:
         raise CutoffAboveNyquist(f"cutoff {cutoff:g} exceeds Nyquist {f.nyquist:g}")
     return apply_multiplier(f, np.abs(f.freqs()) <= cutoff)

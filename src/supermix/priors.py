@@ -815,14 +815,55 @@ def lemma_verification_table(
     return consts, rows
 
 
+#: standardized bound below which the lower-tail normal cdf leaves the
+#: normal floats (ndtr(-37) = 5.7e-300)
+_CDF_FLOOR = -37.0
+
+
 def truncated_normal_sample(
     mean, sd, lo: float, hi: float, rng: np.random.Generator
 ) -> np.ndarray:
-    """Inverse-cdf truncated normal draws (vectorized, deterministic)."""
-    mean = np.asarray(mean, dtype=float)
-    sd = np.asarray(sd, dtype=float)
-    a = _elementwise(ndtr, (lo - mean) / sd)
-    b = _elementwise(ndtr, (hi - mean) / sd)
-    u = rng.random(np.broadcast(mean, sd).shape)
-    q = np.clip(a + u * (b - a), 1e-15, 1.0 - 1e-15)
-    return mean + sd * _elementwise(ndtri, q)
+    """Draws of N(mean, sd^2) restricted to [lo, hi] (vectorized, deterministic).
+
+    Inverse cdf with one uniform per draw.  An interval that lies above its
+    mean is reflected below it, so both cdf values sit in the lower tail,
+    where :func:`ndtr` keeps full relative accuracy.  An interval more than
+    37 sd below its mean, where the cdf underflows, is drawn by
+    :func:`_normal_tail` instead.
+    """
+    mean, sd = np.broadcast_arrays(np.asarray(mean, dtype=float), np.asarray(sd, dtype=float))
+    alpha, beta = (lo - mean) / sd, (hi - mean) / sd
+    flip = alpha > 0
+    alpha, beta = np.where(flip, -beta, alpha), np.where(flip, -alpha, beta)
+    a = _elementwise(ndtr, alpha)
+    b = _elementwise(ndtr, beta)
+    # a reflected draw takes 1 - u, so draws stay increasing in u
+    u = rng.random(mean.shape)
+    q = a + np.where(flip, 1.0 - u, u) * (b - a)
+    tail = beta < _CDF_FLOOR
+    z = np.full(mean.shape, -math.inf)  # the limit of ndtri at q = 0
+    inverse = ~tail & (q > 0.0)
+    z[inverse] = _elementwise(ndtri, q[inverse])
+    if tail.any():
+        z[tail] = -_normal_tail(-beta[tail], -alpha[tail], rng)
+    z = np.clip(z, alpha, beta)
+    return np.clip(mean + sd * np.where(flip, -z, z), lo, hi)
+
+
+def _normal_tail(lo: np.ndarray, hi: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Standard normal draws on [lo, hi] for lo > 0, by rejection.
+
+    The proposal has density proportional to x e^{-x^2/2} on [lo, hi] and
+    is drawn by its inverse cdf; a draw x is kept with probability lo/x,
+    which exceeds 1 - 1/lo^2 on average (Marsaglia's tail method).
+    """
+    out = np.empty(lo.shape)
+    todo = np.arange(lo.size)
+    while todo.size:
+        a, b = lo[todo], hi[todo]
+        mass = -np.expm1(-(b - a) * (b + a) / 2.0)
+        x = np.sqrt(a * a - 2.0 * np.log1p(-rng.random(todo.size) * mass))
+        keep = rng.random(todo.size) * x <= a
+        out[todo[keep]] = x[keep]
+        todo = todo[~keep]
+    return out

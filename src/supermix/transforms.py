@@ -170,16 +170,16 @@ def transform_analytic(
 
     ``order`` defaults to the smallest even J with |d_J| below the series
     tolerance (the in-band term bound at the band edge), capped at 120.
+    An explicit order is checked on the last even term the series uses
+    (odd d's vanish); orders below 2 keep no correction term and fail.
     """
     if order is None:
         order = _auto_order()
-    else:
-        coef = coefficients(max(order, 2))
-        if order < coef.d.shape[0] and abs(coef.d[order]) > SERIES_TOL:
-            raise SeriesNotConverged(
-                f"order {order} leaves in-band term {abs(coef.d[order]):.2e} "
-                f"above {SERIES_TOL:g}; increase the truncation order"
-            )
+    elif order < 2 or abs(coefficients(order).d[order - order % 2]) > SERIES_TOL:
+        raise SeriesNotConverged(
+            f"order {order} leaves its last in-band term above {SERIES_TOL:g}; "
+            "increase the truncation order"
+        )
     return _corrected(f0, sigma, order)
 
 

@@ -102,6 +102,11 @@ class TestBandLimit:
         with pytest.raises(CutoffAboveNyquist):
             band_limit(phi1, phi1.nyquist * 1.01)
 
+    @pytest.mark.parametrize("cutoff", [-1.0, math.nan, 0.0])
+    def test_bad_cutoff_raises(self, phi1, cutoff):
+        with pytest.raises(ValueError, match="cutoff must be finite and positive"):
+            band_limit(phi1, cutoff)
+
     def test_projection_exact(self, phi1):
         once = band_limit(phi1, 2.0)
         twice = band_limit(once, 2.0)

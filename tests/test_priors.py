@@ -480,6 +480,38 @@ class TestTruncatedNormal:
         target = (xs * pdf).sum() / pdf.sum()
         assert abs(draws.mean() - target) <= 4 * draws.std() / math.sqrt(draws.size)
 
+    @pytest.mark.parametrize("mean", [10.0, -10.0, 3.9, -3.9, 3.05, -3.05])
+    def test_far_interval_draws_stay_inside(self, mean):
+        # intervals 0.5 to 130 sd from the mean, above and below it
+        rng = np.random.default_rng(14)
+        draws = truncated_normal_sample(np.full(2000, mean), np.full(2000, 0.1),
+                                        -3.0, 3.0, rng)
+        assert draws.min() >= -3.0 and draws.max() <= 3.0
+
+    @pytest.mark.parametrize("side", [1, -1])
+    @pytest.mark.parametrize("lower", [-1.0, 3.0, 8.0, 40.0])
+    def test_matches_scipy_truncnorm(self, lower, side):
+        # standardised interval [lower, inf) (side 1) or its mirror image;
+        # 40 sd lies beyond the normal cdf's underflow
+        from scipy.stats import truncnorm
+
+        mean, sd = 2.0, 0.5
+        lo, hi = (mean + sd * lower, math.inf) if side == 1 else (-math.inf, mean - sd * lower)
+        rng = np.random.default_rng(15)
+        draws = truncated_normal_sample(np.full(4000, mean), np.full(4000, sd), lo, hi, rng)
+        assert draws.min() >= lo and draws.max() <= hi
+        z = side * (draws - mean) / sd
+        assert kstest(z, truncnorm(lower, math.inf).cdf).pvalue > 1e-3
+
+    def test_tail_rejection_matches_scipy_truncnorm(self):
+        # the far-tail branch at a bound where its proposal is far off
+        from scipy.stats import truncnorm
+
+        rng = np.random.default_rng(16)
+        draws = priors._normal_tail(np.full(4000, 1.0), np.full(4000, 2.5), rng)
+        assert draws.min() >= 1.0 and draws.max() <= 2.5
+        assert kstest(draws, truncnorm(1.0, 2.5).cdf).pvalue > 1e-3
+
 
 # Reference versions of the Monte-Carlo event tests as row-wise
 # (axis=1) reductions over broadcast inverse-Gaussian parameters; the

@@ -139,9 +139,11 @@ class TestTransformAnalytic:
         res2 = transform_analytic(phi1, 0.2)
         assert lp_norm(res2.t_sigma - rhs2, math.inf) <= 1e-6
 
-    def test_series_not_converged(self, phi1):
+    @pytest.mark.parametrize("order", [0, 1, 3, 8, 9])
+    def test_series_not_converged(self, phi1, order):
+        # an odd order is judged by its last even term: odd d's vanish
         with pytest.raises(SeriesNotConverged):
-            transform_analytic(phi1, 0.3, order=8)
+            transform_analytic(phi1, 0.3, order=order)
 
     def test_cutoff_above_nyquist(self, phi1):
         with pytest.raises(CutoffAboveNyquist):
@@ -168,6 +170,21 @@ class TestTransformSobolev:
         sk = KernelSpec("superkernel", 1.0, (1.0, 2.0))
         res = transform_sobolev(phi1, 0.3, 3, superkernel=sk)
         assert res.mass_defect <= 1e-8
+
+    @pytest.mark.parametrize("sigma", [-0.3, math.nan, 0.0])
+    def test_bad_sigma_raises(self, phi1, sigma):
+        with pytest.raises(ValueError, match="sigma must be finite and positive"):
+            transform_sobolev(phi1, sigma, 2)
+
+    @pytest.mark.parametrize("name", ["gaussian:1", "cauchy:1"])
+    def test_same_builder_as_analytic(self, name):
+        # with sinc, truncation at k0 - 1 = J is the analytic transform at J
+        f = kernel_grid(parse_kernel_id(name))
+        analytic = transform_analytic(f, 0.3)
+        assert analytic.truncation_order == 34
+        sobolev = transform_sobolev(f, 0.3, 35)
+        assert np.array_equal(sobolev.t_sigma.values, analytic.t_sigma.values)
+        assert np.array_equal(sobolev.t_sigma.spectrum, analytic.t_sigma.spectrum)
 
 
 class TestMakeNonnegative:
