@@ -837,7 +837,8 @@ def truncated_normal_sample(
     alpha, beta = np.where(flip, -beta, alpha), np.where(flip, -alpha, beta)
     a = _elementwise(ndtr, alpha)
     b = _elementwise(ndtr, beta)
-    # a reflected draw takes 1 - u, so draws stay increasing in u
+    # a reflected draw takes 1 - u: each draw is the same increasing
+    # function of u as without the reflection
     u = rng.random(mean.shape)
     q = a + np.where(flip, 1.0 - u, u) * (b - a)
     tail = beta < _CDF_FLOOR
@@ -846,7 +847,6 @@ def truncated_normal_sample(
     z[inverse] = _elementwise(ndtri, q[inverse])
     if tail.any():
         z[tail] = -_normal_tail(-beta[tail], -alpha[tail], rng)
-    z = np.clip(z, alpha, beta)
     return np.clip(mean + sd * np.where(flip, -z, z), lo, hi)
 
 

@@ -189,7 +189,6 @@ def test_non_positive_bandwidth_exits_2(tmp_path, capsys, argv):
 
 @pytest.mark.parametrize("order", ["0", "1", "3", "5"])
 def test_transform_unconverged_order_exits_2(tmp_path, capsys, order):
-    # odd orders used to pass on their vanishing odd d's and write a CSV
     assert main(["transform", "--density", "gaussian:1", "--sigma", "0.5",
                  "--order", order, "--out", str(tmp_path / "t.csv")]) == 2
     assert "increase the truncation order" in capsys.readouterr().err
