@@ -2,10 +2,15 @@
 """SHA-256 digests of every CLI subcommand's outputs at ``--seed 0``.
 
 Runs each subcommand on a small fixed config (``contract`` and ``w2`` at
-``--threads 1`` and ``2``) inside OUTDIR and prints one ``sha256  file``
-line per CSV and sidecar.  Outputs are named relative to OUTDIR, so the
-sidecars do not depend on where OUTDIR lives, and a refactor that keeps
-the RNG stream proves byte identity with one ``diff``:
+``--threads 1`` and ``2``; ``discretize`` on a catalog density and on an
+``--atoms-csv`` file the script writes) inside OUTDIR and prints one
+``sha256  file`` line per CSV and sidecar.  It then prints one
+``sha256  name`` line for the atoms, the weights and the grid density of
+``finite_gaussian_mixture(catalog_density("gaussian:1"), sigma)`` at
+sigma = 0.4, 0.3 and 0.25, digesting the raw float64 bytes.  Outputs are
+named relative to OUTDIR, so the sidecars do not depend on where OUTDIR
+lives, and a refactor that keeps the RNG stream proves byte identity
+with one ``diff``:
 
     python3 scripts/cli_digests.py /tmp/new > new.txt
     (in a checkout of the parent) python3 scripts/cli_digests.py /tmp/old > old.txt
@@ -24,6 +29,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 import numpy as np
 
 from supermix.cli import main
+from supermix.discretize import finite_gaussian_mixture
+from supermix.kernels import catalog_density
 
 DISCRETIZE = ["discretize", "--epsilon", "1e-3", "--a", "2", "--sigma", "0.5"]
 FIT = ["fit", "--data", "fit_data.txt", "--iterations", "200", "--burn-in", "50",
@@ -41,6 +48,9 @@ RUNS = {
                                    "--sigma", "0.4", "--order", "40"],
     "discretize_gaussian": DISCRETIZE + ["--density", "gaussian:1"],
     "discretize_cauchy": DISCRETIZE + ["--density", "cauchy:1", "--kernel", "cauchy:1"],
+    "discretize_atoms_gaussian": DISCRETIZE + ["--atoms-csv", "atoms.csv"],
+    "discretize_atoms_cauchy": DISCRETIZE + ["--atoms-csv", "atoms.csv",
+                                             "--kernel", "cauchy:1"],
     "prior_mass_py_sticks": ["prior-mass", "--lemma", "py-sticks", "--budget", "20000"],
     "prior_mass_py_locations": ["prior-mass", "--lemma", "py-locations",
                                 "--budget", "20000"],
@@ -65,6 +75,9 @@ def run_all(outdir: Path) -> list[str]:
     os.chdir(outdir)
     data = np.random.default_rng(0).standard_normal(150)
     np.savetxt("fit_data.txt", data, fmt="%.17g")
+    rng = np.random.default_rng(1)
+    atoms = np.column_stack([rng.uniform(-2.0, 2.0, 200), rng.random(200)])
+    np.savetxt("atoms.csv", atoms, fmt="%.17g", delimiter=",")
     names = []
     for name, argv in RUNS.items():
         out = f"{name}.csv"
@@ -75,8 +88,27 @@ def run_all(outdir: Path) -> list[str]:
     return names
 
 
+def mixture_digests() -> list[tuple[str, str]]:
+    """(sha256, name) of the Gaussian-truth mixture arrays at each sigma."""
+    truth = catalog_density("gaussian:1")
+    out = []
+    for sigma in (0.4, 0.3, 0.25):
+        approx = finite_gaussian_mixture(truth, sigma)
+        arrays = {
+            "atoms": approx.mixing.atoms,
+            "weights": approx.mixing.weights,
+            "density": approx.density.values,
+        }
+        for part, values in arrays.items():
+            digest = hashlib.sha256(np.ascontiguousarray(values, dtype="<f8").tobytes())
+            out.append((digest.hexdigest(), f"fgm_gaussian1_sigma{sigma}.{part}"))
+    return out
+
+
 if __name__ == "__main__":
     if len(sys.argv) != 2:
         raise SystemExit("usage: cli_digests.py OUTDIR")
     for name in run_all(Path(sys.argv[1])):
         print(f"{hashlib.sha256(Path(name).read_bytes()).hexdigest()}  {name}")
+    for digest, name in mixture_digests():
+        print(f"{digest}  {name}")

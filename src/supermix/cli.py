@@ -222,7 +222,12 @@ def cmd_discretize(args) -> Output:
     kernel = parse_kernel_id(args.kernel)
     if args.atoms_csv is not None:
         raw = np.loadtxt(args.atoms_csv, delimiter=",", ndmin=2)
-        source = DiscreteMixingMeasure(raw[:, 0], raw[:, 1] / raw[:, 1].sum())
+        if raw.shape[0] == 0 or raw.shape[1] != 2:
+            raise ValueError(f"{args.atoms_csv}: need atom,weight rows, got shape {raw.shape}")
+        total = raw[:, 1].sum()
+        if not total > 0:
+            raise ValueError(f"{args.atoms_csv}: weights must sum to a positive value, got {total}")
+        source = DiscreteMixingMeasure(raw[:, 0], raw[:, 1] / total)
     elif args.density is not None:
         cat = catalog_density(args.density)
         x = cat.f.grid()

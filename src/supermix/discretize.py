@@ -29,6 +29,10 @@ HANKEL_CONDITION_CAP = 1e12
 #: multiplier applied to every budget (the lemma's implicit constant)
 BUDGET_CONSTANT = 4.0
 
+#: Gauss nodes per cell of ``finite_gaussian_mixture``, before the cap
+#: that keeps the atom count within the budget
+NODES_PER_CELL = 16
+
 #: work buffer of ``DiscreteMixingMeasure.mixture_density`` in float64
 #: elements (2 MiB): blocks of 16 atoms on a 2^14-point grid, 128 on the
 #: 2^11-point experiment grid
@@ -53,9 +57,11 @@ class DiscreteMixingMeasure:
         weights = np.asarray(self.weights, dtype=float)
         if atoms.shape != weights.shape or atoms.ndim != 1:
             raise ValueError("atoms and weights must be 1-d arrays of equal length")
+        if not (np.all(np.isfinite(atoms)) and np.all(np.isfinite(weights))):
+            raise ValueError("atoms and weights must be finite")
         if np.any(weights < -1e-15):
             raise ValueError("weights must be non-negative")
-        if abs(weights.sum() - 1.0) > 1e-12:
+        if not abs(weights.sum() - 1.0) <= 1e-12:
             raise ValueError(f"weights must sum to 1, got {weights.sum()!r}")
         order = np.argsort(atoms)
         atoms, weights = atoms[order], np.clip(weights[order], 0.0, None)
@@ -209,6 +215,24 @@ def _gauss_from_recurrence(alpha, beta, total_mass: float = 1.0):
     return nodes, weights
 
 
+def _gauss_rule(atoms: np.ndarray, weights: np.ndarray, lo: float, hi: float, n_nodes: int):
+    """``n_nodes``-point Gauss rule of a discrete measure on [lo, hi].
+
+    The atoms are recentred at the midpoint for conditioning (Gauss nodes
+    are translation-equivariant) and the nodes shifted back.  Returns
+    (nodes, weights), the weights summing to 1 up to rounding.
+    """
+    mid = 0.5 * (lo + hi)
+    alpha, beta = _lanczos_jacobi(atoms - mid, weights, n_nodes)
+    nodes, weights = _gauss_from_recurrence(alpha, beta)
+    return nodes + mid, weights
+
+
+def _n_gauss_nodes(order: int) -> int:
+    """Nodes of the Gauss rule exact for moments up to ``order`` (at least 1)."""
+    return max((order + 1) // 2 + ((order + 1) % 2), 1)
+
+
 MeasureOrMoments = Union[DiscreteMixingMeasure, np.ndarray, Sequence[float]]
 
 
@@ -228,17 +252,13 @@ def moment_match(
     lo, hi = support
     if not lo < hi:
         raise InvalidSupport(f"empty support interval [{lo}, {hi}]")
-    n_nodes = max((order + 1) // 2 + ((order + 1) % 2), 1)
+    n_nodes = _n_gauss_nodes(order)
     if isinstance(source, DiscreteMixingMeasure):
         if source.atoms.size and (
             source.atoms.min() < lo - 1e-12 or source.atoms.max() > hi + 1e-12
         ):
             raise InvalidSupport("source atoms fall outside the declared support")
-        # recenter for conditioning; Gauss nodes are translation-equivariant
-        mid = 0.5 * (lo + hi)
-        alpha, beta = _lanczos_jacobi(source.atoms - mid, source.weights, n_nodes)
-        nodes, weights = _gauss_from_recurrence(alpha, beta)
-        nodes = nodes + mid
+        nodes, weights = _gauss_rule(source.atoms, source.weights, lo, hi, n_nodes)
     else:
         moments = np.asarray(source, dtype=float)
         n_nodes = min(n_nodes, moments.size // 2)
@@ -275,17 +295,12 @@ class SupportBudget:
     def n_atoms(self) -> int:
         return self.order + 1
 
-    @property
-    def n_nodes(self) -> int:
-        return (self.order + 1) // 2 + ((self.order + 1) % 2)
-
 
 def support_budget(
     epsilon: float,
     a: float,
     sigma: float,
     kernel: KernelSpec,
-    constant: float = BUDGET_CONSTANT,
 ) -> SupportBudget:
     """Moment order per the decay-class case analysis.
 
@@ -301,17 +316,17 @@ def support_budget(
     rho, r, support = unit.supersmooth_parameters()
     log_eps = math.log(1.0 / epsilon)
     if math.isfinite(support):
-        n = constant * max(log_eps, a * math.e ** 2 * support / sigma)
+        n = BUDGET_CONSTANT * max(log_eps, a * math.e ** 2 * support / sigma)
         regime = "finite-support"
     elif r > 1:
-        n = constant * max(log_eps, (a / sigma) ** (r / (r - 1.0)))
+        n = BUDGET_CONSTANT * max(log_eps, (a / sigma) ** (r / (r - 1.0)))
         regime = "r>1"
     elif r == 1:
         if a / (rho * sigma) > math.exp(-1.0):
             raise RegimeUnavailable(
                 f"r=1 needs a/(rho sigma) <= 1/e, got {a / (rho * sigma):.3g}"
             )
-        n = constant * log_eps
+        n = BUDGET_CONSTANT * log_eps
         regime = "r=1"
     else:
         side = (rho * sigma / a) ** (r / (1.0 - r))
@@ -320,7 +335,7 @@ def support_budget(
                 "r<1 needs (rho sigma / a)^{r/(1-r)} >= log(1/eps); "
                 f"got {side:.3g} < {log_eps:.3g}"
             )
-        n = constant * log_eps
+        n = BUDGET_CONSTANT * log_eps
         regime = "r<1"
     return SupportBudget(
         epsilon=epsilon,
@@ -340,7 +355,6 @@ def partition_discretize(
     a: float,
     sigma: float,
     kernel: KernelSpec,
-    constant: float = BUDGET_CONSTANT,
 ) -> DiscreteMixingMeasure:
     """Composite discretization for r <= 1 kernels.
 
@@ -357,9 +371,8 @@ def partition_discretize(
     half_cell = rho * sigma * log_eps ** (-exponent) / math.e
     n_cells = max(1, int(math.ceil(a / half_cell)))  # cell length 2a/k <= 2*half_cell
     edges = np.linspace(-a, a, n_cells + 1)
-    order = int(math.ceil(constant * log_eps))
-    n_nodes = (order + 1) // 2 + ((order + 1) % 2)
-    atoms, weights = _cellwise_gauss(source, edges, n_nodes)
+    order = int(math.ceil(BUDGET_CONSTANT * log_eps))
+    atoms, weights = _cellwise_gauss(source, edges, _n_gauss_nodes(order))
     return DiscreteMixingMeasure(atoms, weights / weights.sum())
 
 
@@ -379,10 +392,8 @@ def _cellwise_gauss(source: DiscreteMixingMeasure, edges: np.ndarray, n_nodes: i
         mass = weights.sum()
         if mass <= 0:
             continue
-        mid = 0.5 * (lo + hi)
-        alpha, beta = _lanczos_jacobi(atoms - mid, weights, n_nodes)
-        nodes, weights = _gauss_from_recurrence(alpha, beta)
-        atoms_list.append(nodes + mid)
+        nodes, weights = _gauss_rule(atoms, weights, lo, hi, n_nodes)
+        atoms_list.append(nodes)
         weights_list.append(weights / weights.sum() * mass)
     return np.concatenate(atoms_list), np.concatenate(weights_list)
 
@@ -405,21 +416,15 @@ class MixtureApproximation:
     transform: TransformResult
 
 
-def finite_gaussian_mixture(
-    truth: CatalogDensity,
-    sigma: float,
-    nodes_per_cell: int = 16,
-    floor_power: float = 2.0,
-    floor_rate: float = 1.0,
-) -> MixtureApproximation:
+def finite_gaussian_mixture(truth: CatalogDensity, sigma: float) -> MixtureApproximation:
     """Build the finite Gaussian mixture approximating a sub-exponential
     analytic truth at bandwidth sigma.
 
     Pipeline: corrected transform -> non-negativization -> restriction to
     [-a_sigma, a_sigma] with a_sigma from the truth's tail law -> per-cell
     moment matching of the induced mixing density -> Gaussian floor
-    component ``D_sigma * phi_sigma`` and final renormalization.  The atom
-    count is O((a_sigma/sigma)^2).
+    component ``D_sigma * phi_sigma`` with ``D_sigma = exp(-sigma^-r0) / sigma``
+    and final renormalization.  The atom count is O((a_sigma/sigma)^2).
     """
     if truth.tail_power <= 0:
         raise ValueError("truth must have a sub-exponential tail bound")
@@ -442,14 +447,13 @@ def finite_gaussian_mixture(
     # composite Gauss rule on cells of width ~sigma
     n_cells = max(1, int(math.ceil(2.0 * a_sigma / sigma)))
     cap = int(BUDGET_CONSTANT * (a_sigma / sigma) ** 2)
-    nodes_per_cell = max(2, min(nodes_per_cell, max(2, (cap - 1) // max(n_cells, 1))))
+    nodes_per_cell = max(2, min(NODES_PER_CELL, max(2, (cap - 1) // max(n_cells, 1))))
     edges = np.linspace(-a_sigma, a_sigma, n_cells + 1)
     atoms, weights = _cellwise_gauss(source, edges, nodes_per_cell)
 
-    # Gaussian floor keeps the mixture strictly positive everywhere
-    d_sigma = sigma ** (-(floor_power - 1.0)) * math.exp(
-        -floor_rate * (1.0 / sigma) ** r0
-    )
+    # Gaussian floor keeps the mixture strictly positive everywhere; the
+    # product with sigma ** -1.0 rounds differently from dividing by sigma
+    d_sigma = sigma ** -1.0 * math.exp(-((1.0 / sigma) ** r0))
     floor_weight = d_sigma / (c_h + d_sigma)
     atoms = np.concatenate([atoms, [0.0]])
     weights = np.concatenate(

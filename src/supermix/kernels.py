@@ -324,14 +324,11 @@ class CatalogDensity:
     mixing_weights: tuple = ()
 
 
-def catalog_density(
-    name: str,
-    half_width: float = DEFAULT_HALF_WIDTH,
-    n_points: int = DEFAULT_N_POINTS,
-) -> CatalogDensity:
-    """Resolve a density id into a CatalogDensity with class parameters."""
+def catalog_density(name: str) -> CatalogDensity:
+    """Resolve a density id into a CatalogDensity with class parameters,
+    on the default grid."""
     spec = parse_kernel_id(name)
-    f = kernel_grid(spec, half_width, n_points)
+    f = kernel_grid(spec)
     cls = supersmooth_class(spec, f)
     tail_rate, tail_power = 0.0, 0.0
     mixing_atoms, mixing_weights = (), ()

@@ -57,11 +57,25 @@ from .priors import (
     PYParams,
     ScalePriorA0,
     gig_sample,
+    nig_sample,
+    py_sample,
     truncated_normal_sample,
 )
 
 LOG_2PI = math.log(2.0 * math.pi)
 _GAUSSIAN = KernelSpec("gaussian")
+
+#: slice sampler: initial bracket width and stepping-out steps per side
+_SLICE_WIDTH = 1.0
+_SLICE_MAX_STEPS = 50
+
+#: prior predictive: Monte-Carlo draws and the stick-breaking remainder
+#: at which each PY draw is truncated
+PRIOR_PREDICTIVE_DRAWS = 200
+PRIOR_PREDICTIVE_TRUNC_TOL = 1e-4
+
+#: half-width B of the uniform base on [-B, B] in the W2 recovery setting
+W2_THETA_HALF_WIDTH = 4.0
 
 
 @dataclass(frozen=True)
@@ -110,7 +124,6 @@ class FitConfig:
     iterations: int = 1500
     burn_in: int = 500
     thinning: int = 2
-    remainder_tol: float = 1e-4
 
     def __post_init__(self):
         if self.truncation < 10:
@@ -147,19 +160,19 @@ class ContractionRow:
     kl: float
 
 
-def _slice_sample_log(logpdf, x0: float, rng: np.random.Generator, width=1.0, max_steps=50):
+def _slice_sample_log(logpdf, x0: float, rng: np.random.Generator):
     """Univariate slice sampler with stepping out, on an unbounded axis."""
     ly = logpdf(x0) + math.log(max(rng.random(), 1e-300))
     u = rng.random()
-    lo, hi = x0 - width * u, x0 + width * (1.0 - u)
-    for _ in range(max_steps):
+    lo, hi = x0 - _SLICE_WIDTH * u, x0 + _SLICE_WIDTH * (1.0 - u)
+    for _ in range(_SLICE_MAX_STEPS):
         if logpdf(lo) < ly:
             break
-        lo -= width
-    for _ in range(max_steps):
+        lo -= _SLICE_WIDTH
+    for _ in range(_SLICE_MAX_STEPS):
         if logpdf(hi) < ly:
             break
-        hi += width
+        hi += _SLICE_WIDTH
     for _ in range(100):
         x1 = lo + rng.random() * (hi - lo)
         if logpdf(x1) >= ly:
@@ -428,21 +441,17 @@ def posterior_mean_density(
 
 
 def prior_predictive_density(
-    cfg: FitConfig, grid: GridFunction, rng: np.random.Generator, n_draws: int = 200
+    cfg: FitConfig, grid: GridFunction, rng: np.random.Generator
 ) -> GridFunction:
     """Monte-Carlo prior predictive; the no-data baseline for dominance checks."""
     x = grid.grid()
     acc = np.zeros_like(x)
-    for _ in range(n_draws):
+    for _ in range(PRIOR_PREDICTIVE_DRAWS):
         if isinstance(cfg.prior, NIGPartitionPrior):
-            from .priors import nig_sample
-
-            w = nig_sample(cfg.prior.nig_params(), rng)
+            w = nig_sample(cfg.prior.nig_params(), rng)[0]
             mix = DiscreteMixingMeasure(cfg.prior.cell_midpoints(), w)
         else:
-            from .priors import py_sample
-
-            draw = py_sample(cfg.prior, cfg.remainder_tol, rng)
+            draw = py_sample(cfg.prior, PRIOR_PREDICTIVE_TRUNC_TOL, rng)
             w = draw.weights / draw.weights.sum()
             mix = DiscreteMixingMeasure(draw.atoms, w)
         sigma = (
@@ -451,7 +460,7 @@ def prior_predictive_density(
             else float(cfg.scale_prior.sample(rng))
         )
         acc += mix.mixture_density(_GAUSSIAN, sigma, x)
-    return GridFunction(grid.half_width, acc / n_draws)
+    return GridFunction(grid.half_width, acc / PRIOR_PREDICTIVE_DRAWS)
 
 
 # ---------------------------------------------------------------------
@@ -614,10 +623,10 @@ def _w2_summary(truth: TruthSpec, draws, n: int, replicate: int) -> W2Row:
     )
 
 
-def default_w2_config(theta_half_width: float = 4.0) -> FitConfig:
+def default_w2_config() -> FitConfig:
     """Compact-support setting: uniform base on [-B, B], bandwidth pinned at 1."""
     return FitConfig(
-        prior=PYParams(c=1.0, d=0.0, base=BaseMeasure("uniform", theta_half_width)),
+        prior=PYParams(c=1.0, d=0.0, base=BaseMeasure("uniform", W2_THETA_HALF_WIDTH)),
         scale_prior=None,
         fixed_sigma=1.0,
     )

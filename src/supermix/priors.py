@@ -195,13 +195,14 @@ def py_sample(
     params: PYParams,
     trunc_tol: float,
     rng: np.random.Generator,
-    block: int = 64,
 ) -> StickBreakingDraw:
     """Adaptive-truncation draw: stop once the remaining stick length
-    drops below ``trunc_tol``; atoms are i.i.d. from the normalized base."""
+    drops below ``trunc_tol``; atoms are i.i.d. from the normalized base.
+    Sticks are drawn in blocks of 64 levels, doubling up to 2^16."""
     if not 0.0 < trunc_tol <= 0.1:
         raise ValueError("trunc_tol must lie in (0, 0.1]")
     a = 1.0 - params.d
+    block = 64
     log_tol = math.log(trunc_tol)
     chunks = []
     log_remainder = 0.0
@@ -275,43 +276,12 @@ class NIGParams:
         return self.alphas.size
 
 
-def log_bessel_k_half(order_times_two: int, x) -> np.ndarray:
-    """log K_{m/2}(x) for odd m via the exact half-integer finite sum.
-
-    K_{k+1/2}(x) = sqrt(pi/(2x)) e^{-x} sum_{i<=k} (k+i)! / (i! (k-i)! (2x)^i).
-    """
-    if order_times_two % 2 == 0:
-        raise ValueError("integer orders: use log_bessel_k_scaled")
-    k = (order_times_two - 1) // 2
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    i = np.arange(k + 1)
-    log_coeff = np.array(
-        [math.lgamma(k + j + 1) - math.lgamma(j + 1) - math.lgamma(k - j + 1)
-         for j in range(k + 1)]
-    )
-    log_terms = log_coeff[:, None] - i[:, None] * np.log(2.0 * x[None, :])
-    log_sum = _logsumexp(log_terms, axis=0)
-    return 0.5 * np.log(math.pi / (2.0 * x)) - x + log_sum
-
-
-def _logsumexp(a, axis=None):
-    m = np.max(a, axis=axis, keepdims=True)
-    return (m + np.log(np.exp(a - m).sum(axis=axis, keepdims=True))).squeeze(axis)
-
-
-def _log_bessel_k(order_times_two: int, x: np.ndarray) -> np.ndarray:
-    if order_times_two % 2 == 1:
-        return log_bessel_k_half(order_times_two, x)
-    return log_bessel_k_scaled(order_times_two // 2, x) - x
-
-
 def nig_log_density(z, params: NIGParams) -> np.ndarray:
     """Log density of the N-IG law at simplex points.
 
     ``z`` has shape (..., N) with positive coordinates summing to 1; the
     density lives on the first N-1 coordinates.  Computed in log space;
-    uses K_{-N/2} = K_{N/2}, exact half-integer sums for odd N and
-    :func:`log_bessel_k_scaled` for even N.
+    uses K_{-N/2} = K_{N/2} from :func:`log_bessel_k_scaled` for every N.
     """
     z = np.asarray(z, dtype=float)
     a = params.alphas
@@ -324,8 +294,7 @@ def nig_log_density(z, params: NIGParams) -> np.ndarray:
         raise BoundaryPoint("coordinates must sum to 1")
     quad = (a ** 2 / z).sum(axis=-1)
     root = np.sqrt(quad)
-    flat = np.atleast_1d(root).ravel()
-    log_k = _log_bessel_k(n, flat).reshape(np.shape(root))
+    log_k = log_bessel_k_scaled(n / 2.0, root) - root
     log_const = (
         a.sum()
         + np.log(a).sum()
@@ -453,7 +422,8 @@ def _gig_ratio_of_uniforms(q, w, rng: np.random.Generator) -> np.ndarray:
 
 
 def nig_sample(params: NIGParams, rng: np.random.Generator, size: int = 1) -> np.ndarray:
-    """Draws from the N-IG law: normalized independent IG increments.
+    """``size`` draws from the N-IG law, shape (size, N): normalized
+    independent IG increments.
 
     Cell j uses an inverse-Gaussian increment with mean alpha_j and shape
     alpha_j^2 (zero cells stay zero); the normalized vector has the
@@ -465,7 +435,7 @@ def nig_sample(params: NIGParams, rng: np.random.Generator, size: int = 1) -> np
     mu = a[pos]
     out[:, pos] = inverse_gaussian_sample(mu, mu ** 2, rng, size=(size, mu.size))
     out /= _across_columns(np.add, out)[:, None]
-    return out[0] if size == 1 else out
+    return out
 
 
 def nig_marginal_cdf(params: NIGParams, z_grid: np.ndarray) -> np.ndarray:
@@ -666,14 +636,12 @@ def prior_mass_bound_nig(
     z0: np.ndarray,
     params: NIGParams,
     constants: FittedConstants,
-    tail_coeff: float = 1.0,
-    tail_power: float = 1.0,
 ) -> float:
     """Log lower bound for the N-IG event
     ``(sum_j |Z_j - z0_j| <= 2 eps, min Z_j > eps^2 / 2)``.
 
     Preconditions: min z0 > eps, eps <= 1/N, and cell masses within
-    [tail_coeff * eps^tail_power, 1].
+    [eps, 1].
     """
     z0 = np.asarray(z0, dtype=float)
     if z0.size != n or params.n_cells != n:
@@ -682,10 +650,9 @@ def prior_mass_bound_nig(
         raise PreconditionViolated("need eps in (0, 1/N]")
     if not float(z0.min()) > eps:
         raise PreconditionViolated("need min z0 > eps")
-    lo = tail_coeff * eps ** tail_power
-    if np.any(params.alphas < lo - 1e-12) or np.any(params.alphas > 1.0 + 1e-12):
+    if np.any(params.alphas < eps - 1e-12) or np.any(params.alphas > 1.0 + 1e-12):
         raise PreconditionViolated(
-            f"cell masses must lie in [{lo:.3g}, 1] for this bound"
+            f"cell masses must lie in [{eps:.3g}, 1] for this bound"
         )
     return constants.bound(nig_exponent(n, eps, z0))
 

@@ -111,10 +111,11 @@ def closed_form_symbol(u) -> np.ndarray:
     return 3.0 - 3.0 * np.exp(-u) + np.exp(-2.0 * u)
 
 
-def spectral_symbol_check(max_order: int, u_max: float, n_grid: int = 401) -> float:
-    """Max deviation of the truncated symbol from its closed form on [0, u_max]."""
+def spectral_symbol_check(max_order: int, u_max: float) -> float:
+    """Max deviation of the truncated symbol from its closed form at 401
+    evenly spaced points of [0, u_max]."""
     coef = coefficients(max_order)
-    u = np.linspace(0.0, u_max, n_grid)
+    u = np.linspace(0.0, u_max, 401)
     return float(np.abs(coef.symbol(u) - closed_form_symbol(u)).max())
 
 
@@ -229,9 +230,7 @@ def make_nonnegative(
     return NonnegativeDensity(g=g, h=h, mass=mass, delta=delta)
 
 
-def gaussian_smoothing_error(
-    result: TransformResult, f0: GridFunction, p: float = math.inf
-) -> float:
-    """||T(f0) * phi_sigma - f0||_p computed spectrally."""
+def gaussian_smoothing_error(result: TransformResult, f0: GridFunction) -> float:
+    """||T(f0) * phi_sigma - f0||_inf computed spectrally."""
     gauss = KernelSpec("gaussian", result.sigma).char_fn()(f0.freqs())
-    return lp_norm(apply_multiplier(result.t_sigma, gauss) - f0, p)
+    return lp_norm(apply_multiplier(result.t_sigma, gauss) - f0, math.inf)

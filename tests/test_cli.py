@@ -262,6 +262,36 @@ def test_discretize_roundtrip(tmp_path):
     assert meta["config"]["sup_distance"] <= 1e-3 / 0.5
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [("-1.0,0.5\nnan,0.5\n", "atoms and weights must be finite"),
+     ("-1.0,0.5\n1.0,nan\n", "weights must sum to a positive value, got nan"),
+     ("-1.0\n1.0\n", "need atom,weight rows"),
+     ("-1.0,0.5,1\n1.0,0.5,1\n", "need atom,weight rows"),
+     ("-1.0,0\n1.0,0\n", "weights must sum to a positive value"),
+     ("atom,weight\n", "could not convert")],
+    ids=["nan_atom", "nan_weight", "one_column", "three_columns", "zero_weights",
+         "header_only"],
+)
+def test_discretize_bad_atoms_csv_exits_2(tmp_path, capsys, text, message):
+    src = tmp_path / "atoms.csv"
+    src.write_text(text)
+    code = main(["discretize", "--atoms-csv", str(src), "--epsilon", "1e-3",
+                 "--a", "1.5", "--sigma", "0.5", "--out", str(tmp_path / "d.csv")])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [src]
+
+
+def test_nig_check_budget_one_writes_both_rows(tmp_path):
+    out = tmp_path / "n.csv"
+    assert main(["nig-check", "--alphas", "1,1", "--budget", "1", "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert lines[0] == "statistic,value"
+    assert [line.split(",")[0] for line in lines[1:]] == [
+        "coordinate_mean_max_dev", "marginal_ks"]
+
+
 def test_fit_contract_smoke(tmp_path):
     data_file = tmp_path / "data.txt"
     rng = np.random.default_rng(0)

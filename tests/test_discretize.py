@@ -102,6 +102,18 @@ class TestDiscreteMixingMeasure:
         with pytest.raises(ValueError):
             DiscreteMixingMeasure(np.array([0.0]), np.array([-1.0]))
 
+    @pytest.mark.parametrize(
+        "atoms, weights",
+        [([0.0, np.nan], [0.5, 0.5]),
+         ([0.0, np.inf], [0.5, 0.5]),
+         ([0.0, 1.0], [1.0, np.nan]),
+         ([0.0, 1.0], [np.nan, np.nan]),
+         ([0.0, 1.0], [0.5, np.inf])],
+    )
+    def test_non_finite_atoms_and_weights_raise(self, atoms, weights):
+        with pytest.raises(ValueError, match="must be finite"):
+            DiscreteMixingMeasure(np.array(atoms), np.array(weights))
+
     def test_sorting_and_duplicate_merge(self):
         m = DiscreteMixingMeasure(np.array([1.0, -1.0, 1.0]), np.array([0.2, 0.5, 0.3]))
         assert np.array_equal(m.atoms, np.array([-1.0, 1.0]))

@@ -170,7 +170,7 @@ class TestGibbsPY:
         truth = resolve_truth("twopoint")
         rng = np.random.default_rng(3)
         data = truth.sample(200, rng)
-        cfg = default_w2_config(theta_half_width=4.0)
+        cfg = default_w2_config()
         draws = blocked_gibbs_fit(data, cfg, rng)
         for d in draws[::50]:
             assert d.sigma == 1.0

@@ -34,7 +34,6 @@ from supermix.priors import (
     gig_sample,
     inverse_gaussian_sample,
     lemma_verification_table,
-    log_bessel_k_half,
     log_bessel_k_scaled,
     ndtr,
     ndtri,
@@ -47,6 +46,45 @@ from supermix.priors import (
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
 from check_gig import GIBBS_A, ks_pvalue  # noqa: E402
 from check_special import TOLERANCES, largest_errors  # noqa: E402
+
+
+def log_bessel_k_half(order_times_two: int, x) -> np.ndarray:
+    """log K_{m/2}(x) for odd m via the exact half-integer finite sum,
+    the oracle for the library's one K_nu routine.
+
+    K_{k+1/2}(x) = sqrt(pi/(2x)) e^{-x} sum_{i<=k} (k+i)! / (i! (k-i)! (2x)^i).
+    """
+    assert order_times_two % 2 == 1
+    k = (order_times_two - 1) // 2
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    i = np.arange(k + 1)
+    log_coeff = np.array(
+        [math.lgamma(k + j + 1) - math.lgamma(j + 1) - math.lgamma(k - j + 1)
+         for j in range(k + 1)]
+    )
+    log_terms = log_coeff[:, None] - i[:, None] * np.log(2.0 * x[None, :])
+    top = log_terms.max(axis=0)
+    log_sum = top + np.log(np.exp(log_terms - top).sum(axis=0))
+    return 0.5 * np.log(math.pi / (2.0 * x)) - x + log_sum
+
+
+def nig_log_density_half_integer(z, alphas) -> np.ndarray:
+    """N-IG log density at odd N with K_{N/2} from the closed form."""
+    z = np.atleast_2d(z)
+    n = alphas.size
+    quad = (alphas ** 2 / z).sum(axis=-1)
+    log_const = (
+        alphas.sum()
+        + np.log(alphas).sum()
+        - (n / 2.0 - 1.0) * math.log(2.0)
+        - (n / 2.0) * math.log(math.pi)
+    )
+    return (
+        log_const
+        + log_bessel_k_half(n, np.sqrt(quad))
+        - (n / 4.0) * np.log(quad)
+        - 1.5 * np.log(z).sum(axis=-1)
+    )
 
 
 class TestStickBreaking:
@@ -129,6 +167,16 @@ class TestNIGDensity:
             a = nig_density(np.array([z, 1 - z]), params)
             b = nig_density(np.array([1 - z, z]), params)
             assert abs(a - b) <= 1e-12 * max(a, b)
+
+    @pytest.mark.parametrize("n", [3, 5, 7])
+    def test_odd_cell_count_matches_half_integer_closed_form(self, n):
+        rng = np.random.default_rng(n)
+        alphas = rng.uniform(0.2, 2.0, n)
+        z = rng.dirichlet(np.full(n, 2.0), size=200)
+        got = nig_log_density(z, NIGParams(alphas))
+        want = nig_log_density_half_integer(z, alphas)
+        # an error in the log density is the density's relative error
+        assert np.abs(got - want).max() <= 1e-12
 
     def test_permutation_covariance(self):
         params = NIGParams(np.array([0.3, 0.5, 0.9]))
