@@ -7,7 +7,10 @@ Runs each subcommand on a small fixed config (``contract`` and ``w2`` at
 ``sha256  file`` line per CSV and sidecar.  It then prints one
 ``sha256  name`` line for the atoms, the weights and the grid density of
 ``finite_gaussian_mixture(catalog_density("gaussian:1"), sigma)`` at
-sigma = 0.4, 0.3 and 0.25, digesting the raw float64 bytes.  Outputs are
+sigma = 0.4, 0.3 and 0.25, digesting the raw float64 bytes, and one for
+the ``gig_sample`` draws over a (p, a, b) grid that covers both of its
+branches (inverse Gaussian at |p| = 1/2, ratio-of-uniforms at |p| >= 1)
+at seed 0, and one for the generator state after them.  Outputs are
 named relative to OUTDIR, so the sidecars do not depend on where OUTDIR
 lives, and a refactor that keeps the RNG stream proves byte identity
 with one ``diff``:
@@ -20,6 +23,7 @@ Exits 1 if a subcommand fails.  Takes well under a minute on two CPUs.
 """
 
 import hashlib
+import json
 import os
 import sys
 from pathlib import Path
@@ -31,11 +35,17 @@ import numpy as np
 from supermix.cli import main
 from supermix.discretize import finite_gaussian_mixture
 from supermix.kernels import catalog_density
+from supermix.priors import gig_sample
 
 DISCRETIZE = ["discretize", "--epsilon", "1e-3", "--a", "2", "--sigma", "0.5"]
 FIT = ["fit", "--data", "fit_data.txt", "--iterations", "200", "--burn-in", "50",
        "--truncation", "20"]
 LADDER = ["--n-ladder", "60,120", "--replicates", "2"]
+
+#: the GIG digest grid: every (p, a, b) combination, 32 draws each
+GIG_P = (-10.5, -1.5, -1.0, -0.5, 0.5, 1.0, 1.5, 30.5)
+GIG_AB = (1e-3, 0.5, 2.0, 2001.0)
+GIG_DRAWS_PER_CELL = 32
 
 RUNS = {
     "approx_fvp": ["approx", "--density", "fvp:1", "--sigma", "1,0.7,0.5"],
@@ -88,6 +98,10 @@ def run_all(outdir: Path) -> list[str]:
     return names
 
 
+def _array_digest(values) -> str:
+    return hashlib.sha256(np.ascontiguousarray(values, dtype="<f8").tobytes()).hexdigest()
+
+
 def mixture_digests() -> list[tuple[str, str]]:
     """(sha256, name) of the Gaussian-truth mixture arrays at each sigma."""
     truth = catalog_density("gaussian:1")
@@ -100,9 +114,20 @@ def mixture_digests() -> list[tuple[str, str]]:
             "density": approx.density.values,
         }
         for part, values in arrays.items():
-            digest = hashlib.sha256(np.ascontiguousarray(values, dtype="<f8").tobytes())
-            out.append((digest.hexdigest(), f"fgm_gaussian1_sigma{sigma}.{part}"))
+            out.append((_array_digest(values), f"fgm_gaussian1_sigma{sigma}.{part}"))
     return out
+
+
+def gig_digests() -> list[tuple[str, str]]:
+    """(sha256, name) of one ``gig_sample`` call over the grid at seed 0,
+    and of the generator state after it."""
+    grid = np.meshgrid(GIG_P, GIG_AB, GIG_AB, indexing="ij")
+    p, a, b = (np.repeat(g.ravel(), GIG_DRAWS_PER_CELL) for g in grid)
+    rng = np.random.default_rng(0)
+    draws = gig_sample(p, a, b, rng)
+    state = json.dumps(rng.bit_generator.state, sort_keys=True).encode()
+    return [(_array_digest(draws), "gig_sample.draws"),
+            (hashlib.sha256(state).hexdigest(), "gig_sample.rng_state")]
 
 
 if __name__ == "__main__":
@@ -110,5 +135,5 @@ if __name__ == "__main__":
         raise SystemExit("usage: cli_digests.py OUTDIR")
     for name in run_all(Path(sys.argv[1])):
         print(f"{hashlib.sha256(Path(name).read_bytes()).hexdigest()}  {name}")
-    for digest, name in mixture_digests():
+    for digest, name in mixture_digests() + gig_digests():
         print(f"{digest}  {name}")

@@ -233,6 +233,13 @@ def _n_gauss_nodes(order: int) -> int:
     return max((order + 1) // 2 + ((order + 1) % 2), 1)
 
 
+def _check_support(source: DiscreteMixingMeasure, lo: float, hi: float) -> None:
+    """Raise ``InvalidSupport`` for a source atom more than 1e-12 outside [lo, hi]."""
+    atoms = source.atoms
+    if atoms.size and not lo - 1e-12 <= atoms.min() <= atoms.max() <= hi + 1e-12:
+        raise InvalidSupport("source atoms fall outside the declared support")
+
+
 MeasureOrMoments = Union[DiscreteMixingMeasure, np.ndarray, Sequence[float]]
 
 
@@ -254,10 +261,7 @@ def moment_match(
         raise InvalidSupport(f"empty support interval [{lo}, {hi}]")
     n_nodes = _n_gauss_nodes(order)
     if isinstance(source, DiscreteMixingMeasure):
-        if source.atoms.size and (
-            source.atoms.min() < lo - 1e-12 or source.atoms.max() > hi + 1e-12
-        ):
-            raise InvalidSupport("source atoms fall outside the declared support")
+        _check_support(source, lo, hi)
         nodes, weights = _gauss_rule(source.atoms, source.weights, lo, hi, n_nodes)
     else:
         moments = np.asarray(source, dtype=float)
@@ -361,11 +365,15 @@ def partition_discretize(
     Partitions [-a, a] into equal cells short enough that the per-cell
     budget applies (cell half-length rho*sigma*(log 1/eps)^{-(1-r)/r}/e),
     moment-matches each re-normalized cell restriction, and recombines.
+    Source atoms must lie in [-a, a], as for :func:`moment_match`; those
+    within its rounding slack outside are moved onto the end points.
     """
     unit = KernelSpec(kernel.family, 1.0, kernel.shape)
     rho, r, support = unit.supersmooth_parameters()
     if not (r <= 1 or math.isfinite(support)):
         raise ValueError("partition path is for r <= 1 kernels")
+    _check_support(source, -a, a)
+    source = DiscreteMixingMeasure(np.clip(source.atoms, -a, a), source.weights)
     log_eps = math.log(1.0 / epsilon)
     exponent = (1.0 - r) / r
     half_cell = rho * sigma * log_eps ** (-exponent) / math.e

@@ -1,13 +1,13 @@
 """Desk-scale posterior inference for Gaussian-location mixtures.
 
-One blocked Gibbs sweep (allocation, bandwidth slice update, log
+One blocked Gibbs sweep (allocation, exact bandwidth draw, log
 likelihood) serves two priors through a per-prior weight/atom block,
 chosen so that the stationary laws are exactly the stated truncated
 priors:
 
 * Pitman-Yor / Dirichlet: truncated stick-breaking with conjugate Beta
-  stick updates, conjugate (or truncated-conjugate) atom updates, and a
-  slice-sampled bandwidth.
+  stick updates, conjugate (or truncated-conjugate) atom updates, and an
+  exact ratio-of-uniforms draw of the bandwidth from its full conditional.
 * Normalized inverse-Gaussian on a fixed partition: the exact
   finite-dimensional law of the weights is preserved by a latent-scale
   augmentation that makes the un-normalized cell increments conditionally
@@ -64,10 +64,6 @@ from .priors import (
 
 LOG_2PI = math.log(2.0 * math.pi)
 _GAUSSIAN = KernelSpec("gaussian")
-
-#: slice sampler: initial bracket width and stepping-out steps per side
-_SLICE_WIDTH = 1.0
-_SLICE_MAX_STEPS = 50
 
 #: prior predictive: Monte-Carlo draws and the stick-breaking remainder
 #: at which each PY draw is truncated
@@ -160,30 +156,6 @@ class ContractionRow:
     kl: float
 
 
-def _slice_sample_log(logpdf, x0: float, rng: np.random.Generator):
-    """Univariate slice sampler with stepping out, on an unbounded axis."""
-    ly = logpdf(x0) + math.log(max(rng.random(), 1e-300))
-    u = rng.random()
-    lo, hi = x0 - _SLICE_WIDTH * u, x0 + _SLICE_WIDTH * (1.0 - u)
-    for _ in range(_SLICE_MAX_STEPS):
-        if logpdf(lo) < ly:
-            break
-        lo -= _SLICE_WIDTH
-    for _ in range(_SLICE_MAX_STEPS):
-        if logpdf(hi) < ly:
-            break
-        hi += _SLICE_WIDTH
-    for _ in range(100):
-        x1 = lo + rng.random() * (hi - lo)
-        if logpdf(x1) >= ly:
-            return x1
-        if x1 < x0:
-            lo = x1
-        else:
-            hi = x1
-    return x0
-
-
 #: a column total below this is rebuilt with the exact per-observation
 #: shift: a term that underflowed or was rounded as a subnormal is off by
 #: at most 2^-1075, which stays below 2^-53 of a total above 2^-969
@@ -242,19 +214,6 @@ def _allocate(data, atoms, log_w, sigma, rng, out):
     return alloc, float((shift + np.log(tot)).sum()) + data.size * const
 
 
-def _sigma_logpost(scale_prior: ScalePriorA0, n: int, ss: float):
-    def logpost(theta: float) -> float:
-        sigma = math.exp(theta)
-        return (
-            float(scale_prior.logpdf(sigma))
-            + theta  # Jacobian of sigma = e^theta
-            - n * theta
-            - ss / (2.0 * sigma ** 2)
-        )
-
-    return logpost
-
-
 def blocked_gibbs_fit(
     data: np.ndarray,
     cfg: FitConfig,
@@ -263,7 +222,9 @@ def blocked_gibbs_fit(
     """Run the blocked Gibbs sampler; returns post-burn-in thinned draws.
 
     One sweep allocates every observation, updates the prior's weight and
-    atom block, slice-samples the bandwidth and records the log likelihood.
+    atom block, draws the bandwidth exactly from its full conditional
+    (:meth:`~supermix.priors.ScalePriorA0.posterior_sample`) and records
+    the log likelihood.
     """
     data = np.asarray(data, dtype=float)
     if data.ndim != 1:
@@ -289,10 +250,8 @@ def blocked_gibbs_fit(
         block.update(data, alloc, counts, sigma, rng)
 
         if cfg.fixed_sigma is None:
-            resid = data - block.atoms[alloc]
-            ss = float((resid ** 2).sum())
-            logpost = _sigma_logpost(cfg.scale_prior, n, ss)
-            sigma = math.exp(_slice_sample_log(logpost, math.log(sigma), rng))
+            ss = float(((data - block.atoms[alloc]) ** 2).sum())
+            sigma = cfg.scale_prior.posterior_sample(n, ss, rng)
 
         logliks.append(ll)
         if it >= cfg.burn_in and (it - cfg.burn_in) % cfg.thinning == 0:

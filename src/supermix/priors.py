@@ -115,8 +115,8 @@ class BaseMeasure:
     def __post_init__(self):
         if self.family not in ("gaussian", "laplace", "uniform"):
             raise ValueError(f"unknown base family {self.family!r}")
-        if self.scale <= 0 or self.total_mass <= 0:
-            raise ValueError("scale and total_mass must be positive")
+        if not (0.0 < self.scale < math.inf and 0.0 < self.total_mass < math.inf):
+            raise ValueError("scale and total_mass must be finite and positive")
 
     def pdf(self, theta) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)
@@ -332,10 +332,12 @@ def inverse_gaussian_sample(
     return np.where(accept, x, mu ** 2 / x)
 
 
-#: rejection rounds after which :func:`gig_sample` gives up; a round
-#: accepts each pending draw with probability at least 0.67 (measured for
-#: p from 1 to 5000.5 and sqrt(ab) from 1e-6 to 1e4), so the cap is only
-#: reached when the bounding rectangle is broken
+#: rejection rounds after which :func:`_ratio_of_uniforms` gives up; a
+#: round accepts each pending draw with probability at least 0.67 for the
+#: GIG (measured for p from 1 to 5000.5 and sqrt(ab) from 1e-6 to 1e4) and
+#: at least 0.71 for the bandwidth (k = nu + n from 1.5 to 1e6, sums of
+#: squares from 0 to 1e12; 0.61 at k = 1.01), so the cap is only reached
+#: when the bounding rectangle is broken
 GIG_MAX_ROUNDS = 100
 
 
@@ -363,9 +365,14 @@ def gig_sample(p, a, b, rng: np.random.Generator) -> np.ndarray:
     a, b = np.where(flip, b, a), np.where(flip, a, b)
     x = np.empty(p.shape)
     x[half] = inverse_gaussian_sample(np.sqrt(b[half] / a[half]), b[half], rng)
+    # |p| >= 1: GIG(q, w, w) with w = sqrt(ab), around its mode m
     rou = ~half
-    x[rou] = np.sqrt(b[rou] / a[rou]) * _gig_ratio_of_uniforms(
-        q[rou], np.sqrt(a[rou] * b[rou]), rng
+    q, w = q[rou], np.sqrt(a[rou] * b[rou])
+    m = (q - 1.0 + np.sqrt((q - 1.0) ** 2 + w ** 2)) / w
+    a2 = -2.0 * (q + 1.0) / w - m
+    a1 = 2.0 * m * (q - 1.0) / w - 1.0
+    x[rou] = np.sqrt(b[rou] / a[rou]) * _ratio_of_uniforms(
+        m, a2, a1, m, lambda y, i: _gig_log_ratio(y, q[i], w[i], m[i]), rng
     )
     return np.where(flip, 1.0 / x, x)
 
@@ -377,45 +384,47 @@ def _gig_log_ratio(x, q, w, m):
     return np.where(x > 0, out, -np.inf)
 
 
-def _gig_ratio_of_uniforms(q, w, rng: np.random.Generator) -> np.ndarray:
-    """GIG(q, w, w) draws for q >= 1: ratio-of-uniforms around the mode m,
-    one rejection loop over the indices still pending.
+def _ratio_of_uniforms(m, a2, a1, a0, log_ratio, rng: np.random.Generator) -> np.ndarray:
+    """One draw per element of the mode array ``m`` from a density h on
+    (0, inf) by ratio-of-uniforms with mode shift (Leydold, ACM TOMS 26
+    (2000)): one rejection loop over the indices still pending.
 
-    The v-bounds sit at the two positive roots of the cubic
-    x^3 + a2 x^2 + a1 x + m whose zeros extremize (x - m) sqrt(h(x)).  The
-    largest root comes from Cardano's trigonometric form; the one below m
-    from Vieta's relations, because the trigonometric form loses it to
-    cancellation once the roots differ by many orders of magnitude (at
-    q = 1, w = 1e-6 it comes out negative instead of 5e-4)."""
-    m = (q - 1.0 + np.sqrt((q - 1.0) ** 2 + w ** 2)) / w
-    a2 = -2.0 * (q + 1.0) / w - m
-    a1 = 2.0 * m * (q - 1.0) / w - 1.0
+    ``log_ratio(x, i)`` is log h(x) - log h(m) at the draws indexed by
+    ``i``, -inf at x <= 0.  The v-bounds sit at the zeros of the cubic
+    x^3 + a2 x^2 + a1 x + a0 (a2 < 0 <= a0) that extremize
+    (x - m) sqrt(h(x)), its two positive roots.  The largest comes from
+    Cardano's trigonometric form; the one below m from Vieta's relations,
+    because the trigonometric form loses it to cancellation once the roots
+    differ by many orders of magnitude (for the GIG at q = 1, w = 1e-6 it
+    comes out negative instead of 5e-4)."""
     p1 = a1 - a2 ** 2 / 3.0
-    q1 = 2.0 * a2 ** 3 / 27.0 - a2 * a1 / 3.0 + m
+    q1 = 2.0 * a2 ** 3 / 27.0 - a2 * a1 / 3.0 + a0
     phi = np.arccos(np.clip(-q1 * np.sqrt(-27.0 / p1 ** 3) / 2.0, -1.0, 1.0))
     top = np.sqrt(-4.0 * p1 / 3.0) * np.cos(phi / 3.0) - a2 / 3.0
-    # the other two roots have product -m / top < 0 and sum (a1 + m / top) / top
-    prod = -m / top
+    # the other two roots have product -a0 / top <= 0 and sum (a1 + a0 / top) / top
+    prod = -a0 / top
     half_sum = 0.5 * (a1 - prod) / top
     disc = np.sqrt(half_sum ** 2 - prod)
     low = np.where(half_sum >= 0.0, half_sum + disc, -prod / (disc + np.abs(half_sum)))
-    vmin, vmax = ((r - m) * np.exp(0.5 * _gig_log_ratio(r, q, w, m)) for r in (low, top))
+    roots = np.array([low, top])
+    vmin, vmax = (roots - m) * np.exp(0.5 * log_ratio(roots, slice(None)))
     if not np.all((vmin < 0.0) & (vmax > 0.0)):
-        raise RuntimeError("GIG ratio-of-uniforms bounds are not finite and of opposite sign")
-    x = np.empty(q.shape)
-    pending = np.arange(q.size)
+        raise RuntimeError("ratio-of-uniforms bounds are not finite and of opposite sign")
+    width = vmax - vmin
+    x = np.empty(m.shape)
+    pending = np.arange(m.size)
     for _ in range(GIG_MAX_ROUNDS):
         if not pending.size:
             return x
         u = 1.0 - rng.random(pending.size)  # (0, 1]: v / u stays finite
-        v = vmin[pending] + (vmax[pending] - vmin[pending]) * rng.random(pending.size)
+        v = vmin[pending] + width[pending] * rng.random(pending.size)
         cand = v / u + m[pending]
-        accept = 2.0 * np.log(u) <= _gig_log_ratio(cand, q[pending], w[pending], m[pending])
+        accept = 2.0 * np.log(u) <= log_ratio(cand, pending)
         x[pending[accept]] = cand[accept]
         pending = pending[~accept]
     if pending.size:
         raise RuntimeError(
-            f"GIG ratio-of-uniforms stalled: {pending.size} draws still rejected "
+            f"ratio-of-uniforms stalled: {pending.size} draws still rejected "
             f"after {GIG_MAX_ROUNDS} rounds"
         )
     return x
@@ -464,8 +473,8 @@ class ScalePriorA0:
     lam: float = 0.5
 
     def __post_init__(self):
-        if self.nu <= 0 or self.lam <= 0:
-            raise ValueError("nu and lam must be positive")
+        if not (0.0 < self.nu < math.inf and 0.0 < self.lam < math.inf):
+            raise ValueError("nu and lam must be finite and positive")
 
     def logpdf(self, sigma) -> np.ndarray:
         sigma = np.asarray(sigma, dtype=float)
@@ -481,6 +490,29 @@ class ScalePriorA0:
     def sample(self, rng: np.random.Generator, size=None) -> np.ndarray:
         # 1 / Gamma(nu, rate=lam)
         return self.lam / rng.gamma(self.nu, 1.0, size=size)
+
+    def posterior_sample(self, n: int, ss: float, rng: np.random.Generator) -> float:
+        """One exact draw of sigma given n Gaussian residuals with sum of
+        squares ``ss``, from h(x) = x^-(k+1) exp(-lam / x - ss / (2 x^2)),
+        k = nu + n, around its mode m, the positive root of
+        (k + 1) x^2 - lam x - ss.  The v-bounds are the positive roots of
+        (1 - k) x^3 + (lam + (k + 1) m) x^2 + (ss - lam m) x - m ss.  In
+        sigma, unlike in 1 / sigma, no coefficient divides by ``ss``, so
+        the draw stays exact down to ss = 0, where it is IG(k, lam)."""
+        if not (n >= 1 and 0.0 <= ss < math.inf):
+            raise ValueError(f"need n >= 1 and a finite ss >= 0, got n={n}, ss={ss}")
+        lam, k = self.lam, self.nu + n
+        m = (lam + math.sqrt(lam * lam + 4.0 * ss * (k + 1.0))) / (2.0 * (k + 1.0))
+
+        def log_ratio(x, i):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                y = 1.0 / x
+                out = (k + 1.0) * np.log(m * y) - (y - 1.0 / m) * (lam + 0.5 * ss * (y + 1.0 / m))
+            return np.where(x > 0, out, -np.inf)
+
+        coefs = (-lam - (k + 1.0) * m, lam * m - ss, m * ss)
+        a2, a1, a0 = (np.array([c / (k - 1.0)]) for c in coefs)
+        return float(_ratio_of_uniforms(np.array([m]), a2, a1, a0, log_ratio, rng)[0])
 
     @property
     def mode(self) -> float:

@@ -283,6 +283,19 @@ def test_discretize_bad_atoms_csv_exits_2(tmp_path, capsys, text, message):
     assert list(tmp_path.iterdir()) == [src]
 
 
+@pytest.mark.parametrize("kernel", ["gaussian", "cauchy:1"])
+def test_discretize_atoms_outside_support_exit_2(tmp_path, capsys, kernel):
+    # cauchy:1 takes the partition route, gaussian the moment-match route
+    src = tmp_path / "atoms.csv"
+    src.write_text("-1,0.5\n5,0.5\n")
+    code = main(["discretize", "--atoms-csv", str(src), "--epsilon", "0.01",
+                 "--a", "2", "--sigma", "0.5", "--kernel", kernel,
+                 "--out", str(tmp_path / "d.csv")])
+    assert code == 2
+    assert "outside the declared support" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [src]
+
+
 def test_nig_check_budget_one_writes_both_rows(tmp_path):
     out = tmp_path / "n.csv"
     assert main(["nig-check", "--alphas", "1,1", "--budget", "1", "--out", str(out)]) == 0

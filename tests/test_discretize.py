@@ -241,6 +241,18 @@ class TestPartitionDiscretize:
         sup = mixture_sup_distance(src, out, kernel, sigma, 3.0)
         assert sup <= eps / sigma
 
+    def test_atoms_outside_support_raise(self):
+        # the moment-match route rejects these atoms too
+        src = DiscreteMixingMeasure(np.array([-1.0, 5.0]), np.array([0.5, 0.5]))
+        with pytest.raises(InvalidSupport):
+            partition_discretize(src, 1e-2, 2.0, 0.5, KernelSpec("cauchy"))
+
+    def test_atom_within_rounding_slack_keeps_its_mass(self):
+        src = DiscreteMixingMeasure(np.array([-1.0, 2.0 + 5e-13]), np.array([0.5, 0.5]))
+        out = partition_discretize(src, 1e-2, 2.0, 0.5, KernelSpec("cauchy"))
+        assert out.atoms.max() <= 2.0
+        assert abs(out.weights[out.atoms > 0.0].sum() - 0.5) <= 1e-12
+
     def test_atom_count_bound(self):
         src = DiscreteMixingMeasure(np.linspace(-3, 3, 241), np.full(241, 1 / 241))
         eps, sigma = 1e-3, 0.5

@@ -29,7 +29,7 @@ from supermix.posterior import (
     resolve_truth,
     wasserstein_recovery_experiment,
 )
-from supermix.priors import BaseMeasure
+from supermix.priors import BaseMeasure, ScalePriorA0
 
 GAUSSIAN = KernelSpec("gaussian")
 
@@ -165,6 +165,25 @@ class TestGibbsPY:
             assert da.sigma == db.sigma and da.loglik == db.loglik
             assert np.array_equal(da.mixing.atoms, db.mixing.atoms)
             assert np.array_equal(da.mixing.weights, db.mixing.weights)
+
+    def test_one_exact_sigma_draw_per_sweep(self, gaussian_data, monkeypatch):
+        calls, returned = [], []
+        real = ScalePriorA0.posterior_sample
+
+        def counting(self, n, ss, rng):
+            calls.append(n)
+            returned.append(real(self, n, ss, rng))
+            return returned[-1]
+
+        monkeypatch.setattr(ScalePriorA0, "posterior_sample", counting)
+        data = gaussian_data[1]
+        cfg = small_config(iterations=30, burn_in=10)
+        draws = blocked_gibbs_fit(data, cfg, np.random.default_rng(4))
+        assert calls == [data.size] * cfg.iterations
+        assert [d.sigma for d in draws] == returned[cfg.burn_in:]
+        fixed = dataclasses.replace(cfg, scale_prior=None, fixed_sigma=0.5)
+        blocked_gibbs_fit(data, fixed, np.random.default_rng(4))
+        assert len(calls) == cfg.iterations
 
     def test_uniform_base_stays_in_support(self):
         truth = resolve_truth("twopoint")

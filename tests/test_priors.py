@@ -44,7 +44,7 @@ from supermix.priors import (
 )
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
-from check_gig import GIBBS_A, ks_pvalue  # noqa: E402
+from check_gig import GIBBS_A, ks_pvalue, sigma_ks_pvalue  # noqa: E402
 from check_special import TOLERANCES, largest_errors  # noqa: E402
 
 
@@ -447,6 +447,57 @@ class TestScalePrior:
         expected = invgamma.logpdf(sigma, nu, scale=lam)
         assert np.max(np.abs(prior.logpdf(sigma) - expected)) <= 1e-12
         assert abs(prior.logpdf(0.7) - invgamma.logpdf(0.7, nu, scale=lam)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "cls, name",
+    [(ScalePriorA0, "nu"), (ScalePriorA0, "lam"), (BaseMeasure, "scale"),
+     (BaseMeasure, "total_mass")],
+)
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_prior_parameters_raise(cls, name, value):
+    with pytest.raises(ValueError, match="finite and positive"):
+        cls(**{name: value})
+
+
+class TestScalePosteriorSample:
+    """The exact draw of sigma given n residuals with sum of squares s."""
+
+    KS_P_MIN = 1e-3
+
+    @pytest.mark.parametrize("n, ss, seed", [(10, 0.1, 11), (4000, 4400.0, 12)])
+    def test_ks_against_reference_cdf(self, n, ss, seed):
+        # the reference is the trapezoid cdf of log sigma built from
+        # ScalePriorA0.logpdf, independent of the draw's cubic
+        pvalue = sigma_ks_pvalue(n, ss, 20_000, np.random.default_rng(seed))
+        assert pvalue >= self.KS_P_MIN
+
+    def test_recovers_prior(self):
+        # Geweke, JASA 99 (2004), on the sigma step alone: sigma from the
+        # prior, data given sigma, then sigma' from its conditional; sigma'
+        # must follow the prior again
+        prior = ScalePriorA0()
+        rng = np.random.default_rng(2004)
+        redrawn = np.empty(20_000)
+        for i in range(redrawn.size):
+            x = float(prior.sample(rng)) * rng.standard_normal(10)
+            redrawn[i] = prior.posterior_sample(10, float((x ** 2).sum()), rng)
+        pvalue = kstest(redrawn, invgamma(prior.nu, scale=prior.lam).cdf).pvalue
+        assert pvalue >= self.KS_P_MIN
+
+    def test_zero_sum_of_squares_is_inverse_gamma(self):
+        # with no residual spread the conditional is IG(nu + n, lam)
+        prior = ScalePriorA0(3.0, 0.7)
+        rng = np.random.default_rng(5)
+        draws = [prior.posterior_sample(10, 0.0, rng) for _ in range(5_000)]
+        assert kstest(draws, invgamma(13.0, scale=0.7).cdf).pvalue >= self.KS_P_MIN
+
+    @pytest.mark.parametrize(
+        "n, ss", [(0, 1.0), (10, -1.0), (10, math.nan), (10, math.inf)]
+    )
+    def test_bad_arguments_raise(self, n, ss):
+        with pytest.raises(ValueError):
+            ScalePriorA0().posterior_sample(n, ss, np.random.default_rng(0))
 
 
 class TestPriorMassBounds:
