@@ -10,7 +10,12 @@ Runs each subcommand on a small fixed config (``contract`` and ``w2`` at
 sigma = 0.4, 0.3 and 0.25, digesting the raw float64 bytes, and one for
 the ``gig_sample`` draws over a (p, a, b) grid that covers both of its
 branches (inverse Gaussian at |p| = 1/2, ratio-of-uniforms at |p| >= 1)
-at seed 0, and one for the generator state after them.  Outputs are
+at seed 0, and one for the generator state after them.  Last, for one
+small ``dp`` fit and one small ``nig`` fit of the ``fit`` data, it
+prints the raw-byte digests of the ``posterior_mean_density`` values,
+of the per-draw W2 distances to the ``gaussian:1`` mixing measure
+(``metrics.wasserstein`` over the draws) and of every draw's sigma and
+log likelihood; the CSVs round floats to 17 digits, these do not.  Outputs are
 named relative to OUTDIR, so the sidecars do not depend on where OUTDIR
 lives, and a refactor that keeps the RNG stream proves byte identity
 with one ``diff``:
@@ -26,6 +31,7 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
@@ -35,6 +41,14 @@ import numpy as np
 from supermix.cli import main
 from supermix.discretize import finite_gaussian_mixture
 from supermix.kernels import catalog_density
+from supermix.metrics import wasserstein
+from supermix.posterior import (
+    blocked_gibbs_fit,
+    default_py_config,
+    experiment_grid,
+    posterior_mean_density,
+    resolve_truth,
+)
 from supermix.priors import gig_sample
 
 DISCRETIZE = ["discretize", "--epsilon", "1e-3", "--a", "2", "--sigma", "0.5"]
@@ -130,10 +144,31 @@ def gig_digests() -> list[tuple[str, str]]:
             (hashlib.sha256(state).hexdigest(), "gig_sample.rng_state")]
 
 
+def posterior_digests() -> list[tuple[str, str]]:
+    """(sha256, name) of the summaries of a ``dp`` and a ``nig`` fit of
+    the ``fit`` data at the ``fit`` config, each at seed 0."""
+    data = np.loadtxt("fit_data.txt")
+    truth = resolve_truth("gaussian:1")
+    out = []
+    for prior in ("dp", "nig"):
+        cfg = replace(default_py_config(prior), iterations=200, burn_in=50,
+                      thinning=2, truncation=20)
+        draws = blocked_gibbs_fit(data, cfg, np.random.default_rng(0))
+        arrays = {
+            "mean_density": posterior_mean_density(draws, experiment_grid()).values,
+            "w2": [wasserstein(d.mixing, truth.mixing, 2.0) for d in draws],
+            "sigma": [d.sigma for d in draws],
+            "loglik": [d.loglik for d in draws],
+        }
+        for part, values in arrays.items():
+            out.append((_array_digest(values), f"posterior_{prior}.{part}"))
+    return out
+
+
 if __name__ == "__main__":
     if len(sys.argv) != 2:
         raise SystemExit("usage: cli_digests.py OUTDIR")
     for name in run_all(Path(sys.argv[1])):
         print(f"{hashlib.sha256(Path(name).read_bytes()).hexdigest()}  {name}")
-    for digest, name in mixture_digests() + gig_digests():
+    for digest, name in mixture_digests() + gig_digests() + posterior_digests():
         print(f"{digest}  {name}")

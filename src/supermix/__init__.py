@@ -63,6 +63,7 @@ from .priors import (
     py_sample,
 )
 from .posterior import (
+    Chain,
     ContractionRow,
     FitConfig,
     NIGPartitionPrior,

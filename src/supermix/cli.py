@@ -303,14 +303,12 @@ def cmd_fit(args) -> Output:
         truncation=args.truncation,
     )
     rng = np.random.default_rng(args.seed)
-    draws = blocked_gibbs_fit(data, cfg, rng)
-    rows = []
-    for i, d in enumerate(draws):
-        rows.append(
-            (i, d.sigma, d.loglik, len(d.mixing),
-             ";".join(_fmt(a) for a in d.mixing.atoms),
-             ";".join(_fmt(w) for w in d.mixing.weights))
-        )
+    chain = blocked_gibbs_fit(data, cfg, rng)
+    atoms, weights = ([";".join(map(_fmt, row)) for row in a.tolist()]
+                      for a in (chain.atoms, chain.weights))
+    n_atoms = [chain.atoms.shape[1]] * len(chain)
+    rows = list(zip(range(len(chain)), chain.sigma.tolist(), chain.loglik.tolist(), n_atoms,
+                    atoms, weights))
     return ["draw", "sigma", "loglik", "n_atoms", "atoms", "weights"], rows, {}
 
 

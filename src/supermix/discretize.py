@@ -33,7 +33,7 @@ BUDGET_CONSTANT = 4.0
 #: that keeps the atom count within the budget
 NODES_PER_CELL = 16
 
-#: work buffer of ``DiscreteMixingMeasure.mixture_density`` in float64
+#: work buffer of ``mixture_density`` in float64
 #: elements (2 MiB): blocks of 16 atoms on a 2^14-point grid, 128 on the
 #: 2^11-point experiment grid
 _DENSITY_BUFFER = 2 ** 18
@@ -76,62 +76,9 @@ class DiscreteMixingMeasure:
     def point_mass(cls, location: float) -> "DiscreteMixingMeasure":
         return cls(np.array([location]), np.array([1.0]))
 
-    def moments(self, orders: Sequence[int]) -> np.ndarray:
-        return np.array([(self.weights * self.atoms ** j).sum() for j in orders])
-
-    def cdf_quantile_arrays(self):
-        """(cumulative weights, atoms) for quantile-based couplings."""
-        return np.cumsum(self.weights), self.atoms
-
     def mixture_density(self, kernel: KernelSpec, sigma: float, x: np.ndarray) -> np.ndarray:
-        """Evaluate (F * K_sigma)(x), the atoms taken in blocks.
-
-        Each block of atoms adds ``w_block @ K_sigma(x - a_block)`` to the
-        output through one reused work buffer of ``_DENSITY_BUFFER``
-        elements.  For the Gaussian kernel a block touches only the
-        x-range where some term's exponent is at least log(tiny), and
-        inside it terms below that are set to exactly 0, so no term
-        dropped exceeds tiny / (sigma sqrt(2 pi)).
-        """
-        dens = KernelSpec(kernel.family, sigma, kernel.shape).density_fn()
-        if dens is None:
-            raise ValueError(f"no closed-form density for {kernel.family}")
-        x = np.asarray(x, dtype=float)
-        xs = x.ravel()
-        if np.isnan(xs).any():
-            raise ValueError("x must not contain nan")
-        order = None
-        if np.any(xs[1:] < xs[:-1]):
-            order = np.argsort(xs, kind="stable")
-            xs = xs[order]
-        gaussian = kernel.family == "gaussian"
-        reach = sigma * math.sqrt(-2.0 * _LOG_TINY)
-        n = xs.size
-        rows = min(self.atoms.size, max(1, _DENSITY_BUFFER // max(n, 1)))
-        buf = np.empty(rows * n)
-        out = np.zeros(n)
-        for start in range(0, self.atoms.size, rows):
-            a = self.atoms[start : start + rows]
-            lo, hi = (0, n)
-            if gaussian:
-                lo, hi = np.searchsorted(xs, (a[0] - reach, a[-1] + reach))
-            terms = buf[: a.size * (hi - lo)].reshape(a.size, hi - lo)
-            np.subtract(xs[lo:hi], a[:, None], out=terms)
-            if gaussian:
-                terms /= sigma
-                np.square(terms, out=terms)
-                terms *= -0.5
-                np.maximum(terms, _LOG_TINY, out=terms)
-                np.exp(terms, out=terms)
-                terms[terms <= _EXP_LOG_TINY] = 0.0
-            else:
-                terms = dens(terms)
-            out[lo:hi] += self.weights[start : start + rows] @ terms
-        if gaussian:
-            out /= sigma * math.sqrt(2.0 * math.pi)
-        if order is not None:
-            out[order] = out.copy()
-        return out.reshape(x.shape)
+        """Evaluate (F * K_sigma)(x) through :func:`mixture_density`."""
+        return mixture_density(self.atoms, self.weights, kernel, sigma, x)
 
     def __len__(self):
         return self.atoms.size
@@ -146,6 +93,58 @@ def _merge_duplicates(atoms: np.ndarray, weights: np.ndarray):
             keep_a.append(a)
             keep_w.append(w)
     return np.array(keep_a), np.array(keep_w)
+
+
+def mixture_density(atoms, weights, kernel: KernelSpec, sigma: float, x) -> np.ndarray:
+    """Evaluate (F * K_sigma)(x) for the measure with ascending ``atoms``
+    and ``weights``, the atoms taken in blocks.
+
+    Each block of atoms adds ``w_block @ K_sigma(x - a_block)`` to the
+    output through one reused work buffer of ``_DENSITY_BUFFER``
+    elements.  For the Gaussian kernel a block touches only the
+    x-range where some term's exponent is at least log(tiny), and
+    inside it terms below that are set to exactly 0, so no term
+    dropped exceeds tiny / (sigma sqrt(2 pi)).
+    """
+    dens = KernelSpec(kernel.family, sigma, kernel.shape).density_fn()
+    if dens is None:
+        raise ValueError(f"no closed-form density for {kernel.family}")
+    x = np.asarray(x, dtype=float)
+    xs = x.ravel()
+    if np.isnan(xs).any():
+        raise ValueError("x must not contain nan")
+    order = None
+    if np.any(xs[1:] < xs[:-1]):
+        order = np.argsort(xs, kind="stable")
+        xs = xs[order]
+    gaussian = kernel.family == "gaussian"
+    reach = sigma * math.sqrt(-2.0 * _LOG_TINY)
+    n = xs.size
+    rows = min(atoms.size, max(1, _DENSITY_BUFFER // max(n, 1)))
+    buf = np.empty(rows * n)
+    out = np.zeros(n)
+    for start in range(0, atoms.size, rows):
+        a = atoms[start : start + rows]
+        lo, hi = (0, n)
+        if gaussian:
+            lo, hi = np.searchsorted(xs, (a[0] - reach, a[-1] + reach))
+        terms = buf[: a.size * (hi - lo)].reshape(a.size, hi - lo)
+        np.subtract(xs[lo:hi], a[:, None], out=terms)
+        if gaussian:
+            terms /= sigma
+            np.square(terms, out=terms)
+            terms *= -0.5
+            np.maximum(terms, _LOG_TINY, out=terms)
+            np.exp(terms, out=terms)
+            terms[terms <= _EXP_LOG_TINY] = 0.0
+        else:
+            terms = dens(terms)
+        out[lo:hi] += weights[start : start + rows] @ terms
+    if gaussian:
+        out /= sigma * math.sqrt(2.0 * math.pi)
+    if order is not None:
+        out[order] = out.copy()
+    return out.reshape(x.shape)
 
 
 # ---------------------------------------------------------------------

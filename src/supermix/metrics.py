@@ -21,15 +21,20 @@ KL_FLOOR = 1e-300
 
 
 def wasserstein(f1: DiscreteMixingMeasure, f2: DiscreteMixingMeasure, p: float) -> float:
-    """Order-p Wasserstein distance between discrete measures on the line.
+    """Order-p Wasserstein distance between discrete measures on the line."""
+    return quantile_distance(f1.atoms, f1.weights, f2.atoms, f2.weights, p)
+
+
+def quantile_distance(a1, w1, a2, w2, p: float) -> float:
+    """Order-p Wasserstein distance between the discrete measures with
+    ascending atoms ``a1``, ``a2`` and weights ``w1``, ``w2``.
 
     Computed from the quantile coupling: the p-th root of
     ``int_0^1 |Q1(u) - Q2(u)|^p du`` over the merged cdf breakpoints.
     """
     if not p >= 1:
         raise ValueError("p must be >= 1")
-    cum1, a1 = f1.cdf_quantile_arrays()
-    cum2, a2 = f2.cdf_quantile_arrays()
+    cum1, cum2 = np.cumsum(w1), np.cumsum(w2)
     levels = np.union1d(cum1, cum2)
     levels = levels[(levels > 0.0) & (levels <= 1.0)]
     prev = np.concatenate([[0.0], levels[:-1]])

@@ -24,9 +24,12 @@ few ulps of a cumulative-sum boundary; over 12,000 sweeps of DP
 (n = 4000) and N-IG (n = 1000) fits the labels and the RNG stream equal
 the direct form's, and the log likelihood agrees within 2e-15 relative.
 
+A fit returns one :class:`Chain` of read-only arrays, one row per kept
+draw, filled in place during the sweep; the summaries read its rows.
+
 Mixture densities on a grid (the truth, the posterior mean, the prior
 predictive) come from the blocked evaluator
-:meth:`~supermix.discretize.DiscreteMixingMeasure.mixture_density`.
+:func:`~supermix.discretize.mixture_density`.
 
 Experiments report directional contraction diagnostics (L^p errors of the
 posterior mean density, Wasserstein recovery of the mixing measure); all
@@ -46,11 +49,11 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .discretize import DiscreteMixingMeasure
+from .discretize import DiscreteMixingMeasure, mixture_density
 from .errors import InvalidConfig, NonConvergenceWarning, TooFewDraws
 from .gridfn import GridFunction, lp_norm
 from .kernels import KernelSpec, catalog_density
-from .metrics import kl_divergence, wasserstein
+from .metrics import kl_divergence, quantile_distance
 from .priors import (
     BaseMeasure,
     NIGParams,
@@ -145,6 +148,38 @@ class PosteriorDraw:
     loglik: float
 
 
+@dataclass(frozen=True, eq=False)
+class Chain:
+    """Kept draws of one fit as read-only arrays, one row per draw.
+
+    ``atoms`` and ``weights`` are (draws, components), each row in
+    ascending atom order; ``sigma`` and ``loglik`` hold one value per draw.
+    ``chain[i]`` is draw i as a :class:`PosteriorDraw`, built once, on first
+    access; ``chain[a:b:c]`` is a Chain of those rows.
+    """
+
+    atoms: np.ndarray
+    weights: np.ndarray
+    sigma: np.ndarray
+    loglik: np.ndarray
+    _views: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __len__(self) -> int:
+        return self.sigma.size
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return Chain(self.atoms[i], self.weights[i], self.sigma[i], self.loglik[i])
+        i = range(len(self))[i]
+        if i not in self._views:
+            mixing = DiscreteMixingMeasure(self.atoms[i], self.weights[i])
+            self._views[i] = PosteriorDraw(mixing, float(self.sigma[i]), float(self.loglik[i]))
+        return self._views[i]
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+
 @dataclass(frozen=True)
 class ContractionRow:
     n: int
@@ -214,17 +249,14 @@ def _allocate(data, atoms, log_w, sigma, rng, out):
     return alloc, float((shift + np.log(tot)).sum()) + data.size * const
 
 
-def blocked_gibbs_fit(
-    data: np.ndarray,
-    cfg: FitConfig,
-    rng: np.random.Generator,
-) -> list[PosteriorDraw]:
-    """Run the blocked Gibbs sampler; returns post-burn-in thinned draws.
+def blocked_gibbs_fit(data: np.ndarray, cfg: FitConfig, rng: np.random.Generator) -> Chain:
+    """Run the blocked Gibbs sampler; returns the kept draws as one :class:`Chain`.
 
     One sweep allocates every observation, updates the prior's weight and
     atom block, draws the bandwidth exactly from its full conditional
     (:meth:`~supermix.priors.ScalePriorA0.posterior_sample`) and records
-    the log likelihood.
+    the log likelihood.  Sweeps ``burn_in, burn_in + thinning, ...`` are
+    kept, each filling one row of the chain's arrays in place.
     """
     data = np.asarray(data, dtype=float)
     if data.ndim != 1:
@@ -239,12 +271,13 @@ def blocked_gibbs_fit(
         block = _NIGCells(cfg.prior)
     else:
         block = _PYSticks(cfg.prior, cfg.truncation, rng)
-    draws: list[PosteriorDraw] = []
-    logliks: list[float] = []
+    kept = len(range(cfg.burn_in, cfg.iterations, cfg.thinning))
+    atoms, weights = np.empty((2, kept, block.atoms.size))
+    sigmas, logliks = np.empty(kept), np.empty(cfg.iterations)
     work = np.empty((block.atoms.size, n))
 
     for it in range(cfg.iterations):
-        alloc, ll = _allocate(data, block.atoms, block.log_weights(), sigma, rng, work)
+        alloc, logliks[it] = _allocate(data, block.atoms, block.log_weights(), sigma, rng, work)
         counts = np.bincount(alloc, minlength=block.atoms.size)
 
         block.update(data, alloc, counts, sigma, rng)
@@ -253,17 +286,18 @@ def blocked_gibbs_fit(
             ss = float(((data - block.atoms[alloc]) ** 2).sum())
             sigma = cfg.scale_prior.posterior_sample(n, ss, rng)
 
-        logliks.append(ll)
-        if it >= cfg.burn_in and (it - cfg.burn_in) % cfg.thinning == 0:
-            draws.append(
-                PosteriorDraw(
-                    mixing=DiscreteMixingMeasure(block.atoms.copy(), block.weights()),
-                    sigma=sigma,
-                    loglik=ll,
-                )
-            )
-    _monitor_burn_in(np.array(logliks), cfg.burn_in)
-    return draws
+        row, off = divmod(it - cfg.burn_in, cfg.thinning)
+        if row >= 0 and off == 0:
+            atoms[row] = block.atoms
+            weights[row] = block.weights()
+            sigmas[row] = sigma
+    _monitor_burn_in(logliks, cfg.burn_in)
+    order = np.argsort(atoms, axis=1)
+    arrays = (np.take_along_axis(atoms, order, axis=1), np.take_along_axis(weights, order, axis=1),
+              sigmas, logliks[cfg.burn_in :: cfg.thinning])
+    for arr in arrays:
+        arr.setflags(write=False)
+    return Chain(*arrays)
 
 
 def _monitor_burn_in(logliks: np.ndarray, burn_in: int) -> None:
@@ -384,19 +418,22 @@ class _NIGCells:
 # posterior summaries
 
 
-def posterior_mean_density(
-    draws: Sequence[PosteriorDraw],
-    grid: GridFunction,
-    min_draws: int = 50,
-) -> GridFunction:
+def posterior_mean_density(chain: Chain, grid: GridFunction, min_draws: int = 50) -> GridFunction:
     """Average of the draw densities on the reference grid."""
-    if len(draws) < min_draws:
-        raise TooFewDraws(f"need at least {min_draws} draws, got {len(draws)}")
+    if len(chain) < min_draws:
+        raise TooFewDraws(f"need at least {min_draws} draws, got {len(chain)}")
     x = grid.grid()
     acc = np.zeros_like(x)
-    for d in draws:
-        acc += d.mixing.mixture_density(_GAUSSIAN, d.sigma, x)
-    return GridFunction(grid.half_width, acc / len(draws))
+    for atoms, weights, sigma in zip(chain.atoms, chain.weights, chain.sigma.tolist()):
+        acc += mixture_density(atoms, weights, _GAUSSIAN, sigma, x)
+    return GridFunction(grid.half_width, acc / len(chain))
+
+
+def _w2_draws(chain: Chain, truth: "TruthSpec") -> np.ndarray:
+    """W2 distance from each draw's mixing measure to the truth's."""
+    t = truth.mixing
+    return np.array([quantile_distance(a, w, t.atoms, t.weights, 2.0)
+                     for a, w in zip(chain.atoms, chain.weights)])
 
 
 def prior_predictive_density(
@@ -502,8 +539,8 @@ def _run_task(args):
     truth = resolve_truth(truth_id)
     rng = np.random.default_rng(_task_seed(seed, task_index))
     data = truth.sample(n, rng)
-    draws = blocked_gibbs_fit(data, cfg, rng)
-    return summarize(truth, draws, n, replicate)
+    chain = blocked_gibbs_fit(data, cfg, rng)
+    return summarize(truth, chain, n, replicate)
 
 
 def _run_experiment(summarize, truth_id, n_ladder, replicates, cfg, seed, threads):
@@ -529,19 +566,18 @@ def _run_experiment(summarize, truth_id, n_ladder, replicates, cfg, seed, thread
     return [_run_task(t) for t in tasks]
 
 
-def _contraction_summary(truth: TruthSpec, draws, n: int, replicate: int) -> ContractionRow:
+def _contraction_summary(truth: TruthSpec, chain: Chain, n: int, replicate: int) -> ContractionRow:
     grid = experiment_grid()
     f0 = truth.density(grid)
-    mean = posterior_mean_density(draws, grid)
+    mean = posterior_mean_density(chain, grid)
     diff = mean - f0
-    w2_draws = [wasserstein(d.mixing, truth.mixing, 2.0) for d in draws]
     return ContractionRow(
         n=n,
         replicate=replicate,
         l1=lp_norm(diff, 1),
         l2=lp_norm(diff, 2),
         sup=lp_norm(diff, math.inf),
-        w2=float(np.median(w2_draws)),
+        w2=float(np.median(_w2_draws(chain, truth))),
         kl=kl_divergence(f0, mean),
     )
 
@@ -571,8 +607,8 @@ class W2Row:
     w2_max: float
 
 
-def _w2_summary(truth: TruthSpec, draws, n: int, replicate: int) -> W2Row:
-    w2 = np.array([wasserstein(d.mixing, truth.mixing, 2.0) for d in draws])
+def _w2_summary(truth: TruthSpec, chain: Chain, n: int, replicate: int) -> W2Row:
+    w2 = _w2_draws(chain, truth)
     return W2Row(
         n=n,
         replicate=replicate,

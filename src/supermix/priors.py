@@ -518,11 +518,6 @@ class ScalePriorA0:
     def mode(self) -> float:
         return self.lam / (self.nu + 1.0)
 
-    def mean(self) -> float:
-        if self.nu <= 1:
-            return math.inf
-        return self.lam / (self.nu - 1.0)
-
     def envelope_exponents(self) -> tuple[float, float, float]:
         """(s, t, gamma) of the two-sided envelope the density satisfies."""
         return self.nu + 1.0, 0.0, 1.0

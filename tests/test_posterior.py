@@ -7,6 +7,8 @@ from scipy.stats import beta as beta_dist
 from scipy.stats import kstest
 
 from supermix import (
+    Chain,
+    DiscreteMixingMeasure,
     FitConfig,
     KernelSpec,
     NIGPartitionPrior,
@@ -15,11 +17,13 @@ from supermix import (
     lp_norm,
     posterior,
     posterior_mean_density,
+    wasserstein,
 )
 from supermix.errors import InvalidConfig, TooFewDraws
 from supermix.posterior import (
     LOG_2PI,
     _allocate,
+    _w2_draws,
     _worker_count,
     contraction_experiment,
     default_py_config,
@@ -167,20 +171,35 @@ class TestGibbsPY:
             assert np.array_equal(da.mixing.weights, db.mixing.weights)
 
     def test_one_exact_sigma_draw_per_sweep(self, gaussian_data, monkeypatch):
-        calls, returned = [], []
+        calls, returned, logliks = [], [], []
         real = ScalePriorA0.posterior_sample
+        real_allocate = posterior._allocate
 
         def counting(self, n, ss, rng):
             calls.append(n)
             returned.append(real(self, n, ss, rng))
             return returned[-1]
 
+        def recording(*args):
+            alloc, ll = real_allocate(*args)
+            logliks.append(ll)
+            return alloc, ll
+
         monkeypatch.setattr(ScalePriorA0, "posterior_sample", counting)
+        monkeypatch.setattr(posterior, "_allocate", recording)
         data = gaussian_data[1]
-        cfg = small_config(iterations=30, burn_in=10)
-        draws = blocked_gibbs_fit(data, cfg, np.random.default_rng(4))
-        assert calls == [data.size] * cfg.iterations
-        assert [d.sigma for d in draws] == returned[cfg.burn_in:]
+        # with thinning 3 the 20 sweeps after burn-in leave a remainder of 2
+        for cfg in (small_config(iterations=30, burn_in=10),
+                    small_config(iterations=30, burn_in=10, thinning=3)):
+            for trace in (calls, returned, logliks):
+                trace.clear()
+            chain = blocked_gibbs_fit(data, cfg, np.random.default_rng(4))
+            kept = range(cfg.burn_in, cfg.iterations, cfg.thinning)
+            assert calls == [data.size] * cfg.iterations
+            assert len(chain) == len(kept)
+            assert [d.sigma for d in chain] == returned[cfg.burn_in :: cfg.thinning]
+            assert chain.sigma.tolist() == [returned[i] for i in kept]
+            assert chain.loglik.tolist() == [logliks[i] for i in kept]
         fixed = dataclasses.replace(cfg, scale_prior=None, fixed_sigma=0.5)
         blocked_gibbs_fit(data, fixed, np.random.default_rng(4))
         assert len(calls) == cfg.iterations
@@ -308,6 +327,62 @@ class TestGibbsNIG:
         assert alphas.shape == (64,)
         assert np.all(alphas > 0)
         assert abs(alphas.sum() - prior.base.total_mass) <= 1e-12
+
+
+class TestChain:
+    @pytest.mark.parametrize("prior_id", ["dp", "nig"])
+    def test_rows_match_their_views(self, gaussian_data, prior_id):
+        cfg = dataclasses.replace(
+            default_py_config(prior_id), iterations=80, burn_in=30, thinning=1, truncation=12
+        )
+        chain = blocked_gibbs_fit(gaussian_data[1], cfg, np.random.default_rng(5))
+        assert isinstance(chain, Chain) and len(chain) == 50
+        assert chain.atoms.shape == chain.weights.shape == (50, chain.atoms.shape[1])
+        assert np.all(np.diff(chain.atoms, axis=1) > 0)
+        for arr in (chain.atoms, chain.weights, chain.sigma, chain.loglik):
+            assert not arr.flags.writeable
+        for i, d in enumerate(chain):
+            assert d.mixing.atoms.tobytes() == chain.atoms[i].tobytes()
+            assert d.mixing.weights.tobytes() == chain.weights[i].tobytes()
+            assert (d.sigma, d.loglik) == (chain.sigma[i], chain.loglik[i])
+        assert chain[-1] is chain[len(chain) - 1]
+        with pytest.raises(IndexError):
+            chain[len(chain)]
+        every4 = chain[::4]
+        assert isinstance(every4, Chain) and len(every4) == 13
+        for name in ("atoms", "weights", "sigma", "loglik"):
+            assert np.array_equal(getattr(every4, name), getattr(chain, name)[::4])
+
+    def test_summaries_match_the_views(self, gaussian_data):
+        chain = blocked_gibbs_fit(gaussian_data[1], small_config(), np.random.default_rng(7))
+        grid = experiment_grid()
+        acc = np.zeros(grid.n_points)
+        for d in chain:
+            acc += d.mixing.mixture_density(GAUSSIAN, d.sigma, grid.grid())
+        mean = posterior_mean_density(chain, grid)
+        assert mean.values.tobytes() == (acc / len(chain)).tobytes()
+        truth = resolve_truth("gaussian:1")
+        w2 = [wasserstein(d.mixing, truth.mixing, 2) for d in chain]
+        assert _w2_draws(chain, truth).tobytes() == np.array(w2).tobytes()
+
+    def test_no_measure_per_draw(self, monkeypatch):
+        calls = []
+        real = DiscreteMixingMeasure.__post_init__
+
+        def counting(self):
+            calls.append(1)
+            real(self)
+
+        monkeypatch.setattr(DiscreteMixingMeasure, "__post_init__", counting)
+        counts = []
+        for iterations in (110, 160):  # 50 and 100 kept draws
+            tiny = dict(iterations=iterations, burn_in=60, thinning=1, truncation=10)
+            calls.clear()
+            contraction_experiment("gaussian:1", "dp", [30], 1, cfg=small_config(**tiny))
+            w2_cfg = dataclasses.replace(default_w2_config(), **tiny)
+            wasserstein_recovery_experiment("twopoint", [30], 1, cfg=w2_cfg)
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
 
 
 class TestPosteriorSummaries:
