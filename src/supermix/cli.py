@@ -130,7 +130,13 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     def common(p):
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", type=Path, required=True)
+
+    def experiment(p, truth):
+        common(p)
         p.add_argument("--threads", type=_parse_threads, default=0, help="0 = one per CPU")
+        p.add_argument("--truth", default=truth)
+        p.add_argument("--n-ladder", type=_parse_int_list, default=[250, 1000, 4000])
+        p.add_argument("--replicates", type=int, default=10)
 
     p = add_parser("approx", help="sinc/superkernel approximation error")
     common(p)
@@ -173,17 +179,10 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--truncation", type=int, default=50)
 
     p = add_parser("contract", help="contraction-rate experiment")
-    common(p)
-    p.add_argument("--truth", default="gaussian:1")
+    experiment(p, "gaussian:1")
     p.add_argument("--prior", default="dp", choices=["dp", "py", "nig"])
-    p.add_argument("--n-ladder", type=_parse_int_list, default=[250, 1000, 4000])
-    p.add_argument("--replicates", type=int, default=10)
 
-    p = add_parser("w2", help="Wasserstein recovery experiment")
-    common(p)
-    p.add_argument("--truth", default="twopoint")
-    p.add_argument("--n-ladder", type=_parse_int_list, default=[250, 1000, 4000])
-    p.add_argument("--replicates", type=int, default=10)
+    experiment(add_parser("w2", help="Wasserstein recovery experiment"), "twopoint")
     return parser, subparsers
 
 

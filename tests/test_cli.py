@@ -130,6 +130,21 @@ def test_negative_threads_exits_2(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["fit", "--data", "data.txt"],
+    ["approx", "--density", "fvp:1", "--sigma", "1"],
+], ids=["fit", "approx"])
+def test_threads_only_on_experiments(tmp_path, argv):
+    data_file = tmp_path / "data.txt"
+    data_file.write_text("\n".join(["0.5"] * 20) + "\n")
+    argv = [str(data_file) if a == "data.txt" else a for a in argv]
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--threads", "2", "--out", str(out)])
+    assert exc.value.code == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data.txt"]
+
+
 def test_fit_non_finite_data_exits_2(tmp_path):
     data_file = tmp_path / "data.txt"
     data_file.write_text("\n".join(["0.1", "nan"] + ["0.5"] * 20) + "\n")
