@@ -303,11 +303,11 @@ def cmd_fit(args) -> Output:
     )
     rng = np.random.default_rng(args.seed)
     chain = blocked_gibbs_fit(data, cfg, rng)
-    atoms, weights = ([";".join(map(_fmt, row)) for row in a.tolist()]
-                      for a in (chain.atoms, chain.weights))
-    n_atoms = [chain.atoms.shape[1]] * len(chain)
-    rows = list(zip(range(len(chain)), chain.sigma.tolist(), chain.loglik.tolist(), n_atoms,
-                    atoms, weights))
+    columns = (chain.atoms, chain.weights, chain.sigma, chain.loglik)
+    rows = [
+        (i, sigma, loglik, len(atoms), ";".join(map(_fmt, atoms)), ";".join(map(_fmt, weights)))
+        for i, (atoms, weights, sigma, loglik) in enumerate(zip(*(c.tolist() for c in columns)))
+    ]
     return ["draw", "sigma", "loglik", "n_atoms", "atoms", "weights"], rows, {}
 
 
