@@ -146,7 +146,8 @@ def gig_digests() -> list[tuple[str, str]]:
 
 def posterior_digests() -> list[tuple[str, str]]:
     """(sha256, name) of the summaries of a ``dp`` and a ``nig`` fit of
-    the ``fit`` data at the ``fit`` config, each at seed 0."""
+    the ``fit`` data at the ``fit`` config, each at seed 0; reads
+    ``fit_data.txt`` from the working directory that ``run_all`` set."""
     data = np.loadtxt("fit_data.txt")
     truth = resolve_truth("gaussian:1")
     out = []
