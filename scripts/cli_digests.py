@@ -15,7 +15,12 @@ small ``dp`` fit and one small ``nig`` fit of the ``fit`` data, it
 prints the raw-byte digests of the ``posterior_mean_density`` values,
 of the per-draw W2 distances to the ``gaussian:1`` mixing measure
 (``metrics.wasserstein`` over the draws) and of every draw's sigma and
-log likelihood; the CSVs round floats to 17 digits, these do not.  Outputs are
+log likelihood; the CSVs round floats to 17 digits, these do not.  It
+also prints the raw-byte digest of ``mixture_density`` for the 64 N-IG
+cell midpoints with seed-0 Dirichlet weights on ``experiment_grid()`` at
+sigma = 0.15, 0.4 and 1.0 (atoms on the grid's lattice), and of
+``prior_predictive_density`` for the ``nig`` and ``dp`` configs at seed
+0 (sigma from the prior, so most Gaussian terms underflow).  Outputs are
 named relative to OUTDIR, so the sidecars do not depend on where OUTDIR
 lives, and a refactor that keeps the RNG stream proves byte identity
 with one ``diff``:
@@ -39,14 +44,16 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 import numpy as np
 
 from supermix.cli import main
-from supermix.discretize import finite_gaussian_mixture
-from supermix.kernels import catalog_density
+from supermix.discretize import finite_gaussian_mixture, mixture_density
+from supermix.kernels import KernelSpec, catalog_density
 from supermix.metrics import wasserstein
 from supermix.posterior import (
+    NIGPartitionPrior,
     blocked_gibbs_fit,
     default_py_config,
     experiment_grid,
     posterior_mean_density,
+    prior_predictive_density,
     resolve_truth,
 )
 from supermix.priors import gig_sample
@@ -166,10 +173,28 @@ def posterior_digests() -> list[tuple[str, str]]:
     return out
 
 
+def density_digests() -> list[tuple[str, str]]:
+    """(sha256, name) of ``mixture_density`` for the N-IG cell midpoints
+    on the experiment grid, and of the seed-0 prior predictive densities."""
+    x = experiment_grid().grid()
+    atoms = NIGPartitionPrior().cell_midpoints()
+    weights = np.random.default_rng(0).dirichlet(np.ones(atoms.size))
+    out = []
+    for sigma in (0.15, 0.4, 1.0):
+        values = mixture_density(atoms, weights, KernelSpec("gaussian"), sigma, x)
+        out.append((_array_digest(values), f"mixture_density_nig_midpoints_sigma{sigma}"))
+    for prior in ("nig", "dp"):
+        values = prior_predictive_density(default_py_config(prior), experiment_grid(),
+                                          np.random.default_rng(0)).values
+        out.append((_array_digest(values), f"prior_predictive_{prior}"))
+    return out
+
+
 if __name__ == "__main__":
     if len(sys.argv) != 2:
         raise SystemExit("usage: cli_digests.py OUTDIR")
     for name in run_all(Path(sys.argv[1])):
         print(f"{hashlib.sha256(Path(name).read_bytes()).hexdigest()}  {name}")
-    for digest, name in mixture_digests() + gig_digests() + posterior_digests():
+    for digest, name in (mixture_digests() + gig_digests() + posterior_digests()
+                         + density_digests()):
         print(f"{digest}  {name}")

@@ -38,9 +38,12 @@ NODES_PER_CELL = 16
 #: 2^11-point experiment grid
 _DENSITY_BUFFER = 2 ** 18
 
-#: exponent of the smallest normal float; np.exp is ~100x slower on a
-#: subnormal result, so Gaussian exponents are clamped here first and the
-#: clamped terms (whose exp is ``_EXP_LOG_TINY``) then set to 0
+#: exponent of the smallest normal float; Gaussian terms whose exponent
+#: is at or below it are set to 0.  numpy 2.4's AVX-512 exp is slow on
+#: the whole band below about -707.7, this value included: on a 2-CPU
+#: x86 host ~1 ns per element above it, ~16-20 ns from -707.75 to
+#: -708.4 and below -745.2, and 110-200 ns in between, where the result
+#: is subnormal; so those exponents are skipped, not clamped
 _LOG_TINY = math.log(np.finfo(float).tiny)
 _EXP_LOG_TINY = math.exp(_LOG_TINY)
 
@@ -103,12 +106,33 @@ def mixture_density(atoms, weights, kernel: KernelSpec, sigma: float, x) -> np.n
     output through one reused work buffer of ``_DENSITY_BUFFER``
     elements.  For the Gaussian kernel a block touches only the
     x-range where some term's exponent is at least log(tiny), and
-    inside it terms below that are set to exactly 0, so no term
-    dropped exceeds tiny / (sigma sqrt(2 pi)).
+    inside it terms at or below that are set to exactly 0, so no term
+    dropped exceeds tiny / (sigma sqrt(2 pi)).  Two shortcuts leave every
+    bit as the direct form gives it:
+
+    * lattice reuse: when ``x`` ascends in steps of a power of two dx
+      and every point and atom is an integer multiple of dx, each
+      x_k - a_j is exactly (k - s_j) dx, so the block's kernel row is
+      evaluated once per offset and copied into each atom's row;
+    * underflow: ``exp`` skips the exponents at or below log(tiny), and
+      is called unmasked when the block's farthest (x, atom) pair stays
+      above it.
     """
+    if not math.isfinite(sigma):
+        raise ValueError(f"sigma must be finite, got {sigma!r}")
     dens = KernelSpec(kernel.family, sigma, kernel.shape).density_fn()
     if dens is None:
         raise ValueError(f"no closed-form density for {kernel.family}")
+    atoms = np.asarray(atoms, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    if atoms.ndim != 1 or not atoms.size:
+        raise ValueError(f"atoms must be a non-empty 1-d array, got shape {atoms.shape}")
+    if np.any(atoms[1:] < atoms[:-1]):
+        raise ValueError("atoms must be in ascending order")
+    if weights.shape != atoms.shape:
+        raise ValueError(
+            f"weights must match atoms in shape, got {weights.shape} and {atoms.shape}"
+        )
     x = np.asarray(x, dtype=float)
     xs = x.ravel()
     if np.isnan(xs).any():
@@ -118,6 +142,7 @@ def mixture_density(atoms, weights, kernel: KernelSpec, sigma: float, x) -> np.n
         order = np.argsort(xs, kind="stable")
         xs = xs[order]
     gaussian = kernel.family == "gaussian"
+    lattice = _lattice(xs, atoms) if gaussian and order is None else None
     reach = sigma * math.sqrt(-2.0 * _LOG_TINY)
     n = xs.size
     rows = min(atoms.size, max(1, _DENSITY_BUFFER // max(n, 1)))
@@ -128,16 +153,24 @@ def mixture_density(atoms, weights, kernel: KernelSpec, sigma: float, x) -> np.n
         lo, hi = (0, n)
         if gaussian:
             lo, hi = np.searchsorted(xs, (a[0] - reach, a[-1] + reach))
+            if lo == hi:
+                continue
         terms = buf[: a.size * (hi - lo)].reshape(a.size, hi - lo)
-        np.subtract(xs[lo:hi], a[:, None], out=terms)
-        if gaussian:
-            terms /= sigma
-            np.square(terms, out=terms)
-            terms *= -0.5
-            np.maximum(terms, _LOG_TINY, out=terms)
-            np.exp(terms, out=terms)
-            terms[terms <= _EXP_LOG_TINY] = 0.0
+        if lattice is not None:
+            # x_k - a_j = (g0 + k - s_j) dx: row holds every offset the
+            # window needs, and atom j's terms start at top - s_j in it
+            dx, g0, s = lattice
+            s = s[start : start + rows]
+            top = int(s.max())
+            row = np.arange(g0 + lo - top, g0 + hi - int(s.min())) * dx
+            _gaussian_exp(row, sigma, max(-row[0], row[-1]))
+            for j, shift in enumerate((top - s).tolist()):
+                terms[j] = row[shift : shift + hi - lo]
+        elif gaussian:
+            np.subtract(xs[lo:hi], a[:, None], out=terms)
+            _gaussian_exp(terms, sigma, max(xs[hi - 1] - a[0], a[-1] - xs[lo]))
         else:
+            np.subtract(xs[lo:hi], a[:, None], out=terms)
             terms = dens(terms)
         out[lo:hi] += weights[start : start + rows] @ terms
     if gaussian:
@@ -145,6 +178,38 @@ def mixture_density(atoms, weights, kernel: KernelSpec, sigma: float, x) -> np.n
     if order is not None:
         out[order] = out.copy()
     return out.reshape(x.shape)
+
+
+def _lattice(xs: np.ndarray, atoms: np.ndarray):
+    """(dx, g0, s) when the ascending ``xs`` is exactly (g0 + k) dx and the
+    atoms exactly s dx, with dx a power of two and |g0|, |s| < 2^52, so that
+    every x_k - a_j is exact; None otherwise."""
+    dx = float(xs[1] - xs[0]) if xs.size > 1 else 0.0
+    if not (dx > 0.0 and math.frexp(dx)[0] == 0.5):
+        return None
+    s, g = atoms / dx, xs[[0, -1]] / dx
+    if not (np.all(np.abs(s) < 2.0 ** 52) and np.all(np.abs(g) < 2.0 ** 52)):
+        return None
+    s, g0 = s.astype(np.int64), int(g[0])
+    if np.array_equal(atoms, s * dx) and np.array_equal(xs, (g0 + np.arange(xs.size)) * dx):
+        return dx, g0, s
+    return None
+
+
+def _gaussian_exp(terms: np.ndarray, sigma: float, far: float) -> None:
+    """Overwrite the differences ``terms``, all within ``far`` of 0, with
+    exp(-(t / sigma)^2 / 2), set to exactly 0 where the exponent is at or
+    below log(tiny); ``exp`` skips those exponents unless ``far``'s own
+    exponent shows there are none."""
+    t = float(far) / sigma
+    terms /= sigma
+    np.square(terms, out=terms)
+    terms *= -0.5
+    if -0.5 * (t * t) >= _LOG_TINY:
+        np.exp(terms, out=terms)
+    else:
+        np.exp(terms, out=terms, where=terms > _LOG_TINY)
+    terms[terms <= _EXP_LOG_TINY] = 0.0
 
 
 # ---------------------------------------------------------------------

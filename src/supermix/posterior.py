@@ -29,7 +29,11 @@ draw, filled in place during the sweep; the summaries read its rows.
 
 Mixture densities on a grid (the truth, the posterior mean, the prior
 predictive) come from the blocked evaluator
-:func:`~supermix.discretize.mixture_density`.
+:func:`~supermix.discretize.mixture_density`.  The N-IG atoms are cell
+midpoints on the experiment grid's lattice (-7.875 + 0.25 j = x[520 +
+16 j], dx = 2^-6), so it exponentiates one kernel row per block and
+copies it into each atom's row; and it skips ``exp`` on exponents below
+log(tiny), which is where numpy's ``exp`` is slow.  Both keep every bit.
 
 Experiments report directional contraction diagnostics (L^p errors of the
 posterior mean density, Wasserstein recovery of the mixing measure); all

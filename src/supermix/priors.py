@@ -390,23 +390,9 @@ def _ratio_of_uniforms(m, a2, a1, a0, log_ratio, rng: np.random.Generator) -> np
     (2000)): one rejection loop over the indices still pending.
 
     ``log_ratio(x, i)`` is log h(x) - log h(m) at the draws indexed by
-    ``i``, -inf at x <= 0.  The v-bounds sit at the zeros of the cubic
-    x^3 + a2 x^2 + a1 x + a0 (a2 < 0 <= a0) that extremize
-    (x - m) sqrt(h(x)), its two positive roots.  The largest comes from
-    Cardano's trigonometric form; the one below m from Vieta's relations,
-    because the trigonometric form loses it to cancellation once the roots
-    differ by many orders of magnitude (for the GIG at q = 1, w = 1e-6 it
-    comes out negative instead of 5e-4)."""
-    p1 = a1 - a2 ** 2 / 3.0
-    q1 = 2.0 * a2 ** 3 / 27.0 - a2 * a1 / 3.0 + a0
-    phi = np.arccos(np.clip(-q1 * np.sqrt(-27.0 / p1 ** 3) / 2.0, -1.0, 1.0))
-    top = np.sqrt(-4.0 * p1 / 3.0) * np.cos(phi / 3.0) - a2 / 3.0
-    # the other two roots have product -a0 / top <= 0 and sum (a1 + a0 / top) / top
-    prod = -a0 / top
-    half_sum = 0.5 * (a1 - prod) / top
-    disc = np.sqrt(half_sum ** 2 - prod)
-    low = np.where(half_sum >= 0.0, half_sum + disc, -prod / (disc + np.abs(half_sum)))
-    roots = np.array([low, top])
+    ``i``, -inf at x <= 0.  The v-bounds sit at the roots that
+    :func:`_rou_roots` gives for (a2, a1, a0)."""
+    roots = np.array(_rou_roots(a2, a1, a0))
     vmin, vmax = (roots - m) * np.exp(0.5 * log_ratio(roots, slice(None)))
     if not np.all((vmin < 0.0) & (vmax > 0.0)):
         raise RuntimeError("ratio-of-uniforms bounds are not finite and of opposite sign")
@@ -428,6 +414,28 @@ def _ratio_of_uniforms(m, a2, a1, a0, log_ratio, rng: np.random.Generator) -> np
             f"after {GIG_MAX_ROUNDS} rounds"
         )
     return x
+
+
+def _rou_roots(a2, a1, a0):
+    """The two positive roots (low, top) of x^3 + a2 x^2 + a1 x + a0 with
+    a2 < 0 <= a0, elementwise on arrays or on floats, with the same bits.
+
+    In the ratio-of-uniforms they are the points that extremize
+    (x - m) sqrt(h(x)), so the v-bounds sit there.  The largest root
+    comes from Cardano's trigonometric form; the one below the mode from
+    Vieta's relations, because the trigonometric form loses it to
+    cancellation once the roots differ by many orders of magnitude (for
+    the GIG at q = 1, w = 1e-6 it comes out negative instead of 5e-4)."""
+    p1 = a1 - a2 * a2 / 3.0
+    q1 = 2.0 * np.power(a2, 3) / 27.0 - a2 * a1 / 3.0 + a0
+    cos3phi = np.minimum(np.maximum(-q1 * np.sqrt(-27.0 / np.power(p1, 3)) / 2.0, -1.0), 1.0)
+    top = np.sqrt(-4.0 * p1 / 3.0) * np.cos(np.arccos(cos3phi) / 3.0) - a2 / 3.0
+    # the other two roots have product -a0 / top <= 0 and sum (a1 + a0 / top) / top
+    prod = -a0 / top
+    half_sum = 0.5 * (a1 - prod) / top
+    disc = np.sqrt(half_sum * half_sum - prod)
+    low = np.where(half_sum >= 0.0, half_sum + disc, -prod / (disc + np.abs(half_sum)))
+    return low, top
 
 
 def nig_sample(params: NIGParams, rng: np.random.Generator, size: int = 1) -> np.ndarray:
@@ -504,15 +512,28 @@ class ScalePriorA0:
         lam, k = self.lam, self.nu + n
         m = (lam + math.sqrt(lam * lam + 4.0 * ss * (k + 1.0))) / (2.0 * (k + 1.0))
 
-        def log_ratio(x, i):
-            with np.errstate(divide="ignore", invalid="ignore"):
-                y = 1.0 / x
-                out = (k + 1.0) * np.log(m * y) - (y - 1.0 / m) * (lam + 0.5 * ss * (y + 1.0 / m))
-            return np.where(x > 0, out, -np.inf)
+        def log_ratio(x: float) -> float:
+            if not x > 0.0:
+                return -math.inf
+            y = 1.0 / x
+            return float((k + 1.0) * np.log(m * y)
+                         - (y - 1.0 / m) * (lam + 0.5 * ss * (y + 1.0 / m)))
 
-        coefs = (-lam - (k + 1.0) * m, lam * m - ss, m * ss)
-        a2, a1, a0 = (np.array([c / (k - 1.0)]) for c in coefs)
-        return float(_ratio_of_uniforms(np.array([m]), a2, a1, a0, log_ratio, rng)[0])
+        # _ratio_of_uniforms for one draw, on floats: size-1 arrays cost
+        # ~100 us of dispatch per draw.  np.log, np.exp and np.arccos keep
+        # its bits on floats; math.log, math.exp, math.acos and ** do not
+        low, top = (float(r) for r in _rou_roots(
+            (-lam - (k + 1.0) * m) / (k - 1.0), (lam * m - ss) / (k - 1.0), m * ss / (k - 1.0)))
+        vmin = (low - m) * float(np.exp(0.5 * log_ratio(low)))
+        vmax = (top - m) * float(np.exp(0.5 * log_ratio(top)))
+        if not (vmin < 0.0 < vmax):
+            raise RuntimeError("ratio-of-uniforms bounds are not finite and of opposite sign")
+        for _ in range(GIG_MAX_ROUNDS):
+            u = 1.0 - rng.random()
+            cand = (vmin + (vmax - vmin) * rng.random()) / u + m
+            if 2.0 * float(np.log(u)) <= log_ratio(cand):
+                return cand
+        raise RuntimeError(f"ratio-of-uniforms stalled after {GIG_MAX_ROUNDS} rounds")
 
     @property
     def mode(self) -> float:

@@ -11,8 +11,16 @@ from supermix import (
     partition_discretize,
     support_budget,
 )
-from supermix.discretize import _cellwise_gauss, _gauss_from_recurrence
+from supermix.discretize import (
+    _EXP_LOG_TINY,
+    _LOG_TINY,
+    _cellwise_gauss,
+    _gauss_from_recurrence,
+    _lattice,
+    mixture_density,
+)
 from supermix.errors import IllConditionedMoments, InvalidSupport, RegimeUnavailable
+from supermix.posterior import NIGPartitionPrior, experiment_grid
 
 
 def mixture_sup_distance(f1, f2, kernel, sigma, a):
@@ -93,6 +101,85 @@ class TestMixtureDensity:
     def test_nan_x_raises(self):
         with pytest.raises(ValueError):
             self.mixing().mixture_density(KernelSpec("gaussian"), 1.0, np.array([0.0, np.nan]))
+
+
+class TestGaussianMixtureDensityBits:
+    """The Gaussian evaluator against the direct form, bit for bit: with
+    or without the lattice reuse, and however many terms underflow."""
+
+    ATOMS = NIGPartitionPrior().cell_midpoints()
+    WEIGHTS = np.random.default_rng(0).dirichlet(np.ones(ATOMS.size))
+    GRID = experiment_grid().grid()
+
+    @staticmethod
+    def direct(atoms, weights, sigma, x):
+        terms = np.subtract(x, atoms[:, None])
+        terms /= sigma
+        np.square(terms, out=terms)
+        terms *= -0.5
+        np.maximum(terms, _LOG_TINY, out=terms)
+        np.exp(terms, out=terms)
+        terms[terms <= _EXP_LOG_TINY] = 0.0
+        return weights @ terms / (sigma * math.sqrt(2.0 * math.pi))
+
+    def check(self, atoms, x, sigma):
+        got = mixture_density(atoms, self.WEIGHTS, KernelSpec("gaussian"), sigma, x)
+        assert np.array_equal(got, self.direct(atoms, self.WEIGHTS, sigma, x))
+
+    @pytest.mark.parametrize("sigma", [0.15, 0.4, 1.0])
+    def test_nig_midpoints_on_the_experiment_grid(self, sigma):
+        # -7.875 + 0.25 j = x[520 + 16 j] with dx = 2^-6
+        dx, g0, s = _lattice(self.GRID, self.ATOMS)
+        assert (dx, g0) == (2.0 ** -6, -1024) and np.array_equal(s, -504 + 16 * np.arange(64))
+        self.check(self.ATOMS, self.GRID, sigma)
+
+    def test_power_of_two_linspace_is_a_lattice(self):
+        x = np.linspace(-8.0, 8.0, 1025)
+        assert _lattice(x, self.ATOMS) is not None
+        self.check(self.ATOMS, x, 0.15)
+
+    @pytest.mark.parametrize("sigma", [0.1, 0.15, 1.0])
+    @pytest.mark.parametrize("case", ["step", "ulp", "unsorted"])
+    def test_general_path(self, case, sigma):
+        atoms, x = self.ATOMS, self.GRID
+        if case == "step":
+            x = np.linspace(-8.0, 8.0, 1001)  # step 0.016, not a power of two
+        elif case == "ulp":
+            atoms = atoms.copy()
+            atoms[40] = np.nextafter(atoms[40], np.inf)
+        else:
+            x = x[::-1]
+        assert _lattice(x, atoms) is None
+        self.check(atoms, x, sigma)
+
+    def test_most_terms_underflow_at_small_sigma(self):
+        # the one block's window is [-11.6, 11.6], and each atom's terms
+        # stay above tiny only within 3.76 of it: over two thirds underflow
+        sigma, x = 0.1, self.GRID
+        window = np.abs(x) <= self.ATOMS[-1] + sigma * math.sqrt(-2.0 * _LOG_TINY)
+        exponents = -0.5 * ((x[window] - self.ATOMS[:, None]) / sigma) ** 2
+        assert np.mean(exponents <= _LOG_TINY) > 0.5
+        self.check(self.ATOMS, x, sigma)
+
+    @pytest.mark.parametrize(
+        "atoms, weights, sigma, match",
+        [
+            ([0.0], [1.0], math.inf, "sigma must be finite"),
+            ([0.0], [1.0], math.nan, "sigma must be finite"),
+            ([], [], 1.0, "atoms must be a non-empty 1-d array"),
+            ([[0.0, 1.0]], [[0.5, 0.5]], 1.0, "atoms must be a non-empty 1-d array"),
+            ([0.0, 1.0], [1.0], 1.0, "weights must match atoms"),
+            # the blocks' windows assume ascending atoms; unchecked, this
+            # input would silently drop the mass of the atom at 5
+            ([-5.0, 5.0, 0.0], [0.3, 0.3, 0.4], 0.05, "atoms must be in ascending order"),
+        ],
+        ids=["inf-sigma", "nan-sigma", "no-atoms", "2d-atoms", "unequal-lengths",
+             "unsorted-atoms"],
+    )
+    def test_bad_input_raises(self, atoms, weights, sigma, match):
+        with pytest.raises(ValueError, match=match):
+            mixture_density(np.array(atoms), np.array(weights), KernelSpec("gaussian"),
+                            sigma, self.GRID)
 
 
 class TestDiscreteMixingMeasure:

@@ -492,6 +492,35 @@ class TestScalePosteriorSample:
         draws = [prior.posterior_sample(10, 0.0, rng) for _ in range(5_000)]
         assert kstest(draws, invgamma(13.0, scale=0.7).cdf).pvalue >= self.KS_P_MIN
 
+    @staticmethod
+    def array_engine_draw(prior, n, ss, rng):
+        """The draw through ``_ratio_of_uniforms`` on size-1 arrays, the
+        array form of ``posterior_sample``'s float loop."""
+        lam, k = prior.lam, prior.nu + n
+        m = (lam + math.sqrt(lam * lam + 4.0 * ss * (k + 1.0))) / (2.0 * (k + 1.0))
+
+        def log_ratio(x, i):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                y = 1.0 / x
+                out = (k + 1.0) * np.log(m * y) - (y - 1.0 / m) * (lam + 0.5 * ss * (y + 1.0 / m))
+            return np.where(x > 0, out, -np.inf)
+
+        coefs = (-lam - (k + 1.0) * m, lam * m - ss, m * ss)
+        a2, a1, a0 = (np.array([c / (k - 1.0)]) for c in coefs)
+        return float(priors._ratio_of_uniforms(np.array([m]), a2, a1, a0, log_ratio, rng)[0])
+
+    def test_float_loop_matches_array_engine_bitwise(self):
+        grid = [(n, ss) for n in (1, 2, 37, 1000, 4000)
+                for ss in (0.0, 1e-300, 1e-9, 0.02, 1.0, 517.3, 4400.0, 1e12)]
+        for prior in (ScalePriorA0(), ScalePriorA0(0.7, 2.5)):
+            got_rng, want_rng = np.random.default_rng(9), np.random.default_rng(9)
+            for n, ss in grid * 3:
+                got = prior.posterior_sample(n, ss, got_rng)
+                want = self.array_engine_draw(prior, n, ss, want_rng)
+                assert type(got) is float
+                assert got == want, (prior, n, ss)
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
     @pytest.mark.parametrize(
         "n, ss", [(0, 1.0), (10, -1.0), (10, math.nan), (10, math.inf)]
     )
