@@ -10,7 +10,10 @@ Runs each subcommand on a small fixed config (``contract`` and ``w2`` at
 sigma = 0.4, 0.3 and 0.25, digesting the raw float64 bytes, and one for
 the ``gig_sample`` draws over a (p, a, b) grid that covers both of its
 branches (inverse Gaussian at |p| = 1/2, ratio-of-uniforms at |p| >= 1)
-at seed 0, and one for the generator state after them.  Last, for one
+at seed 0, and one for the generator state after them.  It prints the
+raw-byte digest of ``nig_sample`` at size 1000 and seed 0 for each
+alpha vector in ``NIG_ALPHAS``: ``nig-check`` writes only summary
+statistics of the draws.  Last, for one
 small ``dp`` fit and one small ``nig`` fit of the ``fit`` data, it
 prints the raw-byte digests of the ``posterior_mean_density`` values,
 of the per-draw W2 distances to the ``gaussian:1`` mixing measure
@@ -56,7 +59,7 @@ from supermix.posterior import (
     prior_predictive_density,
     resolve_truth,
 )
-from supermix.priors import gig_sample
+from supermix.priors import NIGParams, gig_sample, nig_sample
 
 DISCRETIZE = ["discretize", "--epsilon", "1e-3", "--a", "2", "--sigma", "0.5"]
 FIT = ["fit", "--data", "fit_data.txt", "--iterations", "200", "--burn-in", "50",
@@ -67,6 +70,15 @@ LADDER = ["--n-ladder", "60,120", "--replicates", "2"]
 GIG_P = (-10.5, -1.5, -1.0, -0.5, 0.5, 1.0, 1.5, 30.5)
 GIG_AB = (1e-3, 0.5, 2.0, 2001.0)
 GIG_DRAWS_PER_CELL = 32
+
+#: the ``nig_sample`` digest cases: mixed masses, a zero cell, and the
+#: 64 cells of the N-IG prior, where rows are summed pairwise
+NIG_ALPHAS = {
+    "mixed3": [0.5, 1.0, 2.0],
+    "zero_cell3": [0.0, 1.0, 1.0],
+    "uniform64": [0.1] * 64,
+}
+NIG_DRAWS = 1000
 
 RUNS = {
     "approx_fvp": ["approx", "--density", "fvp:1", "--sigma", "1,0.7,0.5"],
@@ -151,6 +163,16 @@ def gig_digests() -> list[tuple[str, str]]:
             (hashlib.sha256(state).hexdigest(), "gig_sample.rng_state")]
 
 
+def nig_digests() -> list[tuple[str, str]]:
+    """(sha256, name) of ``nig_sample`` draws for each ``NIG_ALPHAS`` case
+    at seed 0."""
+    return [
+        (_array_digest(nig_sample(NIGParams(np.array(alphas)), np.random.default_rng(0),
+                                  size=NIG_DRAWS)), f"nig_sample_{name}.draws")
+        for name, alphas in NIG_ALPHAS.items()
+    ]
+
+
 def posterior_digests() -> list[tuple[str, str]]:
     """(sha256, name) of the summaries of a ``dp`` and a ``nig`` fit of
     the ``fit`` data at the ``fit`` config, each at seed 0; reads
@@ -195,6 +217,6 @@ if __name__ == "__main__":
         raise SystemExit("usage: cli_digests.py OUTDIR")
     for name in run_all(Path(sys.argv[1])):
         print(f"{hashlib.sha256(Path(name).read_bytes()).hexdigest()}  {name}")
-    for digest, name in (mixture_digests() + gig_digests() + posterior_digests()
+    for digest, name in (mixture_digests() + gig_digests() + nig_digests() + posterior_digests()
                          + density_digests()):
         print(f"{digest}  {name}")

@@ -312,24 +312,60 @@ def nig_density(z, params: NIGParams):
 def inverse_gaussian_sample(
     mu: np.ndarray, lam: np.ndarray, rng: np.random.Generator, size=None
 ) -> np.ndarray:
-    """Inverse-Gaussian variates by the Michael-Schucany-Haas transform.
+    """Inverse-Gaussian variates with mean ``mu`` and shape ``lam``, by the
+    Michael-Schucany-Haas transform (:func:`_ig_transform`).
 
-    The two roots of the transform multiply to mu^2; the small one is taken
-    as mu^2 over the large one, a sum of positive terms, because the usual
-    difference form cancels catastrophically when lam / mu is small.
+    ``size`` defaults to the broadcast shape of ``mu`` and ``lam``, which
+    must broadcast to it.  Raises ``ValueError`` unless every ``mu`` and
+    ``lam`` is positive and finite.
     """
     mu = np.asarray(mu, dtype=float)
     lam = np.asarray(lam, dtype=float)
+    for name, value in (("mu", mu), ("lam", lam)):
+        bad = ~((value > 0.0) & (value < np.inf))
+        if bad.any():
+            raise ValueError(
+                f"inverse-Gaussian {name} must be positive and finite, got {value[bad].flat[0]}"
+            )
     if size is None:
         size = np.broadcast(mu, lam).shape
-    nu = rng.standard_normal(size) ** 2
-    x = mu ** 2 / (
-        mu
-        + mu ** 2 * nu / (2.0 * lam)
-        + (mu / (2.0 * lam)) * np.sqrt(4.0 * mu * lam * nu + (mu * nu) ** 2)
-    )
-    accept = rng.random(size) <= mu / (mu + x)
-    return np.where(accept, x, mu ** 2 / x)
+    nu = np.atleast_1d(rng.standard_normal(size) ** 2)
+    u = rng.random(size)
+    return _ig_transform(mu, lam, nu, u).reshape(np.shape(u))
+
+
+def _ig_transform(mu, lam, nu: np.ndarray, u) -> np.ndarray:
+    """IG(mu, lam) draws from squared standard normals ``nu`` and uniforms
+    ``u`` by the Michael-Schucany-Haas transform, computed in place in
+    ``nu``, which holds the draws on return.  ``mu`` and ``lam`` broadcast
+    against ``nu``; a cell-major caller passes (N, 1) columns, so no
+    parameter is broadcast along a short inner axis.
+
+    The two roots of the transform multiply to mu^2; the small one is taken
+    as mu^2 over the large one, a sum of positive terms, because the usual
+    difference form cancels catastrophically when lam / mu is small.  Each
+    element goes through the operations of the textbook expression
+    mu^2 / (mu + mu^2 nu / (2 lam) + mu / (2 lam) sqrt(4 mu lam nu + (mu nu)^2))
+    in its order, so in-place evaluation keeps every bit.
+    """
+    mu2, two_lam = mu ** 2, 2.0 * lam
+    x = mu2 * nu
+    x /= two_lam
+    x += mu
+    square = mu * nu
+    square *= square
+    nu *= 4.0 * mu * lam
+    nu += square
+    np.sqrt(nu, out=nu)
+    nu *= mu / two_lam
+    x += nu
+    np.divide(mu2, x, out=x)  # the small root
+    np.add(mu, x, out=nu)
+    np.divide(mu, nu, out=nu)
+    accept = u <= nu
+    np.divide(mu2, x, out=nu)
+    np.copyto(nu, x, where=accept)
+    return nu
 
 
 #: rejection rounds after which :func:`_ratio_of_uniforms` gives up; a
@@ -364,7 +400,9 @@ def gig_sample(p, a, b, rng: np.random.Generator) -> np.ndarray:
     flip = np.where(half, p > 0, p < 0)
     a, b = np.where(flip, b, a), np.where(flip, a, b)
     x = np.empty(p.shape)
-    x[half] = inverse_gaussian_sample(np.sqrt(b[half] / a[half]), b[half], rng)
+    lam = b[half]
+    nu = rng.standard_normal(lam.size) ** 2
+    x[half] = _ig_transform(np.sqrt(lam / a[half]), lam, nu, rng.random(lam.size))
     # |p| >= 1: GIG(q, w, w) with w = sqrt(ab), around its mode m
     rou = ~half
     q, w = q[rou], np.sqrt(a[rou] * b[rou])
@@ -439,20 +477,38 @@ def _rou_roots(a2, a1, a0):
 
 
 def nig_sample(params: NIGParams, rng: np.random.Generator, size: int = 1) -> np.ndarray:
-    """``size`` draws from the N-IG law, shape (size, N): normalized
-    independent IG increments.
+    """``size`` draws from the N-IG law, a C-contiguous array of shape
+    (size, N): normalized independent IG increments.
 
     Cell j uses an inverse-Gaussian increment with mean alpha_j and shape
     alpha_j^2 (zero cells stay zero); the normalized vector has the
-    density of :func:`nig_density`.
+    density of :func:`nig_density`.  The draws are computed cell-major
+    by :func:`_nig_cells` and transposed once.
     """
+    return np.ascontiguousarray(_nig_cells(params, rng, size).T)
+
+
+def _nig_cells(params: NIGParams, rng: np.random.Generator, size: int) -> np.ndarray:
+    """:func:`nig_sample`'s draws transposed: cell-major, shape (N, size).
+
+    The normals and uniforms are drawn in (size, N) order, as row i of
+    :func:`nig_sample` uses them.  The squared normals are transposed
+    once into a contiguous (N, size) work array, the uniforms are read
+    through a transposed view, and each per-cell parameter broadcasts as
+    an (N, 1) column along the long axis."""
     a = params.alphas
-    out = np.zeros((size, a.size))
     pos = a > 0
-    mu = a[pos]
-    out[:, pos] = inverse_gaussian_sample(mu, mu ** 2, rng, size=(size, mu.size))
-    out /= _across_columns(np.add, out)[:, None]
-    return out
+    mu = a[pos, None]
+    shape = (size, mu.size)
+    nu = np.square(rng.standard_normal(shape).T, order="C")
+    increments = _ig_transform(mu, mu ** 2, nu, rng.random(shape).T)
+    if pos.all():
+        cells = increments
+    else:
+        cells = np.zeros((a.size, size))
+        cells[pos] = increments
+    cells /= _across_columns(np.add, cells.T)
+    return cells
 
 
 def nig_marginal_cdf(params: NIGParams, z_grid: np.ndarray) -> np.ndarray:
@@ -574,15 +630,34 @@ NIG_RATE = 2.0
 
 def _across_columns(op: np.ufunc, draws: np.ndarray) -> np.ndarray:
     """``op.reduce(draws, axis=1)`` with the same bits, for an (n_mc, N)
-    array.  Below 8 columns numpy's row-wise reduction is sequential but
-    runs a short inner loop per row, ~10x slower than N whole-column
-    passes in the same order; from 8 on it sums each row pairwise."""
+    array in either memory order; the transpose of a cell-major (N, n_mc)
+    work array is one.  Below 8 columns numpy's row-wise reduction is
+    sequential but runs a short inner loop per row, ~10x slower than N
+    whole-column passes in the same order; from 8 on it sums each row
+    pairwise, which it does only along contiguous rows, so it is handed
+    a C-ordered copy."""
     if draws.shape[1] >= 8:
-        return op.reduce(draws, axis=1)
+        return op.reduce(np.ascontiguousarray(draws), axis=1)
     acc = draws[:, 0].copy()
     for j in range(1, draws.shape[1]):
         op(acc, draws[:, j], out=acc)
     return acc
+
+
+def _event_targets(targets, eps: float, n_mc: int) -> np.ndarray:
+    """The targets of a Monte-Carlo event test as a float array, after
+    checking the test's inputs: a budget ``n_mc`` >= 1, a non-empty 1-D
+    array of finite targets and a finite ``eps`` > 0."""
+    targets = np.asarray(targets, dtype=float)
+    if not n_mc >= 1:
+        raise ValueError(f"Monte-Carlo budget n_mc must be >= 1, got {n_mc}")
+    if targets.ndim != 1 or targets.size == 0:
+        raise ValueError(f"event targets must be a non-empty 1-D array, got shape {targets.shape}")
+    if not np.all(np.isfinite(targets)):
+        raise ValueError(f"event targets must be finite, got {targets.tolist()}")
+    if not 0.0 < eps < math.inf:
+        raise ValueError(f"eps must be finite and positive, got {eps}")
+    return targets
 
 
 def _mc_estimate(hit: np.ndarray) -> tuple[float, float]:
@@ -618,6 +693,26 @@ def prior_mass_bound_py_sticks(
     return constants.bound(py_sticks_exponent(n, eps, v_max, d))
 
 
+def _py_stick_draws(c: float, d: float, n: int, n_mc: int, rng: np.random.Generator) -> np.ndarray:
+    """``n_mc`` draws of the first ``n`` Pitman-Yor sticks, cell-major:
+    shape (n, n_mc), row j - 1 holding V_j ~ Beta(1 - d, c + d j).
+
+    Each stick is the gamma ratio G_a / (G_a + G_b) of independent
+    standard gammas of shapes 1 - d and c + d j (Devroye, Non-Uniform
+    Random Variate Generation, 1986, IX.4), which numpy's own ``beta``
+    uses whenever a shape exceeds 1; at Beta(1, 1) it replaces Johnk's
+    rejection loop by two exponential draws.  Every G_a is drawn first,
+    row by row, then every G_b.  Raises ``ValueError`` unless 0 <= d < 1
+    and c > -d."""
+    if not (0.0 <= d < 1.0 and c > -d):
+        raise ValueError(f"Pitman-Yor sticks need 0 <= d < 1 and c > -d, got c={c}, d={d}")
+    numerators = rng.standard_gamma(1.0 - d, size=(n, n_mc))
+    totals = rng.standard_gamma((c + d * np.arange(1, n + 1))[:, None], size=(n, n_mc))
+    totals += numerators
+    numerators /= totals
+    return numerators
+
+
 def simulate_py_stick_event(
     v_targets: np.ndarray,
     eps: float,
@@ -626,17 +721,18 @@ def simulate_py_stick_event(
     n_mc: int,
     rng: np.random.Generator,
 ) -> tuple[float, float]:
-    """Monte-Carlo probability (and standard error) of the stick event."""
-    v = np.asarray(v_targets, dtype=float)
+    """Monte-Carlo probability (and standard error) of the stick event,
+    on ``n_mc`` draws of the sticks from :func:`_py_stick_draws`.  The sums
+    and minima run over its cell-major rows, with numpy's row-wise bits."""
+    v = _event_targets(v_targets, eps, n_mc)
     n = v.size
-    js = np.arange(1, n + 1)
-    draws = rng.beta(1.0 - d, c + d * js, size=(n_mc, n))
+    sticks = _py_stick_draws(c, d, n, n_mc, rng)
+    floor = _across_columns(np.minimum, sticks.T) > eps / n ** 2
     # sum_{j<=N} sum_{h<=j} |V_h - v_h| = sum_h (N - h + 1) |V_h - v_h|
-    coef = n - js + 1.0
-    dist = _across_columns(np.add, coef * np.abs(draws - v))
-    return _mc_estimate(
-        (dist <= 2.0 * eps) & (_across_columns(np.minimum, draws) > eps / n ** 2)
-    )
+    sticks -= v[:, None]
+    np.abs(sticks, out=sticks)
+    sticks *= np.arange(n, 0, -1.0)[:, None]
+    return _mc_estimate((_across_columns(np.add, sticks.T) <= 2.0 * eps) & floor)
 
 
 def py_locations_exponent(n: int, eps: float, a: float, base: BaseMeasure) -> float:
@@ -668,9 +764,13 @@ def simulate_py_location_event(
     n_mc: int,
     rng: np.random.Generator,
 ) -> tuple[float, float]:
-    z = np.asarray(z_targets, dtype=float)
-    draws = base.sample(rng, (n_mc, z.size))
-    return _mc_estimate(_across_columns(np.add, np.abs(draws - z)) <= eps)
+    """Monte-Carlo probability (and standard error) of the location
+    event; the base draws come in (n_mc, N) order and are transposed once,
+    minus the targets, into a cell-major work array."""
+    z = _event_targets(z_targets, eps, n_mc)
+    cells = np.subtract(base.sample(rng, (n_mc, z.size)).T, z[:, None], order="C")
+    np.abs(cells, out=cells)
+    return _mc_estimate(_across_columns(np.add, cells.T) <= eps)
 
 
 def nig_exponent(n: int, eps: float, z0: np.ndarray) -> float:
@@ -712,12 +812,16 @@ def simulate_nig_event(
     n_mc: int,
     rng: np.random.Generator,
 ) -> tuple[float, float]:
-    z0 = np.asarray(z0, dtype=float)
-    draws = nig_sample(params, rng, size=n_mc)
-    return _mc_estimate(
-        (_across_columns(np.add, np.abs(draws - z0)) <= 2.0 * eps)
-        & (_across_columns(np.minimum, draws) > eps ** 2 / 2.0)
-    )
+    """Monte-Carlo probability (and standard error) of the N-IG event, on
+    the cell-major draws of :func:`_nig_cells`."""
+    z0 = _event_targets(z0, eps, n_mc)
+    if z0.size != params.n_cells:
+        raise ValueError(f"need one target per cell: {z0.size} targets, {params.n_cells} cells")
+    cells = _nig_cells(params, rng, n_mc)
+    floor = _across_columns(np.minimum, cells.T) > eps ** 2 / 2.0
+    cells -= z0[:, None]
+    np.abs(cells, out=cells)
+    return _mc_estimate((_across_columns(np.add, cells.T) <= 2.0 * eps) & floor)
 
 
 @dataclass(frozen=True)

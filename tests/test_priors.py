@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +40,9 @@ from supermix.priors import (
     ndtri,
     nig_marginal_cdf,
     py_expected_weights,
+    simulate_nig_event,
     simulate_py_location_event,
+    simulate_py_stick_event,
     truncated_normal_sample,
 )
 
@@ -336,6 +339,20 @@ class TestNIGSampler:
         assert abs(y.mean() - 2.0) <= 4 * y.std() / math.sqrt(y.size)
         assert abs(y.var() - 8.0 / 3.0) / (8.0 / 3.0) <= 0.05
 
+    @pytest.mark.parametrize("mu, lam, name", [
+        (-1.0, 1.0, "mu"), (0.0, 1.0, "mu"), (np.inf, 1.0, "mu"), (np.nan, 1.0, "mu"),
+        (1.0, -2.0, "lam"), (1.0, 0.0, "lam"), (1.0, np.inf, "lam"),
+        (np.array([1.0, -1.0]), 1.0, "mu"),
+    ], ids=["mu_negative", "mu_zero", "mu_inf", "mu_nan", "lam_negative", "lam_zero",
+            "lam_inf", "mu_array_with_negative"])
+    def test_inverse_gaussian_rejects_bad_parameters(self, mu, lam, name):
+        with pytest.raises(ValueError, match=f"inverse-Gaussian {name} must be positive"):
+            inverse_gaussian_sample(mu, lam, np.random.default_rng(0), size=10)
+
+    def test_inverse_gaussian_scalar_parameters_give_a_scalar_draw(self):
+        y = inverse_gaussian_sample(2.0, 3.0, np.random.default_rng(0))
+        assert y.shape == () and y > 0
+
     @pytest.mark.parametrize("omega", [1e-2, 1e-4, 1e-6, 1e-8])
     def test_inverse_gaussian_root_against_mpmath(self, omega):
         # small omega = lam / mu is where the difference form of the
@@ -587,12 +604,80 @@ class TestPriorMassBounds:
         # roughly doubles N and grows the inner log
         assert 1.8 <= b4 / b2 <= 4.0
 
+    @pytest.mark.parametrize("simulate", [
+        lambda t, eps, n_mc: simulate_py_stick_event(t, eps, 1.0, 0.25, n_mc,
+                                                     np.random.default_rng(0)),
+        lambda t, eps, n_mc: simulate_py_location_event(t, eps, BaseMeasure(), n_mc,
+                                                        np.random.default_rng(0)),
+        lambda t, eps, n_mc: simulate_nig_event(t, eps, NIGParams(np.full(2, 0.5)), n_mc,
+                                                np.random.default_rng(0)),
+    ], ids=["py-sticks", "py-locations", "nig"])
+    @pytest.mark.parametrize("targets, eps, n_mc, match", [
+        ([0.4, 0.3], 0.2, 0, "budget n_mc must be >= 1"),
+        ([0.4, 0.3], 0.2, -5, "budget n_mc must be >= 1"),
+        ([np.nan, 0.3], 0.2, 100, "targets must be finite"),
+        ([0.4, np.inf], 0.2, 100, "targets must be finite"),
+        ([0.4, 0.3], np.nan, 100, "eps must be finite and positive"),
+        ([0.4, 0.3], np.inf, 100, "eps must be finite and positive"),
+        ([0.4, 0.3], 0.0, 100, "eps must be finite and positive"),
+        ([0.4, 0.3], -0.1, 100, "eps must be finite and positive"),
+        ([], 0.2, 100, "non-empty 1-D array"),
+        ([[0.4, 0.3]], 0.2, 100, "non-empty 1-D array"),
+    ], ids=["zero_budget", "negative_budget", "nan_target", "inf_target", "nan_eps",
+            "inf_eps", "zero_eps", "negative_eps", "no_targets", "2d_targets"])
+    def test_event_tests_reject_bad_inputs(self, simulate, targets, eps, n_mc, match):
+        with pytest.raises(ValueError, match=match):
+            simulate(np.array(targets), eps, n_mc)
+
+    @pytest.mark.parametrize("c, d", [(1.0, 1.0), (1.0, -0.1), (-0.5, 0.0), (np.nan, 0.0)])
+    def test_stick_event_rejects_bad_pitman_yor_parameters(self, c, d):
+        # a discount of 1 makes every G(1 - d) zero: the event would read 0
+        with pytest.raises(ValueError, match="Pitman-Yor sticks need"):
+            simulate_py_stick_event(np.array([0.5, 0.35]), 0.2, c, d, 100,
+                                    np.random.default_rng(0))
+
+    @pytest.mark.parametrize("z0", [[0.5], [0.3, 0.3, 0.3]])
+    def test_nig_event_needs_one_target_per_cell(self, z0):
+        # a single target used to broadcast across both cells
+        with pytest.raises(ValueError, match="one target per cell"):
+            simulate_nig_event(np.array(z0), 0.2, NIGParams(np.full(2, 0.5)), 100,
+                               np.random.default_rng(0))
+
+    def test_nig_table_memory_peak(self):
+        # at most 4.5 full-size work arrays of the largest (N = 4) case
+        one_array = 10 ** 5 * 4 * 8
+        lemma_verification_table("nig", 10, np.random.default_rng(0))  # warm caches
+        tracemalloc.start()
+        try:
+            lemma_verification_table("nig", 10 ** 5, np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5 * one_array, peak / one_array
+
     def test_verification_tables_small_budget(self):
         rng = np.random.default_rng(12)
         for lemma in ("py-sticks", "py-locations", "nig"):
             consts, rows = lemma_verification_table(lemma, 10 ** 5, rng)
             assert len(rows) >= 6
             assert all(r.holds for r in rows), lemma
+
+
+class TestPYStickDraws:
+    KS_P_MIN = 1e-3
+
+    def test_ks_against_beta_for_every_grid_pair(self):
+        # every (1 - d, c + d j) pair of the py-sticks grid, 10^5 draws each
+        pairs = {(1.0 - d, c + d * j): (c, d, v.size, j)
+                 for v, _, c, d in priors._PY_STICKS_GRID for j in range(1, v.size + 1)}
+        rng = np.random.default_rng(20261019)
+        pvalues = {}
+        for (a, b), (c, d, n, j) in pairs.items():
+            sticks = priors._py_stick_draws(c, d, n, 10 ** 5, rng)
+            assert sticks.shape == (n, 10 ** 5)
+            pvalues[a, b] = kstest(sticks[j - 1], beta_dist(a, b).cdf).pvalue
+        low = {pair: p for pair, p in pvalues.items() if p < self.KS_P_MIN}
+        assert len(pvalues) == 8 and not low, low
 
 
 class TestTruncatedNormal:
@@ -659,7 +744,10 @@ def _nig_sample_axis1(params, rng, size):
 def _py_sticks_axis1(v, eps, c, d, n_mc, rng):
     n = v.size
     js = np.arange(1, n + 1)
-    draws = rng.beta(1.0 - d, c + d * js, size=(n_mc, n))
+    # the library's stick law: gamma ratios, drawn cell by cell
+    g_a = rng.standard_gamma(1.0 - d, size=(n, n_mc)).T
+    g_b = rng.standard_gamma((c + d * js)[:, None], size=(n, n_mc)).T
+    draws = g_a / (g_a + g_b)
     dist = ((n - js + 1.0) * np.abs(draws - v)).sum(axis=1)
     return priors._mc_estimate((dist <= 2.0 * eps) & (draws.min(axis=1) > eps / n ** 2))
 
@@ -703,6 +791,12 @@ class TestColumnReductions:
         got = nig_sample(params, np.random.default_rng(4), size=500)
         want = _nig_sample_axis1(params, np.random.default_rng(4), 500)
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("alphas", [[0.5, 2.0], [0.0, 1.0, 0.3], np.full(64, 0.1)])
+    def test_nig_sample_rows_are_c_contiguous(self, alphas):
+        # callers reduce along axis 0, whose bits depend on the memory order
+        z = nig_sample(NIGParams(np.asarray(alphas, dtype=float)), np.random.default_rng(4), 50)
+        assert z.shape == (50, len(alphas)) and z.flags.c_contiguous
 
     @pytest.mark.parametrize("n_cols", range(1, 11))
     def test_across_columns_matches_axis1_reduce(self, n_cols):
