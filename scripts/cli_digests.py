@@ -13,20 +13,22 @@ branches (inverse Gaussian at |p| = 1/2, ratio-of-uniforms at |p| >= 1)
 at seed 0, and one for the generator state after them.  It prints the
 raw-byte digest of ``nig_sample`` at size 1000 and seed 0 for each
 alpha vector in ``NIG_ALPHAS``: ``nig-check`` writes only summary
-statistics of the draws.  Last, for one
-small ``dp`` fit and one small ``nig`` fit of the ``fit`` data, it
-prints the raw-byte digests of the ``posterior_mean_density`` values,
-of the per-draw W2 distances to the ``gaussian:1`` mixing measure
-(``metrics.wasserstein`` over the draws) and of every draw's sigma and
-log likelihood; the CSVs round floats to 17 digits, these do not.  It
-also prints the raw-byte digest of ``mixture_density`` for the 64 N-IG
-cell midpoints with seed-0 Dirichlet weights on ``experiment_grid()`` at
-sigma = 0.15, 0.4 and 1.0 (atoms on the grid's lattice), and of
-``prior_predictive_density`` for the ``nig`` and ``dp`` configs at seed
-0 (sigma from the prior, so most Gaussian terms underflow).  Outputs are
-named relative to OUTDIR, so the sidecars do not depend on where OUTDIR
-lives, and a refactor that keeps the RNG stream proves byte identity
-with one ``diff``:
+statistics of the draws.  For one small ``dp`` fit and one small
+``nig`` fit of the ``fit`` data, it prints the raw-byte digests of the
+``posterior_mean_density`` values, of the per-draw W2 distances to the
+``gaussian:1`` mixing measure (``metrics.wasserstein`` over the draws)
+and of every draw's sigma and log likelihood; the CSVs round floats to
+17 digits, these do not.  It also prints the raw-byte digest of
+``mixture_density`` for the 64 N-IG cell midpoints with seed-0 Dirichlet
+weights on ``experiment_grid()`` at sigma = 0.15, 0.4 and 1.0 (atoms on
+the grid's lattice), and of ``prior_predictive_density`` for the
+``nig``, ``dp`` and ``py`` configs at seed 0 (sigma from the prior, so
+most Gaussian terms underflow).  Last, for d = 0 and d = 0.25 (c = 1),
+it prints the raw-byte digests of the sticks, the atoms, the weights and
+the remainders of 50 ``py_sample`` draws at seed 0 and tolerance 1e-4,
+each concatenated over the draws.  Outputs are named relative to OUTDIR,
+so the sidecars do not depend on where OUTDIR lives, and a refactor that
+keeps the RNG stream proves byte identity with one ``diff``:
 
     python3 scripts/cli_digests.py /tmp/new > new.txt
     (in a checkout of the parent) python3 scripts/cli_digests.py /tmp/old > old.txt
@@ -59,7 +61,7 @@ from supermix.posterior import (
     prior_predictive_density,
     resolve_truth,
 )
-from supermix.priors import NIGParams, gig_sample, nig_sample
+from supermix.priors import NIGParams, PYParams, gig_sample, nig_sample, py_sample
 
 DISCRETIZE = ["discretize", "--epsilon", "1e-3", "--a", "2", "--sigma", "0.5"]
 FIT = ["fit", "--data", "fit_data.txt", "--iterations", "200", "--burn-in", "50",
@@ -79,6 +81,11 @@ NIG_ALPHAS = {
     "uniform64": [0.1] * 64,
 }
 NIG_DRAWS = 1000
+
+#: the ``py_sample`` digest cases: discounts, draws per discount, tolerance
+PY_SAMPLE_DISCOUNTS = (0.0, 0.25)
+PY_SAMPLE_DRAWS = 50
+PY_SAMPLE_TOL = 1e-4
 
 RUNS = {
     "approx_fvp": ["approx", "--density", "fvp:1", "--sigma", "1,0.7,0.5"],
@@ -205,10 +212,29 @@ def density_digests() -> list[tuple[str, str]]:
     for sigma in (0.15, 0.4, 1.0):
         values = mixture_density(atoms, weights, KernelSpec("gaussian"), sigma, x)
         out.append((_array_digest(values), f"mixture_density_nig_midpoints_sigma{sigma}"))
-    for prior in ("nig", "dp"):
+    for prior in ("nig", "dp", "py"):
         values = prior_predictive_density(default_py_config(prior), experiment_grid(),
                                           np.random.default_rng(0)).values
         out.append((_array_digest(values), f"prior_predictive_{prior}"))
+    return out
+
+
+def py_sample_digests() -> list[tuple[str, str]]:
+    """(sha256, name) of the parts of ``PY_SAMPLE_DRAWS`` seed-0
+    ``py_sample`` draws for each discount in ``PY_SAMPLE_DISCOUNTS``."""
+    out = []
+    for d in PY_SAMPLE_DISCOUNTS:
+        rng = np.random.default_rng(0)
+        draws = [py_sample(PYParams(c=1.0, d=d), PY_SAMPLE_TOL, rng)
+                 for _ in range(PY_SAMPLE_DRAWS)]
+        arrays = {
+            "sticks": np.concatenate([draw.sticks for draw in draws]),
+            "atoms": np.concatenate([draw.atoms for draw in draws]),
+            "weights": np.concatenate([draw.weights for draw in draws]),
+            "remainders": [draw.remainder for draw in draws],
+        }
+        for part, values in arrays.items():
+            out.append((_array_digest(values), f"py_sample_d{d}.{part}"))
     return out
 
 
@@ -218,5 +244,5 @@ if __name__ == "__main__":
     for name in run_all(Path(sys.argv[1])):
         print(f"{hashlib.sha256(Path(name).read_bytes()).hexdigest()}  {name}")
     for digest, name in (mixture_digests() + gig_digests() + nig_digests() + posterior_digests()
-                         + density_digests()):
+                         + density_digests() + py_sample_digests()):
         print(f"{digest}  {name}")

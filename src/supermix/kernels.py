@@ -71,18 +71,22 @@ class KernelSpec:
             raise UnknownFamily(f"unknown kernel family {self.family!r}")
         if not self.scale > 0:
             raise ScaleTooSmall("scale must be positive")
+        if not math.isfinite(self.scale * self.scale):
+            raise ValueError(f"scale must be finite with a finite square, got {self.scale}")
         if self.family == "stable":
             r = self.shape
             if r is None or not 0 < float(r) <= 2:
                 raise InvalidShape("stable exponent must lie in (0, 2]")
         if self.family == "student_t":
             nu = self.shape
-            if nu is None or not float(nu) > 0:
-                raise InvalidShape("student_t needs positive degrees of freedom")
+            if nu is None or not 0 < float(nu) < math.inf:
+                raise InvalidShape(f"student_t needs finite positive degrees of freedom, got {nu}")
         if self.family == "superkernel":
             flat, cutoff = self.shape if self.shape is not None else (1.0, 2.0)
-            if not 0 < flat < cutoff:
-                raise InvalidShape("superkernel needs 0 < flat < cutoff")
+            if not 0 < flat < cutoff < math.inf:
+                raise InvalidShape(
+                    f"superkernel needs 0 < flat < cutoff < inf, got flat={flat}, cutoff={cutoff}"
+                )
             object.__setattr__(self, "shape", (float(flat), float(cutoff)))
 
     # -- closed forms ---------------------------------------------------

@@ -66,6 +66,8 @@ from .priors import (
     gig_sample,
     nig_sample,
     py_sample,
+    py_sticks,
+    stick_log_weights,
     truncated_normal_sample,
 )
 
@@ -334,42 +336,27 @@ class _PYSticks:
     def __init__(self, prior: PYParams, truncation: int, rng: np.random.Generator):
         self.prior = prior
         self.js = np.arange(1, truncation + 1)
-        self.sticks = rng.beta(1.0 - prior.d, prior.c + prior.d * self.js)
-        self.sticks[-1] = 1.0
+        self._draw_sticks(rng)
         self.atoms = prior.base.sample(rng, truncation)
 
+    def _draw_sticks(self, rng: np.random.Generator, counts=0, above=0) -> None:
+        """Sticks from ``py_sticks``, clipped so every log weight is finite;
+        the last is pinned to 1 so the truncated weights sum to 1 exactly."""
+        self.sticks = np.clip(py_sticks(self.prior, self.js, rng, counts, above), 1e-12, 1 - 1e-12)
+        self.sticks[-1] = 1.0
+
     def log_weights(self) -> np.ndarray:
-        return _stick_log_weights(self.sticks)
+        return stick_log_weights(self.sticks)
 
     def weights(self) -> np.ndarray:
         weights = np.exp(self.log_weights())
         return weights / weights.sum()
 
     def update(self, data, alloc, counts, sigma, rng) -> None:
-        self.sticks = _update_sticks(counts, self.prior, self.js, rng)
+        self._draw_sticks(rng, counts, counts.sum() - counts.cumsum())
         self.atoms = _update_atoms_py(
             data, alloc, counts, sigma, self.prior.base, rng, self.js.size
         )
-
-
-def _update_sticks(
-    counts: np.ndarray, prior: PYParams, js: np.ndarray, rng: np.random.Generator
-) -> np.ndarray:
-    """Conjugate Beta stick updates; the last stick is pinned to 1 so the
-    truncated weights sum to 1 exactly.  With all counts zero this draws
-    from the prior stick law."""
-    tail = counts[::-1].cumsum()[::-1]
-    above = np.concatenate([tail[1:], [0]])
-    sticks = rng.beta(1.0 - prior.d + counts, prior.c + prior.d * js + above)
-    sticks = np.clip(sticks, 1e-12, 1.0 - 1e-12)
-    sticks[-1] = 1.0
-    return sticks
-
-
-def _stick_log_weights(sticks: np.ndarray) -> np.ndarray:
-    log_v = np.log(sticks)
-    log_1mv = np.log1p(-np.clip(sticks, None, 1.0 - 1e-15))
-    return log_v + np.concatenate([[0.0], np.cumsum(log_1mv[:-1])])
 
 
 def _update_atoms_py(data, alloc, counts, sigma, base: BaseMeasure, rng, L):
@@ -446,14 +433,17 @@ def prior_predictive_density(
     """Monte-Carlo prior predictive; the no-data baseline for dominance checks."""
     x = grid.grid()
     acc = np.zeros_like(x)
-    for _ in range(PRIOR_PREDICTIVE_DRAWS):
-        if isinstance(cfg.prior, NIGPartitionPrior):
-            w = nig_sample(cfg.prior.nig_params(), rng)[0]
-            mix = DiscreteMixingMeasure(cfg.prior.cell_midpoints(), w)
-        else:
+    if isinstance(cfg.prior, NIGPartitionPrior):
+        params, midpoints = cfg.prior.nig_params(), cfg.prior.cell_midpoints()
+
+        def draw_mixing() -> DiscreteMixingMeasure:
+            return DiscreteMixingMeasure(midpoints, nig_sample(params, rng)[0])
+    else:
+        def draw_mixing() -> DiscreteMixingMeasure:
             draw = py_sample(cfg.prior, PRIOR_PREDICTIVE_TRUNC_TOL, rng)
-            w = draw.weights / draw.weights.sum()
-            mix = DiscreteMixingMeasure(draw.atoms, w)
+            return DiscreteMixingMeasure(draw.atoms, draw.weights / draw.weights.sum())
+    for _ in range(PRIOR_PREDICTIVE_DRAWS):
+        mix = draw_mixing()
         sigma = (
             cfg.fixed_sigma
             if cfg.fixed_sigma is not None

@@ -191,6 +191,19 @@ class StickBreakingDraw:
         return self.weights.size
 
 
+def py_sticks(params: PYParams, js: np.ndarray, rng: np.random.Generator,
+              counts=0, above=0) -> np.ndarray:
+    """Unclipped sticks V_j ~ Beta(1 - d + counts_j, c + d j + above_j) at levels
+    ``js``: the prior law with no counts, and with counts m_j and above_j =
+    sum_{k>j} m_k the conjugate update (Ishwaran & James, JASA 96, 2001)."""
+    return rng.beta(1.0 - params.d + counts, params.c + params.d * js + above)
+
+
+def stick_log_weights(sticks: np.ndarray) -> np.ndarray:
+    """log W_j = log V_j + sum_{k<j} log(1 - V_k); only the last stick may be 1."""
+    return np.log(sticks) + np.concatenate([[0.0], np.cumsum(np.log1p(-sticks[:-1]))])
+
+
 def py_sample(
     params: PYParams,
     trunc_tol: float,
@@ -201,7 +214,6 @@ def py_sample(
     Sticks are drawn in blocks of 64 levels, doubling up to 2^16."""
     if not 0.0 < trunc_tol <= 0.1:
         raise ValueError("trunc_tol must lie in (0, 0.1]")
-    a = 1.0 - params.d
     block = 64
     log_tol = math.log(trunc_tol)
     chunks = []
@@ -209,8 +221,7 @@ def py_sample(
     level = 0
     stop = None
     while stop is None:
-        js = np.arange(level + 1, level + block + 1)
-        v = rng.beta(a, params.c + params.d * js)
+        v = py_sticks(params, np.arange(level + 1, level + block + 1), rng)
         log_left = log_remainder + np.cumsum(np.log1p(-v))
         hit = np.nonzero(log_left <= log_tol)[0]
         if hit.size:
@@ -226,14 +237,11 @@ def py_sample(
                     f"stick-breaking needed more than {TRUNCATION_CAP} levels"
                 )
     sticks = np.concatenate(chunks)
-    one_minus = np.concatenate([[1.0], np.cumprod(1.0 - sticks)[:-1]])
-    weights = sticks * one_minus
-    atoms = params.base.sample(rng, sticks.size)
     return StickBreakingDraw(
         sticks=sticks,
-        weights=weights,
-        atoms=atoms,
-        remainder=float(np.prod(1.0 - sticks)),
+        weights=np.exp(stick_log_weights(sticks)),
+        atoms=params.base.sample(rng, sticks.size),
+        remainder=math.exp(log_left[stop - 1]),
     )
 
 

@@ -202,6 +202,24 @@ def test_non_positive_bandwidth_exits_2(tmp_path, capsys, argv):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [(["approx", "--density", "cauchy:inf", "--sigma", "0.5"], "got inf"),
+     (["transform", "--density", "gaussian:inf", "--sigma", "0.5"], "got inf"),
+     (["approx", "--density", "student_t:inf:1", "--sigma", "0.5"], "got inf"),
+     (["approx", "--density", "superkernel:1:inf:1", "--sigma", "0.5"], "cutoff=inf"),
+     (["contract", "--truth", "gaussian:1e200", "--n-ladder", "20", "--replicates", "1"],
+      "got 1e+200"),
+     (["transform", "--density", "gaussian:1e200", "--sigma", "0.5"], "got 1e+200")],
+    ids=["cauchy-inf-scale", "gaussian-inf-scale", "student_t-inf-df",
+         "superkernel-inf-cutoff", "contract-overflowing-scale", "transform-overflowing-scale"],
+)
+def test_non_finite_kernel_parameter_exits_2(tmp_path, capsys, argv, message):
+    assert main(argv + ["--out", str(tmp_path / "k.csv")]) == 2
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("order", ["0", "1", "3", "5"])
 def test_transform_unconverged_order_exits_2(tmp_path, capsys, order):
     assert main(["transform", "--density", "gaussian:1", "--sigma", "0.5",

@@ -105,21 +105,39 @@ class TestConfigValidation:
             _worker_count(-3, 30, cpu_count=4)
 
 
+def _stick_updates(prior, counts, n_updates, seed):
+    """Sticks after each of ``n_updates`` calls of the sweep's Pitman-Yor
+    block update at fixed occupation ``counts`` (one row per update)."""
+    rng = np.random.default_rng(seed)
+    block = posterior._PYSticks(prior, counts.size, rng)
+    alloc = np.repeat(np.arange(counts.size), counts)
+    data = np.zeros(alloc.size)
+    out = np.empty((n_updates, counts.size))
+    for row in out:
+        block.update(data, alloc, counts, 1.0, rng)
+        row[:] = block.sticks
+    return out
+
+
 class TestGibbsPY:
     def test_prior_only_stick_marginal(self):
         # likelihood off (zero counts): the sampler's stick update must
         # draw V_1 from Beta(1 - d, c + d)
-        from supermix.posterior import _update_sticks
-
         prior = PYParams(c=1.5, d=0.3, base=BaseMeasure("gaussian", 2.0))
-        rng = np.random.default_rng(21)
-        counts = np.zeros(10, dtype=int)
-        js = np.arange(1, 11)
-        v1 = np.array(
-            [_update_sticks(counts, prior, js, rng)[0] for _ in range(10 ** 4)]
-        )
-        stat = kstest(v1, beta_dist(1 - 0.3, 1.5 + 0.3).cdf)
+        v = _stick_updates(prior, np.zeros(10, dtype=int), 10 ** 4, seed=21)
+        stat = kstest(v[:, 0], beta_dist(1 - 0.3, 1.5 + 0.3).cdf)
         assert stat.pvalue > 0.01
+
+    def test_conjugate_stick_update_with_counts(self):
+        # V_j | m ~ Beta(1 - d + m_j, c + d j + M_{>j}), M_{>j} = sum_{k>j} m_k
+        c, d = 1.5, 0.3
+        prior = PYParams(c=c, d=d, base=BaseMeasure("gaussian", 2.0))
+        m = np.array([3, 0, 5, 2, 0, 0, 0, 0, 0, 0])
+        v = _stick_updates(prior, m, 10 ** 4, seed=22)
+        above = m[::-1].cumsum()[::-1] - m
+        for j in range(1, 5):
+            law = beta_dist(1 - d + m[j - 1], c + d * j + above[j - 1])
+            assert kstest(v[:, j - 1], law.cdf).pvalue > 0.01, j
 
     def test_truncation_weights_sum(self, gaussian_data):
         truth, data = gaussian_data

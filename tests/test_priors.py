@@ -105,6 +105,17 @@ class TestStickBreaking:
             assert draw.remainder <= 1e-3
             assert np.all(draw.weights >= 0)
 
+    @pytest.mark.parametrize("d", [0.0, 0.25, 0.4])
+    def test_weights_match_stick_products(self, d):
+        # the log-space weight map against the direct product form
+        rng = np.random.default_rng(4)
+        for _ in range(300):
+            draw = py_sample(PYParams(c=1.0, d=d), 1e-3, rng)
+            v = draw.sticks
+            product = v * np.concatenate([[1.0], np.cumprod(1.0 - v)[:-1]])
+            np.testing.assert_allclose(draw.weights, product, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(draw.remainder, np.prod(1.0 - v), rtol=1e-12, atol=0)
+
     def test_expected_weights_dirichlet_case(self):
         # E[W_j] = 2^{-j} for c = 1, d = 0, against a Monte-Carlo average
         rng = np.random.default_rng(1)
