@@ -2,8 +2,9 @@
 """SHA-256 digests of every CLI subcommand's outputs at ``--seed 0``.
 
 Runs each subcommand on a small fixed config (``contract`` and ``w2`` at
-``--threads 1`` and ``2``; ``discretize`` on a catalog density and on an
-``--atoms-csv`` file the script writes) inside OUTDIR and prints one
+``--threads 1`` and ``2``, and ``contract`` once more at ``--truth
+gaussian:0.5`` and ``--threads 1``; ``discretize`` on a catalog density
+and on an ``--atoms-csv`` file the script writes) inside OUTDIR and prints one
 ``sha256  file`` line per CSV and sidecar.  It then prints one
 ``sha256  name`` line for the atoms, the weights and the grid density of
 ``finite_gaussian_mixture(catalog_density("gaussian:1"), sigma)`` at
@@ -16,14 +17,16 @@ alpha vector in ``NIG_ALPHAS``: ``nig-check`` writes only summary
 statistics of the draws.  For one small ``dp`` fit and one small
 ``nig`` fit of the ``fit`` data, it prints the raw-byte digests of the
 ``posterior_mean_density`` values, of the per-draw W2 distances to the
-``gaussian:1`` mixing measure (``metrics.wasserstein`` over the draws)
-and of every draw's sigma and log likelihood; the CSVs round floats to
+``gaussian:1`` mixing measure (``metrics.quantile_distance`` over the
+chain's atom and weight rows) and of the chain's sigma and log
+likelihood arrays; the CSVs round floats to
 17 digits, these do not.  It also prints the raw-byte digest of
 ``mixture_density`` for the 64 N-IG cell midpoints with seed-0 Dirichlet
 weights on ``experiment_grid()`` at sigma = 0.15, 0.4 and 1.0 (atoms on
 the grid's lattice), and of ``prior_predictive_density`` for the
 ``nig``, ``dp`` and ``py`` configs at seed 0 (sigma from the prior, so
-most Gaussian terms underflow).  Last, for d = 0 and d = 0.25 (c = 1),
+most Gaussian terms underflow) and for ``default_w2_config()`` (sigma
+fixed at 1, uniform base).  Last, for d = 0 and d = 0.25 (c = 1),
 it prints the raw-byte digests of the sticks, the atoms, the weights and
 the remainders of 50 ``py_sample`` draws at seed 0 and tolerance 1e-4,
 each concatenated over the draws.  Outputs are named relative to OUTDIR,
@@ -51,11 +54,12 @@ import numpy as np
 from supermix.cli import main
 from supermix.discretize import finite_gaussian_mixture, mixture_density
 from supermix.kernels import KernelSpec, catalog_density
-from supermix.metrics import wasserstein
+from supermix.metrics import quantile_distance
 from supermix.posterior import (
     NIGPartitionPrior,
     blocked_gibbs_fit,
     default_py_config,
+    default_w2_config,
     experiment_grid,
     posterior_mean_density,
     prior_predictive_density,
@@ -115,6 +119,8 @@ RUNS = {
                                          "--threads", str(threads)]
         for prior in ("dp", "nig") for threads in (1, 2)
     },
+    "contract_dp_gaussian0.5_t1": ["contract", "--prior", "dp", "--truth", "gaussian:0.5",
+                                   *LADDER, "--threads", "1"],
     **{f"w2_t{threads}": ["w2", *LADDER, "--threads", str(threads)] for threads in (1, 2)},
 }
 
@@ -185,17 +191,18 @@ def posterior_digests() -> list[tuple[str, str]]:
     the ``fit`` data at the ``fit`` config, each at seed 0; reads
     ``fit_data.txt`` from the working directory that ``run_all`` set."""
     data = np.loadtxt("fit_data.txt")
-    truth = resolve_truth("gaussian:1")
+    t = resolve_truth("gaussian:1").mixing
     out = []
     for prior in ("dp", "nig"):
         cfg = replace(default_py_config(prior), iterations=200, burn_in=50,
                       thinning=2, truncation=20)
-        draws = blocked_gibbs_fit(data, cfg, np.random.default_rng(0))
+        chain = blocked_gibbs_fit(data, cfg, np.random.default_rng(0))
         arrays = {
-            "mean_density": posterior_mean_density(draws, experiment_grid()).values,
-            "w2": [wasserstein(d.mixing, truth.mixing, 2.0) for d in draws],
-            "sigma": [d.sigma for d in draws],
-            "loglik": [d.loglik for d in draws],
+            "mean_density": posterior_mean_density(chain, experiment_grid()).values,
+            "w2": [quantile_distance(a, w, t.atoms, t.weights, 2.0)
+                   for a, w in zip(chain.atoms, chain.weights)],
+            "sigma": chain.sigma,
+            "loglik": chain.loglik,
         }
         for part, values in arrays.items():
             out.append((_array_digest(values), f"posterior_{prior}.{part}"))
@@ -212,10 +219,11 @@ def density_digests() -> list[tuple[str, str]]:
     for sigma in (0.15, 0.4, 1.0):
         values = mixture_density(atoms, weights, KernelSpec("gaussian"), sigma, x)
         out.append((_array_digest(values), f"mixture_density_nig_midpoints_sigma{sigma}"))
-    for prior in ("nig", "dp", "py"):
-        values = prior_predictive_density(default_py_config(prior), experiment_grid(),
+    configs = {prior: default_py_config(prior) for prior in ("nig", "dp", "py")}
+    for name, cfg in {**configs, "w2": default_w2_config()}.items():
+        values = prior_predictive_density(cfg, experiment_grid(),
                                           np.random.default_rng(0)).values
-        out.append((_array_digest(values), f"prior_predictive_{prior}"))
+        out.append((_array_digest(values), f"prior_predictive_{name}"))
     return out
 
 

@@ -23,6 +23,7 @@ import numpy as np
 from . import __version__
 from .errors import SupermixError
 from .kernels import catalog_density, parse_kernel_id, sinc_approx_error
+from .posterior import FitConfig
 from .priors import NIGParams, lemma_verification_table, nig_marginal_cdf, nig_sample
 from .transforms import gaussian_smoothing_error, spectral_symbol_check, transform_analytic
 
@@ -173,10 +174,11 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     common(p)
     p.add_argument("--data", type=Path, required=True, help="one real per line")
     p.add_argument("--prior", default="dp", choices=["dp", "py", "nig"])
-    p.add_argument("--iterations", type=int, default=1500)
-    p.add_argument("--burn-in", type=int, default=500)
-    p.add_argument("--thinning", type=int, default=2)
-    p.add_argument("--truncation", type=int, default=50)
+    fit_defaults = FitConfig()
+    p.add_argument("--iterations", type=int, default=fit_defaults.iterations)
+    p.add_argument("--burn-in", type=int, default=fit_defaults.burn_in)
+    p.add_argument("--thinning", type=int, default=fit_defaults.thinning)
+    p.add_argument("--truncation", type=int, default=fit_defaults.truncation)
 
     p = add_parser("contract", help="contraction-rate experiment")
     experiment(p, "gaussian:1")

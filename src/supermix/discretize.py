@@ -22,7 +22,7 @@ import numpy as np
 from .errors import IllConditionedMoments, InvalidSupport, RegimeUnavailable
 from .gridfn import GridFunction
 from .kernels import CatalogDensity, KernelSpec
-from .transforms import TransformResult, make_nonnegative, transform_analytic
+from .transforms import make_nonnegative, transform_analytic
 
 HANKEL_CONDITION_CAP = 1e12
 
@@ -350,12 +350,6 @@ class SupportBudget:
     smoothed mixtures then differ by at most ~epsilon/sigma in sup norm.
     """
 
-    epsilon: float
-    a: float
-    sigma: float
-    r: float
-    rho: float
-    spectral_support: float
     order: int
     regime: str
 
@@ -405,16 +399,7 @@ def support_budget(
             )
         n = BUDGET_CONSTANT * log_eps
         regime = "r<1"
-    return SupportBudget(
-        epsilon=epsilon,
-        a=a,
-        sigma=sigma,
-        r=r,
-        rho=rho,
-        spectral_support=support,
-        order=int(math.ceil(n)),
-        regime=regime,
-    )
+    return SupportBudget(order=int(math.ceil(n)), regime=regime)
 
 
 def partition_discretize(
@@ -484,8 +469,6 @@ class MixtureApproximation:
     half_support: float
     kl: float
     second_log_moment: float
-    floor_weight: float
-    transform: TransformResult
 
 
 def finite_gaussian_mixture(truth: CatalogDensity, sigma: float) -> MixtureApproximation:
@@ -547,6 +530,4 @@ def finite_gaussian_mixture(truth: CatalogDensity, sigma: float) -> MixtureAppro
         half_support=a_sigma,
         kl=kl,
         second_log_moment=m2,
-        floor_weight=floor_weight,
-        transform=result,
     )

@@ -235,18 +235,14 @@ def kernel_grid(
     return GridFunction(half_width, f.values / f.integral())
 
 
-def supersmooth_class(
-    spec: KernelSpec, f: Optional[GridFunction] = None
-) -> SupersmoothClass:
-    """Decay class of a cataloged density, with L fitted from the grid.
+def supersmooth_class(spec: KernelSpec, f: GridFunction) -> SupersmoothClass:
+    """Decay class of a cataloged density, with L fitted from its grid ``f``.
 
     L is the truncated decay integral divided by 2*pi (so the defining
     inequality holds on the grid by construction); for band-limited
     families the integral is finite independent of the grid.
     """
     rho, r, support = spec.supersmooth_parameters()
-    if f is None:
-        f = kernel_grid(spec)
     cls = SupersmoothClass(rho=rho, r=r, L=1.0, spectral_support=support)
     L = cls.decay_integral(f) / (2.0 * math.pi)
     return SupersmoothClass(rho=rho, r=r, L=L, spectral_support=support)
@@ -324,8 +320,6 @@ class CatalogDensity:
     smooth: SupersmoothClass
     tail_rate: float = 0.0
     tail_power: float = 0.0
-    mixing_atoms: tuple = ()
-    mixing_weights: tuple = ()
 
 
 def catalog_density(name: str) -> CatalogDensity:
@@ -335,16 +329,12 @@ def catalog_density(name: str) -> CatalogDensity:
     f = kernel_grid(spec)
     cls = supersmooth_class(spec, f)
     tail_rate, tail_power = 0.0, 0.0
-    mixing_atoms, mixing_weights = (), ()
     if spec.family == "gaussian":
         tail_rate, tail_power = 1.0 / (2.0 * spec.scale ** 2), 2.0
-        mixing_atoms, mixing_weights = (0.0,), (1.0,)
     return CatalogDensity(
         name=spec.id(),
         f=f,
         smooth=cls,
         tail_rate=tail_rate,
         tail_power=tail_power,
-        mixing_atoms=mixing_atoms,
-        mixing_weights=mixing_weights,
     )

@@ -89,7 +89,6 @@ class InterpolationReport:
     moment_margin: float
     l1_sup_margin: float
     p_max_margin: float
-    details: dict
 
     def all_hold(self, tol: float = 1e-9) -> bool:
         return (
@@ -133,7 +132,7 @@ def interpolation_checks(
     s_inv = 1.0 - 1.0 / t
     mom = _abs_moment(f, u) + _abs_moment(g, u)
     if sup == 0.0:
-        return InterpolationReport(0.0, 0.0, 0.0, {"sup": 0.0})
+        return InterpolationReport(0.0, 0.0, 0.0)
     # closed-form minimizer of A x^{1/s} + B x^{-u}
     a_coef = 2.0 ** s_inv * lpt ** p
     b_coef = sup ** (p - 1.0) * mom
@@ -150,13 +149,4 @@ def interpolation_checks(
         moment_margin=float(moment_margin),
         l1_sup_margin=float(l1_sup_margin),
         p_max_margin=float(p_max_margin),
-        details={
-            "sup": sup,
-            "l1": l1,
-            "l2": l2,
-            "lp": lp,
-            "lpt": lpt,
-            "moments": mom,
-            "r_star": float(r_star),
-        },
     )

@@ -56,7 +56,7 @@ import numpy as np
 from .discretize import DiscreteMixingMeasure, mixture_density
 from .errors import InvalidConfig, NonConvergenceWarning, TooFewDraws
 from .gridfn import GridFunction, lp_norm
-from .kernels import KernelSpec, catalog_density
+from .kernels import KernelSpec, catalog_density, parse_kernel_id
 from .metrics import kl_divergence, quantile_distance
 from .priors import (
     BaseMeasure,
@@ -81,6 +81,9 @@ PRIOR_PREDICTIVE_TRUNC_TOL = 1e-4
 
 #: half-width B of the uniform base on [-B, B] in the W2 recovery setting
 W2_THETA_HALF_WIDTH = 4.0
+
+#: bandwidth prior of every fit whose ``FitConfig.fixed_sigma`` is None
+SCALE_PRIOR = ScalePriorA0()
 
 
 @dataclass(frozen=True)
@@ -123,7 +126,6 @@ class FitConfig:
     """Sampler configuration; validated on construction."""
 
     prior: Union[PYParams, NIGPartitionPrior] = field(default_factory=PYParams)
-    scale_prior: Optional[ScalePriorA0] = field(default_factory=ScalePriorA0)
     fixed_sigma: Optional[float] = None
     truncation: int = 50
     iterations: int = 1500
@@ -139,8 +141,6 @@ class FitConfig:
             raise InvalidConfig("iterations must exceed burn_in")
         if self.thinning < 1:
             raise InvalidConfig("thinning must be >= 1")
-        if self.scale_prior is None and self.fixed_sigma is None:
-            raise InvalidConfig("either a scale prior or a fixed sigma is required")
         if self.fixed_sigma is not None and not 0.0 < self.fixed_sigma < math.inf:
             raise InvalidConfig(
                 f"fixed_sigma must be finite and positive, got {self.fixed_sigma}"
@@ -290,7 +290,7 @@ def blocked_gibbs_fit(data: np.ndarray, cfg: FitConfig, rng: np.random.Generator
 
         if cfg.fixed_sigma is None:
             ss = float(((data - block.atoms[alloc]) ** 2).sum())
-            sigma = cfg.scale_prior.posterior_sample(n, ss, rng)
+            sigma = SCALE_PRIOR.posterior_sample(n, ss, rng)
 
         row, off = divmod(it - cfg.burn_in, cfg.thinning)
         if row >= 0 and off == 0:
@@ -324,7 +324,7 @@ def _monitor_burn_in(logliks: np.ndarray, burn_in: int) -> None:
 def _init_sigma(data: np.ndarray, cfg: FitConfig, rng: np.random.Generator) -> float:
     if cfg.fixed_sigma is not None:
         return float(cfg.fixed_sigma)
-    sigma = float(cfg.scale_prior.sample(rng))
+    sigma = float(SCALE_PRIOR.sample(rng))
     spread = float(data.std()) or 1.0
     return min(max(sigma, 1e-3), 10.0 * spread)
 
@@ -365,20 +365,19 @@ def _update_atoms_py(data, alloc, counts, sigma, base: BaseMeasure, rng, L):
         prec = counts / sigma ** 2 + 1.0 / base.scale ** 2
         mean = (sums / sigma ** 2) / prec
         return mean + rng.standard_normal(L) / np.sqrt(prec)
-    if base.family == "uniform":
-        sd = np.where(counts > 0, sigma / np.sqrt(np.maximum(counts, 1)), np.inf)
-        mean = np.where(counts > 0, sums / np.maximum(counts, 1), 0.0)
-        flat = counts == 0
-        out = np.empty(L)
-        if flat.any():
-            out[flat] = base.sample(rng, int(flat.sum()))
-        occ = ~flat
-        if occ.any():
-            out[occ] = truncated_normal_sample(
-                mean[occ], sd[occ], -base.scale, base.scale, rng
-            )
-        return out
-    raise InvalidConfig(f"no conjugate atom update for base family {base.family!r}")
+    # uniform base: truncated-conjugate update, prior draws for empty components
+    sd = np.where(counts > 0, sigma / np.sqrt(np.maximum(counts, 1)), np.inf)
+    mean = np.where(counts > 0, sums / np.maximum(counts, 1), 0.0)
+    flat = counts == 0
+    out = np.empty(L)
+    if flat.any():
+        out[flat] = base.sample(rng, int(flat.sum()))
+    occ = ~flat
+    if occ.any():
+        out[occ] = truncated_normal_sample(
+            mean[occ], sd[occ], -base.scale, base.scale, rng
+        )
+    return out
 
 
 class _NIGCells:
@@ -447,7 +446,7 @@ def prior_predictive_density(
         sigma = (
             cfg.fixed_sigma
             if cfg.fixed_sigma is not None
-            else float(cfg.scale_prior.sample(rng))
+            else float(SCALE_PRIOR.sample(rng))
         )
         acc += mix.mixture_density(_GAUSSIAN, sigma, x)
     return GridFunction(grid.half_width, acc / PRIOR_PREDICTIVE_DRAWS)
@@ -490,17 +489,15 @@ def resolve_truth(truth_id: str) -> TruthSpec:
             mixing=DiscreteMixingMeasure(np.array([-1.0, 1.0]), np.array([0.5, 0.5])),
         )
     cat = catalog_density(truth_id)
-    if not cat.mixing_atoms:
+    spec = parse_kernel_id(truth_id)
+    if spec.family != "gaussian":
         raise InvalidConfig(
             f"truth {truth_id!r} has no Gaussian mixture representation"
         )
-    scale = float(truth_id.split(":")[1]) if ":" in truth_id else 1.0
     return TruthSpec(
         name=cat.name,
-        mixing=DiscreteMixingMeasure(
-            np.array(cat.mixing_atoms), np.array(cat.mixing_weights)
-        ),
-        kernel_sigma=scale,
+        mixing=DiscreteMixingMeasure.point_mass(0.0),
+        kernel_sigma=spec.scale,
     )
 
 
@@ -616,7 +613,6 @@ def default_w2_config() -> FitConfig:
     """Compact-support setting: uniform base on [-B, B], bandwidth pinned at 1."""
     return FitConfig(
         prior=PYParams(c=1.0, d=0.0, base=BaseMeasure("uniform", W2_THETA_HALF_WIDTH)),
-        scale_prior=None,
         fixed_sigma=1.0,
     )
 

@@ -103,9 +103,8 @@ def log_bessel_k_scaled(nu: float, x) -> np.ndarray:
 class BaseMeasure:
     """Base measure alpha = total_mass * normalized density.
 
-    Cataloged families: gaussian (tail exponent 2), laplace (tail
-    exponent 1), and uniform on [-scale, scale] for compact-support
-    experiments.
+    Cataloged families: gaussian (tail exponent 2), and uniform on
+    [-scale, scale] for compact-support experiments.
     """
 
     family: str = "gaussian"
@@ -113,7 +112,7 @@ class BaseMeasure:
     total_mass: float = 1.0
 
     def __post_init__(self):
-        if self.family not in ("gaussian", "laplace", "uniform"):
+        if self.family not in ("gaussian", "uniform"):
             raise ValueError(f"unknown base family {self.family!r}")
         if not (0.0 < self.scale < math.inf and 0.0 < self.total_mass < math.inf):
             raise ValueError("scale and total_mass must be finite and positive")
@@ -123,17 +122,12 @@ class BaseMeasure:
         s = self.scale
         if self.family == "gaussian":
             return np.exp(-(theta / s) ** 2 / 2.0) / (s * math.sqrt(2 * math.pi))
-        if self.family == "laplace":
-            return np.exp(-np.abs(theta) / s) / (2.0 * s)
         return np.where(np.abs(theta) <= s, 1.0 / (2.0 * s), 0.0)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         s = self.scale
         if self.family == "gaussian":
             return s * rng.standard_normal(size)
-        if self.family == "laplace":
-            u = rng.random(size) - 0.5
-            return -s * np.sign(u) * np.log1p(-2.0 * np.abs(u))
         return s * (2.0 * rng.random(size) - 1.0)
 
     def ball_mass(self, center: float, radius: float) -> float:
@@ -142,11 +136,6 @@ class BaseMeasure:
         lo, hi = center - radius, center + radius
         if self.family == "gaussian":
             return ndtr(hi / s) - ndtr(lo / s)
-        if self.family == "laplace":
-            cdf = lambda x: np.where(
-                x < 0, 0.5 * np.exp(x / s), 1.0 - 0.5 * np.exp(-x / s)
-            )
-            return float(cdf(hi) - cdf(lo))
         lo, hi = max(lo, -s), min(hi, s)
         return max(hi - lo, 0.0) / (2.0 * s)
 
@@ -154,8 +143,6 @@ class BaseMeasure:
         """(b, delta) with normalized density ~ exp(-b |theta|^delta)."""
         if self.family == "gaussian":
             return 1.0 / (2.0 * self.scale ** 2), 2.0
-        if self.family == "laplace":
-            return 1.0 / self.scale, 1.0
         return math.inf, math.inf  # compact support
 
 
@@ -186,9 +173,6 @@ class StickBreakingDraw:
     weights: np.ndarray
     atoms: np.ndarray
     remainder: float
-
-    def __len__(self):
-        return self.weights.size
 
 
 def py_sticks(params: PYParams, js: np.ndarray, rng: np.random.Generator,
@@ -271,6 +255,11 @@ class NIGParams:
             raise ValueError(f"alphas must be finite, got {alphas.tolist()}")
         if np.any(alphas < 0) or not np.any(alphas > 0):
             raise ValueError("alphas must be >= 0 with at least one > 0")
+        with np.errstate(over="ignore"):
+            square = alphas ** 2
+        odd = (alphas > 0) & ~((square >= np.finfo(float).tiny) & (square < np.inf))
+        if odd.any():
+            raise ValueError(f"a positive alpha needs a finite normal square, got {alphas[odd][0]:g}")
         alphas = alphas.copy()
         alphas.setflags(write=False)
         object.__setattr__(self, "alphas", alphas)
@@ -296,6 +285,8 @@ def nig_log_density(z, params: NIGParams) -> np.ndarray:
     n = params.n_cells
     if z.shape[-1] != n:
         raise ValueError(f"z must have {n} coordinates")
+    if np.any(a == 0.0):
+        raise ValueError("a zero cell mass puts the law on a face of the simplex: no density")
     if np.any(z <= 0.0):
         raise BoundaryPoint("all simplex coordinates must be positive")
     if np.any(np.abs(z.sum(axis=-1) - 1.0) > 1e-9):

@@ -220,6 +220,18 @@ def test_non_finite_kernel_parameter_exits_2(tmp_path, capsys, argv, message):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "alphas, message",
+    [("0,1", "zero cell mass"), ("1e-300,1", "got 1e-300"), ("1e300,1", "got 1e+300")],
+    ids=["zero-cell", "underflowing-square", "overflowing-square"],
+)
+def test_nig_check_degenerate_cell_mass_exits_2(tmp_path, capsys, alphas, message):
+    assert main(["nig-check", "--alphas", alphas, "--budget", "100",
+                 "--out", str(tmp_path / "nc.csv")]) == 2
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("order", ["0", "1", "3", "5"])
 def test_transform_unconverged_order_exits_2(tmp_path, capsys, order):
     assert main(["transform", "--density", "gaussian:1", "--sigma", "0.5",

@@ -308,6 +308,20 @@ class TestSupportBudget:
         with pytest.raises(RegimeUnavailable):
             support_budget(1e-3, 3.0, 0.5, KernelSpec("cauchy"))
 
+    def test_cauchy_budget_within_side_condition(self):
+        # a / (rho sigma) = 0.3 <= 1/e
+        b = support_budget(1e-3, 0.3, 1.0, KernelSpec("cauchy"))
+        assert b.order == math.ceil(4 * math.log(1e3)) == 28 and b.regime == "r=1"
+
+    def test_stable_half_budget_on_both_sides_of_side_condition(self):
+        kernel = KernelSpec("stable", 1.0, 0.5)
+        # at a = 0.1, (rho sigma / a)^{r/(1-r)} = 10 >= log(1e3)
+        b = support_budget(1e-3, 0.1, 1.0, kernel)
+        assert b.order == 28 and b.regime == "r<1"
+        # at a = 1 it is 1 < log(1e3)
+        with pytest.raises(RegimeUnavailable, match="r<1"):
+            support_budget(1e-3, 1.0, 1.0, kernel)
+
 
 class TestPartitionDiscretize:
     def test_single_cell_matches_moment_match(self):

@@ -60,14 +60,10 @@ class TestConfigValidation:
         with pytest.raises(InvalidConfig):
             FitConfig(iterations=100, burn_in=100)
 
-    def test_need_some_scale(self):
-        with pytest.raises(InvalidConfig):
-            FitConfig(scale_prior=None, fixed_sigma=None)
-
     @pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf, 0.0, -1.0])
     def test_fixed_sigma_finite_positive(self, sigma):
         with pytest.raises(InvalidConfig, match="fixed_sigma"):
-            FitConfig(scale_prior=None, fixed_sigma=sigma)
+            FitConfig(fixed_sigma=sigma)
 
     def test_negative_burn_in_rejected(self):
         with pytest.raises(InvalidConfig, match="burn_in"):
@@ -218,7 +214,7 @@ class TestGibbsPY:
             assert [d.sigma for d in chain] == returned[cfg.burn_in :: cfg.thinning]
             assert chain.sigma.tolist() == [returned[i] for i in kept]
             assert chain.loglik.tolist() == [logliks[i] for i in kept]
-        fixed = dataclasses.replace(cfg, scale_prior=None, fixed_sigma=0.5)
+        fixed = dataclasses.replace(cfg, fixed_sigma=0.5)
         blocked_gibbs_fit(data, fixed, np.random.default_rng(4))
         assert len(calls) == cfg.iterations
 

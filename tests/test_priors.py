@@ -488,6 +488,12 @@ def test_non_finite_prior_parameters_raise(cls, name, value):
         cls(**{name: value})
 
 
+@pytest.mark.parametrize("family", ["laplace", "bogus"])
+def test_unknown_base_family_raises(family):
+    with pytest.raises(ValueError, match="unknown base family"):
+        BaseMeasure(family, 1.0)
+
+
 class TestScalePosteriorSample:
     """The exact draw of sigma given n residuals with sum of squares s."""
 
