@@ -3,9 +3,11 @@
 
 Runs each subcommand on a small fixed config (``contract`` and ``w2`` at
 ``--threads 1`` and ``2``, and ``contract`` once more at ``--truth
-gaussian:0.5`` and ``--threads 1``; ``discretize`` on a catalog density
-and on an ``--atoms-csv`` file the script writes) inside OUTDIR and prints one
-``sha256  file`` line per CSV and sidecar.  It then prints one
+gaussian:0.5`` and ``--threads 1``; ``approx`` and ``transform`` on
+densities that together cover all seven kernel families; ``discretize``
+on a catalog density with the Gaussian, Cauchy, Student-t, superkernel
+and sinc kernels, and on an ``--atoms-csv`` file the script writes)
+inside OUTDIR and prints one ``sha256  file`` line per CSV and sidecar.  It then prints one
 ``sha256  name`` line for the atoms, the weights and the grid density of
 ``finite_gaussian_mixture(catalog_density("gaussian:1"), sigma)`` at
 sigma = 0.4, 0.3 and 0.25, digesting the raw float64 bytes, and one for
@@ -95,13 +97,25 @@ RUNS = {
     "approx_fvp": ["approx", "--density", "fvp:1", "--sigma", "1,0.7,0.5"],
     "approx_gaussian": ["approx", "--density", "gaussian:1", "--sigma", "0.5,0.3",
                         "--p", "2"],
+    **{
+        f"approx_{family}": ["approx", "--density", density, "--sigma", "0.5,0.3"]
+        for family, density in (("stable", "stable:1.5:1"), ("student_t", "student_t:3:1"),
+                                ("sinc", "sinc:0.5"), ("superkernel", "superkernel:1:2:1"))
+    },
     "transform_cauchy": ["transform", "--density", "cauchy:1", "--sigma", "0.5,0.4,0.3"],
     "transform_gaussian": ["transform", "--density", "gaussian:1",
                            "--sigma", "0.5,0.4,0.3"],
     "transform_gaussian_order40": ["transform", "--density", "gaussian:1",
                                    "--sigma", "0.4", "--order", "40"],
+    "transform_stable": ["transform", "--density", "stable:1.5:1", "--sigma", "0.5,0.4,0.3"],
     "discretize_gaussian": DISCRETIZE + ["--density", "gaussian:1"],
     "discretize_cauchy": DISCRETIZE + ["--density", "cauchy:1", "--kernel", "cauchy:1"],
+    **{
+        f"discretize_gaussian_kernel_{family}": DISCRETIZE + ["--density", "gaussian:1",
+                                                              "--kernel", kernel]
+        for family, kernel in (("student_t", "student_t:3:1"),
+                               ("superkernel", "superkernel:1:2:1"), ("sinc", "sinc:1"))
+    },
     "discretize_atoms_gaussian": DISCRETIZE + ["--atoms-csv", "atoms.csv"],
     "discretize_atoms_cauchy": DISCRETIZE + ["--atoms-csv", "atoms.csv",
                                              "--kernel", "cauchy:1"],

@@ -48,7 +48,7 @@ def _dataclass_table(row_type, rows: list) -> tuple[list[str], list[tuple]]:
 
 def _meta_text(config: dict) -> str:
     meta = {
-        "config": {k: (v if not isinstance(v, Path) else str(v)) for k, v in config.items()},
+        "config": config,
         "versions": {"supermix": __version__, "numpy": np.__version__},
     }
     return json.dumps(meta, sort_keys=True, indent=1)

@@ -14,7 +14,7 @@ fallback for r <= 1 where the direct budget's side condition fails.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence, Union
 
 import numpy as np
@@ -120,7 +120,7 @@ def mixture_density(atoms, weights, kernel: KernelSpec, sigma: float, x) -> np.n
     """
     if not math.isfinite(sigma):
         raise ValueError(f"sigma must be finite, got {sigma!r}")
-    dens = KernelSpec(kernel.family, sigma, kernel.shape).density_fn()
+    dens = replace(kernel, scale=sigma).density_fn()
     if dens is None:
         raise ValueError(f"no closed-form density for {kernel.family}")
     atoms = np.asarray(atoms, dtype=float)
@@ -374,7 +374,7 @@ def support_budget(
         raise ValueError("epsilon must lie in (0, 1)")
     if a <= 0 or sigma <= 0:
         raise ValueError("a and sigma must be positive")
-    unit = KernelSpec(kernel.family, 1.0, kernel.shape)
+    unit = replace(kernel, scale=1.0)
     rho, r, support = unit.supersmooth_parameters()
     log_eps = math.log(1.0 / epsilon)
     if math.isfinite(support):
@@ -417,7 +417,7 @@ def partition_discretize(
     Source atoms must lie in [-a, a], as for :func:`moment_match`; those
     within its rounding slack outside are moved onto the end points.
     """
-    unit = KernelSpec(kernel.family, 1.0, kernel.shape)
+    unit = replace(kernel, scale=1.0)
     rho, r, support = unit.supersmooth_parameters()
     if not (r <= 1 or math.isfinite(support)):
         raise ValueError("partition path is for r <= 1 kernels")

@@ -26,15 +26,11 @@ class UnknownFamily(SupermixError):
 
 
 class InvalidShape(SupermixError):
-    """Superkernel spectral shape parameters are inconsistent."""
+    """Kernel shape parameters or id fields are missing, out of range or miscounted."""
 
 
 class SeriesNotConverged(SupermixError):
     """Transform truncation order too small for the requested bandwidth."""
-
-
-class NegativeDelta(SupermixError):
-    """Non-negativization floor must lie in (0, 1)."""
 
 
 class IllConditionedMoments(SupermixError):

@@ -1,7 +1,9 @@
 """Catalog of supersmooth kernels and densities with spectral decay laws.
 
-Families are addressable by string id (``"gaussian:1.0"``,
-``"stable:1.5:1.0"``, ...).  Where a closed-form Fourier transform exists
+Each family is one row of ``_CATALOG``: its shape parameters, their
+range, and at scale s its transform, density and decay law.  Families are
+addressable by string id ``family[:shape...][:scale]`` (``"gaussian:1"``,
+``"stable:1.5:1"``, ...).  Where a closed-form Fourier transform exists
 the grid function is built spectrally, so that e.g. a compactly
 band-limited density is *exactly* invariant under band-limiting at or
 above its spectral support.
@@ -11,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -24,8 +26,6 @@ from .gridfn import (
     apply_multiplier,
     lp_norm,
 )
-
-FAMILIES = ("gaussian", "cauchy", "stable", "student_t", "fvp", "sinc", "superkernel")
 
 
 @dataclass(frozen=True)
@@ -53,135 +53,6 @@ class SupersmoothClass:
         return np.exp(-((self.rho * np.abs(t)) ** self.r))
 
 
-@dataclass(frozen=True)
-class KernelSpec:
-    """Kernel/density family identifier plus scale.
-
-    ``shape`` holds the family-specific parameter: the stable exponent r,
-    the Student-t degrees of freedom, or the superkernel (flat, cutoff)
-    pair packed as a tuple.
-    """
-
-    family: str
-    scale: float = 1.0
-    shape: Optional[object] = None
-
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise UnknownFamily(f"unknown kernel family {self.family!r}")
-        if not self.scale > 0:
-            raise ScaleTooSmall("scale must be positive")
-        if not math.isfinite(self.scale * self.scale):
-            raise ValueError(f"scale must be finite with a finite square, got {self.scale}")
-        if self.family == "stable":
-            r = self.shape
-            if r is None or not 0 < float(r) <= 2:
-                raise InvalidShape("stable exponent must lie in (0, 2]")
-        if self.family == "student_t":
-            nu = self.shape
-            if nu is None or not 0 < float(nu) < math.inf:
-                raise InvalidShape(f"student_t needs finite positive degrees of freedom, got {nu}")
-        if self.family == "superkernel":
-            flat, cutoff = self.shape if self.shape is not None else (1.0, 2.0)
-            if not 0 < flat < cutoff < math.inf:
-                raise InvalidShape(
-                    f"superkernel needs 0 < flat < cutoff < inf, got flat={flat}, cutoff={cutoff}"
-                )
-            object.__setattr__(self, "shape", (float(flat), float(cutoff)))
-
-    # -- closed forms ---------------------------------------------------
-
-    def char_fn(self) -> Optional[Callable[[np.ndarray], np.ndarray]]:
-        """Closed-form Fourier transform under fhat(t) = int e^{itx} f dx."""
-        s = self.scale
-        if self.family == "gaussian":
-            return lambda t: np.exp(-((s * t) ** 2) / 2.0)
-        if self.family == "cauchy":
-            return lambda t: np.exp(-s * np.abs(t))
-        if self.family == "stable":
-            r = float(self.shape)
-            return lambda t: np.exp(-((s * np.abs(t)) ** r))
-        if self.family == "fvp":
-            return lambda t: np.clip(1.0 - s * np.abs(t), 0.0, None)
-        if self.family == "sinc":
-            return lambda t: (np.abs(t) <= 1.0 / s).astype(float)
-        if self.family == "superkernel":
-            flat, cutoff = self.shape
-            return lambda t: np.clip((cutoff - np.abs(t) * s) / (cutoff - flat), 0.0, 1.0)
-        return None  # student_t: computed numerically from the density
-
-    def density_fn(self) -> Optional[Callable[[np.ndarray], np.ndarray]]:
-        s = self.scale
-        if self.family == "gaussian":
-            return lambda x: np.exp(-(x / s) ** 2 / 2.0) / (s * math.sqrt(2 * math.pi))
-        if self.family == "cauchy":
-            return lambda x: s / (math.pi * (x ** 2 + s ** 2))
-        if self.family == "student_t":
-            nu = float(self.shape)
-            c = math.gamma((nu + 1) / 2) / (math.sqrt(nu * math.pi) * math.gamma(nu / 2))
-            return lambda x: (c / s) * (1.0 + (x / s) ** 2 / nu) ** (-(nu + 1) / 2)
-        if self.family == "fvp":
-            return lambda x: _fvp_density(x / s) / s
-        if self.family == "sinc":
-            return lambda x: _sinc(x / s) / s
-        if self.family == "superkernel":
-            flat, cutoff = self.shape
-            return lambda x: _superkernel_density(x / s, flat, cutoff) / s
-        return None  # stable: no closed form for general r
-
-    def supersmooth_parameters(self) -> tuple[float, float, float]:
-        """(rho, r, spectral_support) of the scaled kernel's decay law."""
-        s = self.scale
-        if self.family == "gaussian":
-            return s / math.sqrt(2.0), 2.0, math.inf
-        if self.family == "cauchy":
-            return s, 1.0, math.inf
-        if self.family == "stable":
-            return s, float(self.shape), math.inf
-        if self.family == "student_t":
-            # asymptotic envelope exp(-sqrt(nu) s |t|), Hurst's formula
-            return s * math.sqrt(float(self.shape)), 1.0, math.inf
-        if self.family == "fvp":
-            return s, 1.0, 1.0 / s
-        if self.family == "sinc":
-            return s, 1.0, 1.0 / s
-        if self.family == "superkernel":
-            return s, 1.0, self.shape[1] / s
-        raise UnknownFamily(self.family)
-
-    def id(self) -> str:
-        if self.family == "stable":
-            return f"stable:{float(self.shape):g}:{self.scale:g}"
-        if self.family == "student_t":
-            return f"student_t:{float(self.shape):g}:{self.scale:g}"
-        if self.family == "superkernel":
-            flat, cutoff = self.shape
-            return f"superkernel:{flat:g}:{cutoff:g}:{self.scale:g}"
-        return f"{self.family}:{self.scale:g}"
-
-
-def parse_kernel_id(text: str) -> KernelSpec:
-    """Parse ids like ``gaussian:1.0``, ``stable:1.5:1.0``, ``superkernel:1:2:1``."""
-    parts = text.strip().split(":")
-    family = parts[0]
-    args = [float(p) for p in parts[1:]]
-    if family in ("gaussian", "cauchy", "fvp", "sinc"):
-        return KernelSpec(family, args[0] if args else 1.0)
-    if family == "stable":
-        if not args:
-            raise UnknownFamily("stable needs an exponent, e.g. stable:1.5:1.0")
-        return KernelSpec(family, args[1] if len(args) > 1 else 1.0, shape=args[0])
-    if family == "student_t":
-        if not args:
-            raise UnknownFamily("student_t needs degrees of freedom")
-        return KernelSpec(family, args[1] if len(args) > 1 else 1.0, shape=args[0])
-    if family == "superkernel":
-        flat, cutoff = (args[0], args[1]) if len(args) >= 2 else (1.0, 2.0)
-        scale = args[2] if len(args) > 2 else 1.0
-        return KernelSpec(family, scale, shape=(flat, cutoff))
-    raise UnknownFamily(f"unknown kernel family {family!r}")
-
-
 def _sinc(x: np.ndarray) -> np.ndarray:
     """(sin x)/(pi x) continued with 1/pi at the origin."""
     return np.sinc(np.asarray(x, dtype=float) / math.pi) / math.pi
@@ -200,6 +71,138 @@ def _superkernel_density(x: np.ndarray, flat: float, cutoff: float) -> np.ndarra
     out = (np.cos(flat * xs) - np.cos(cutoff * xs)) / (math.pi * (cutoff - flat) * xs ** 2)
     out[small] = (cutoff + flat) / (2.0 * math.pi)
     return out
+
+
+def _student_t_density(s: float, nu: float) -> Callable[[np.ndarray], np.ndarray]:
+    c = math.gamma((nu + 1) / 2) / (math.sqrt(nu * math.pi) * math.gamma(nu / 2))
+    return lambda x: (c / s) * (1.0 + (x / s) ** 2 / nu) ** (-(nu + 1) / 2)
+
+
+@dataclass(frozen=True)
+class _Family:
+    """One family: ``char``/``density``/``decay`` map ``(s, *shape)`` to the transform,
+    the density (None: no closed form) and (rho, r, spectral_support); empty ``defaults``
+    make every shape field required; ``invalid`` is formatted with the fields by name."""
+
+    decay: Callable[..., tuple[float, float, float]]
+    char: Optional[Callable[..., Callable[[np.ndarray], np.ndarray]]] = None
+    density: Optional[Callable[..., Callable[[np.ndarray], np.ndarray]]] = None
+    params: tuple[str, ...] = ()
+    defaults: tuple[float, ...] = ()
+    valid: Callable[..., bool] = lambda *shape: True
+    invalid: str = ""
+
+
+_CATALOG = {
+    "gaussian": _Family(
+        char=lambda s: lambda t: np.exp(-((s * t) ** 2) / 2.0),
+        density=lambda s: lambda x: np.exp(-(x / s) ** 2 / 2.0) / (s * math.sqrt(2 * math.pi)),
+        decay=lambda s: (s / math.sqrt(2.0), 2.0, math.inf),
+    ),
+    "cauchy": _Family(
+        char=lambda s: lambda t: np.exp(-s * np.abs(t)),
+        density=lambda s: lambda x: s / (math.pi * (x ** 2 + s ** 2)),
+        decay=lambda s: (s, 1.0, math.inf),
+    ),
+    "stable": _Family(  # no closed-form density for general r
+        params=("r",), valid=lambda r: 0 < r <= 2,
+        invalid="stable exponent must lie in (0, 2], got r={r}",
+        char=lambda s, r: lambda t: np.exp(-((s * np.abs(t)) ** r)),
+        decay=lambda s, r: (s, r, math.inf),
+    ),
+    "student_t": _Family(  # transform by DFT; decay: the exp(-sqrt(nu) s |t|) envelope (Hurst)
+        params=("nu",), valid=lambda nu: 0 < nu < math.inf,
+        invalid="student_t needs finite positive degrees of freedom, got {nu}",
+        density=_student_t_density,
+        decay=lambda s, nu: (s * math.sqrt(nu), 1.0, math.inf),
+    ),
+    "fvp": _Family(
+        char=lambda s: lambda t: np.clip(1.0 - s * np.abs(t), 0.0, None),
+        density=lambda s: lambda x: _fvp_density(x / s) / s,
+        decay=lambda s: (s, 1.0, 1.0 / s),
+    ),
+    "sinc": _Family(
+        char=lambda s: lambda t: (np.abs(t) <= 1.0 / s).astype(float),
+        density=lambda s: lambda x: _sinc(x / s) / s,
+        decay=lambda s: (s, 1.0, 1.0 / s),
+    ),
+    "superkernel": _Family(
+        params=("flat", "cutoff"), defaults=(1.0, 2.0),
+        valid=lambda flat, cutoff: 0 < flat < cutoff < math.inf,
+        invalid="superkernel needs 0 < flat < cutoff < inf, got flat={flat}, cutoff={cutoff}",
+        char=lambda s, flat, cutoff: lambda t: np.clip(
+            (cutoff - np.abs(t) * s) / (cutoff - flat), 0.0, 1.0),
+        density=lambda s, flat, cutoff: lambda x: _superkernel_density(x / s, flat, cutoff) / s,
+        decay=lambda s, flat, cutoff: (s, 1.0, cutoff / s),
+    ),
+}
+
+FAMILIES = tuple(_CATALOG)
+
+
+@dataclass(frozen=True)
+class KernelSpec:
+    """Kernel/density family identifier plus scale.
+
+    ``shape`` is the tuple of the family's shape parameters in catalog
+    order: () for the one-scale families, (r,) for stable, (nu,) for
+    Student-t and (flat, cutoff) for the superkernel.  A bare number
+    means a one-tuple and None means the family's defaults.
+    """
+
+    family: str
+    scale: float = 1.0
+    shape: Union[tuple[float, ...], float, None] = None
+
+    def __post_init__(self):
+        row = _CATALOG.get(self.family)
+        if row is None:
+            raise UnknownFamily(f"unknown kernel family {self.family!r}")
+        if not self.scale > 0:
+            raise ScaleTooSmall("scale must be positive")
+        if not math.isfinite(self.scale * self.scale):
+            raise ValueError(f"scale must be finite with a finite square, got {self.scale}")
+        shape = row.defaults if self.shape is None else self.shape
+        shape = tuple(map(float, shape if isinstance(shape, tuple) else (shape,)))
+        if len(shape) != len(row.params):
+            raise InvalidShape(f"{self.family} shape must be {row.params}, got {shape}")
+        if not row.valid(*shape):
+            raise InvalidShape(row.invalid.format(**dict(zip(row.params, shape))))
+        object.__setattr__(self, "shape", shape)
+
+    def char_fn(self) -> Optional[Callable[[np.ndarray], np.ndarray]]:
+        """Closed-form Fourier transform under fhat(t) = int e^{itx} f dx."""
+        char = _CATALOG[self.family].char
+        return None if char is None else char(self.scale, *self.shape)
+
+    def density_fn(self) -> Optional[Callable[[np.ndarray], np.ndarray]]:
+        density = _CATALOG[self.family].density
+        return None if density is None else density(self.scale, *self.shape)
+
+    def supersmooth_parameters(self) -> tuple[float, float, float]:
+        """(rho, r, spectral_support) of the scaled kernel's decay law."""
+        return _CATALOG[self.family].decay(self.scale, *self.shape)
+
+    def id(self) -> str:
+        """``family:shape...:scale`` in shortest round-trip reprs; parse_kernel_id's inverse."""
+        texts = [repr(float(v)) for v in (*self.shape, self.scale)]
+        return ":".join([self.family, *(t[:-2] if t.endswith(".0") else t for t in texts)])
+
+
+def parse_kernel_id(text: str) -> KernelSpec:
+    """Parse ``family[:shape...][:scale]``: ``gaussian:1``, ``stable:1.5:1``,
+    ``superkernel:1:2:1``.  Every shape field is given, or none where the
+    family has defaults, then at most one scale (default 1)."""
+    family, *fields = text.strip().split(":")
+    if family not in _CATALOG:
+        raise UnknownFamily(f"unknown kernel family {family!r}")
+    n = len(_CATALOG[family].params)
+    if fields and not n <= len(fields) <= n + 1:
+        raise InvalidShape(
+            f"malformed id {text!r}: {family} takes {n} shape fields, then at most one scale"
+        )
+    values = [float(v) for v in fields]
+    return KernelSpec(family, values[n] if len(values) > n else 1.0, tuple(values[:n]) or None)
 
 
 def kernel_grid(

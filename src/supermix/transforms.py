@@ -28,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import NegativeDelta, SeriesNotConverged
+from .errors import SeriesNotConverged
 from .gridfn import GridFunction, apply_multiplier, lp_norm
 from .kernels import KernelSpec, smoothing_multiplier
 
@@ -205,29 +205,24 @@ def transform_sobolev(
 class NonnegativeDensity:
     """Floor-corrected density pair (g, h) from a signed transform.
 
-    g equals the transform where it clears ``delta * f0`` and the floor
-    ``delta * f0`` elsewhere, so ``g >= delta * f0`` holds pointwise by
-    construction; h = g / integral(g) is a proper density.
+    g equals the transform where it clears ``DELTA_DEFAULT * f0`` and the
+    floor ``DELTA_DEFAULT * f0`` elsewhere, so ``g >= DELTA_DEFAULT * f0``
+    holds pointwise by construction; h = g / integral(g) is a proper density.
     """
 
     g: GridFunction
     h: GridFunction
     mass: float
-    delta: float
 
 
-def make_nonnegative(
-    result: TransformResult, f0: GridFunction, delta: float = DELTA_DEFAULT
-) -> NonnegativeDensity:
-    """Replace the transform below ``delta * f0`` by that floor, then normalize."""
-    if not 0.0 < delta < 1.0:
-        raise NegativeDelta(f"delta must lie in (0, 1), got {delta}")
-    floor = delta * f0.values
+def make_nonnegative(result: TransformResult, f0: GridFunction) -> NonnegativeDensity:
+    """Replace the transform below ``DELTA_DEFAULT * f0`` by that floor, then normalize."""
+    floor = DELTA_DEFAULT * f0.values
     g_vals = np.maximum(result.t_sigma.values, floor)
     g = GridFunction(f0.half_width, g_vals)
     mass = g.integral()
     h = GridFunction(f0.half_width, g_vals / mass)
-    return NonnegativeDensity(g=g, h=h, mass=mass, delta=delta)
+    return NonnegativeDensity(g=g, h=h, mass=mass)
 
 
 def gaussian_smoothing_error(result: TransformResult, f0: GridFunction) -> float:

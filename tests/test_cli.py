@@ -221,6 +221,22 @@ def test_non_finite_kernel_parameter_exits_2(tmp_path, capsys, argv, message):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [(["approx", "--density", "gaussian:1:2", "--sigma", "0.5"], "gaussian takes 0 shape"),
+     (["approx", "--density", "superkernel:1.5", "--sigma", "0.5"], "superkernel takes 2 shape"),
+     (["approx", "--density", "stable:1.5:1:9", "--sigma", "0.5"], "stable takes 1 shape"),
+     (["contract", "--truth", "gaussian:1:9", "--n-ladder", "20", "--replicates", "1"],
+      "gaussian takes 0 shape")],
+    ids=["gaussian-extra-field", "superkernel-one-shape-field", "stable-extra-field",
+         "contract-extra-field"],
+)
+def test_malformed_kernel_id_exits_2(tmp_path, capsys, argv, message):
+    assert main(argv + ["--out", str(tmp_path / "k.csv")]) == 2
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
     "alphas, message",
     [("0,1", "zero cell mass"), ("1e-300,1", "got 1e-300"), ("1e300,1", "got 1e+300")],
     ids=["zero-cell", "underflowing-square", "overflowing-square"],

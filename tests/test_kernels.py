@@ -24,6 +24,7 @@ from supermix.errors import (
     ScaleTooSmall,
     UnknownFamily,
 )
+from supermix.kernels import FAMILIES
 
 
 def fit_slope(xs, ys):
@@ -97,6 +98,73 @@ class TestCatalog:
         val = gaussian_truth.smooth.decay_integral(gaussian_truth.f)
         assert np.isfinite(val)
         assert val <= 2 * math.pi * gaussian_truth.smooth.L + 1e-6
+
+
+#: valid shape tuples of each family, for the id round trip
+POSITIVE = st.floats(min_value=0.0, max_value=1e150, exclude_min=True)
+SHAPES = {
+    "gaussian": st.just(()),
+    "cauchy": st.just(()),
+    "stable": st.tuples(st.floats(min_value=0.0, max_value=2.0, exclude_min=True)),
+    "student_t": st.tuples(POSITIVE),
+    "fvp": st.just(()),
+    "sinc": st.just(()),
+    "superkernel": st.tuples(POSITIVE, POSITIVE).filter(lambda fc: fc[0] < fc[1]),
+}
+
+
+class TestKernelIds:
+    @pytest.mark.parametrize(
+        "text, family, scale, shape",
+        [("gaussian", "gaussian", 1.0, ()),
+         ("gaussian:0.5", "gaussian", 0.5, ()),
+         ("stable:1.5", "stable", 1.0, (1.5,)),
+         ("stable:1.5:2", "stable", 2.0, (1.5,)),
+         ("student_t:3:1", "student_t", 1.0, (3.0,)),
+         ("superkernel", "superkernel", 1.0, (1.0, 2.0)),
+         ("superkernel:1:3", "superkernel", 1.0, (1.0, 3.0)),
+         ("superkernel:1:3:0.5", "superkernel", 0.5, (1.0, 3.0))],
+    )
+    def test_grammar(self, text, family, scale, shape):
+        assert parse_kernel_id(text) == KernelSpec(family, scale, shape)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["gaussian:1:2", "cauchy:1:2:3", "stable", "stable:1.5:1:9", "student_t",
+         "superkernel:1.5", "superkernel:1:2:1:1"],
+    )
+    def test_field_count_outside_grammar_raises(self, text):
+        with pytest.raises(InvalidShape):
+            parse_kernel_id(text)
+
+    def test_shape_is_a_tuple(self):
+        assert KernelSpec("gaussian").shape == ()
+        assert KernelSpec("stable", 1.0, 0.5).shape == (0.5,)
+        assert KernelSpec("superkernel").shape == (1.0, 2.0)
+        with pytest.raises(InvalidShape):
+            KernelSpec("superkernel", 1.0, 1.5)
+        with pytest.raises(InvalidShape):
+            KernelSpec("gaussian", 1.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "spec, text",
+        [(KernelSpec("gaussian"), "gaussian:1"),
+         (KernelSpec("gaussian", 0.123456789), "gaussian:0.123456789"),
+         (KernelSpec("stable", 1.0, 1.5), "stable:1.5:1"),
+         (KernelSpec("superkernel"), "superkernel:1:2:1"),
+         (KernelSpec("cauchy", 1e-05), "cauchy:1e-05")],
+    )
+    def test_id_text(self, spec, text):
+        assert spec.id() == text
+
+    def test_every_family_has_a_shape_strategy(self):
+        assert set(SHAPES) == set(FAMILIES)
+
+    @given(st.sampled_from(FAMILIES).flatmap(
+        lambda family: st.builds(KernelSpec, st.just(family), POSITIVE, SHAPES[family])))
+    @settings(max_examples=300, deadline=None)
+    def test_id_round_trip(self, spec):
+        assert parse_kernel_id(spec.id()) == spec
 
 
 class TestStudentT:

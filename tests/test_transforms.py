@@ -18,7 +18,7 @@ from supermix import (
     transform_analytic,
     transform_sobolev,
 )
-from supermix.errors import CutoffAboveNyquist, NegativeDelta, SeriesNotConverged
+from supermix.errors import CutoffAboveNyquist, SeriesNotConverged
 from supermix.gridfn import GridFunction
 from supermix.kernels import KernelSpec
 
@@ -223,10 +223,3 @@ class TestMakeNonnegative:
             )
             h_err = lp_norm(smoothed - phi1, math.inf)
             assert h_err <= 10.0 * base_err
-
-    def test_invalid_delta(self, phi1):
-        res = transform_analytic(phi1, 0.3)
-        with pytest.raises(NegativeDelta):
-            make_nonnegative(res, phi1, delta=-0.1)
-        with pytest.raises(NegativeDelta):
-            make_nonnegative(res, phi1, delta=1.5)
