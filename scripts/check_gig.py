@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
-"""Kolmogorov-Smirnov check of both users of the ratio-of-uniforms engine
-in ``supermix.priors``: ``gig_sample`` on a dense (p, omega) grid and
-``ScalePriorA0.posterior_sample`` on a dense (k, s) grid.
+"""Kolmogorov-Smirnov check of both ratio-of-uniforms samplers in
+``supermix.priors``: ``gig_sample`` (the array engine
+``_ratio_of_uniforms``) on a dense (p, omega) grid and
+``ScalePriorA0.posterior_sample`` (its own float loop, sharing only the
+v-bound roots ``_rou_roots``) on a dense (k, s) grid.
 
 Every GIG cell draws GIG(p, a, b) variates, with density proportional to
 y^(p-1) exp(-(a y + b / y) / 2), in the form the N-IG Gibbs sweep uses:
@@ -18,7 +20,7 @@ squares s under the default prior ``ScalePriorA0()`` (nu = 2, lam = 1/2),
 one ``posterior_sample`` call per draw.  The reference is the same
 trapezoid rule on the density of log sigma, built from
 ``ScalePriorA0.logpdf(sigma) - n log sigma - s / (2 sigma^2)`` and so
-independent of the engine's algebra.
+independent of the sampler's algebra.
 
 Prints one KS p-value per cell and exits 1 if any falls below its grid's
 Bonferroni threshold 0.001 / cells.  The tier-1 suite runs small grids

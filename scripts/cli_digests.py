@@ -7,8 +7,12 @@ gaussian:0.5`` and ``--threads 1``; ``approx`` and ``transform`` on
 densities that together cover all seven kernel families; ``discretize``
 on a catalog density with the Gaussian, Cauchy, Student-t, superkernel
 and sinc kernels, and on an ``--atoms-csv`` file the script writes)
-inside OUTDIR and prints one ``sha256  file`` line per CSV and sidecar.  It then prints one
-``sha256  name`` line for the atoms, the weights and the grid density of
+inside OUTDIR and prints one ``sha256  file`` line per CSV and sidecar.
+It then prints one ``sha256  name`` line for the raw float64 values and
+the raw complex128 spectrum of ``catalog_density(id).f`` for one id per
+kernel family (``GRID_IDS``): the CSVs carry summaries of these grids,
+not the grids.
+Next, one line for the atoms, the weights and the grid density of
 ``finite_gaussian_mixture(catalog_density("gaussian:1"), sigma)`` at
 sigma = 0.4, 0.3 and 0.25, digesting the raw float64 bytes, and one for
 the ``gig_sample`` draws over a (p, a, b) grid that covers both of its
@@ -73,6 +77,10 @@ DISCRETIZE = ["discretize", "--epsilon", "1e-3", "--a", "2", "--sigma", "0.5"]
 FIT = ["fit", "--data", "fit_data.txt", "--iterations", "200", "--burn-in", "50",
        "--truncation", "20"]
 LADDER = ["--n-ladder", "60,120", "--replicates", "2"]
+
+#: one catalog id per kernel family for the grid digests
+GRID_IDS = ("gaussian:1", "cauchy:1", "stable:1.5:1", "student_t:3:1", "fvp:1", "sinc:0.5",
+            "superkernel:1:2:1")
 
 #: the GIG digest grid: every (p, a, b) combination, 32 draws each
 GIG_P = (-10.5, -1.5, -1.0, -0.5, 0.5, 1.0, 1.5, 30.5)
@@ -158,8 +166,19 @@ def run_all(outdir: Path) -> list[str]:
     return names
 
 
-def _array_digest(values) -> str:
-    return hashlib.sha256(np.ascontiguousarray(values, dtype="<f8").tobytes()).hexdigest()
+def _array_digest(values, dtype="<f8") -> str:
+    return hashlib.sha256(np.ascontiguousarray(values, dtype=dtype).tobytes()).hexdigest()
+
+
+def grid_digests() -> list[tuple[str, str]]:
+    """(sha256, name) of the grid values and spectrum of each ``GRID_IDS``
+    catalog density."""
+    out = []
+    for density_id in GRID_IDS:
+        f = catalog_density(density_id).f
+        out += [(_array_digest(f.values), f"grid_{density_id}.values"),
+                (_array_digest(f.spectrum, "<c16"), f"grid_{density_id}.spectrum")]
+    return out
 
 
 def mixture_digests() -> list[tuple[str, str]]:
@@ -265,6 +284,6 @@ if __name__ == "__main__":
         raise SystemExit("usage: cli_digests.py OUTDIR")
     for name in run_all(Path(sys.argv[1])):
         print(f"{hashlib.sha256(Path(name).read_bytes()).hexdigest()}  {name}")
-    for digest, name in (mixture_digests() + gig_digests() + nig_digests() + posterior_digests()
-                         + density_digests() + py_sample_digests()):
+    for digest, name in (grid_digests() + mixture_digests() + gig_digests() + nig_digests()
+                         + posterior_digests() + density_digests() + py_sample_digests()):
         print(f"{digest}  {name}")

@@ -506,9 +506,8 @@ def finite_gaussian_mixture(truth: CatalogDensity, sigma: float) -> MixtureAppro
     edges = np.linspace(-a_sigma, a_sigma, n_cells + 1)
     atoms, weights = _cellwise_gauss(source, edges, nodes_per_cell)
 
-    # Gaussian floor keeps the mixture strictly positive everywhere; the
-    # product with sigma ** -1.0 rounds differently from dividing by sigma
-    d_sigma = sigma ** -1.0 * math.exp(-((1.0 / sigma) ** r0))
+    # Gaussian floor keeps the mixture strictly positive everywhere
+    d_sigma = math.exp(-((1.0 / sigma) ** r0)) / sigma
     floor_weight = d_sigma / (c_h + d_sigma)
     atoms = np.concatenate([atoms, [0.0]])
     weights = np.concatenate(

@@ -11,8 +11,11 @@ convention:
   spectral indicator of ``[-1/sigma, 1/sigma]``.
 
 Frequencies live on the FFT grid ``t_m = 2*pi*m/(n*dx)`` with Nyquist band
-``[-pi/dx, pi/dx]``.  Functions are treated as periodic with period ``2X``;
-wraparound is the caller's aliasing budget (see :class:`~supermix.errors.AliasingRisk`).
+``[-pi/dx, pi/dx]``.  The grid origin contributes the phase
+``exp(-i*t_m*X) = (-1)^m`` exactly; it is applied as the half-length
+index rotation ``fftshift``, so no phase array is computed.  Functions
+are treated as periodic with period ``2X``; wraparound is the caller's
+aliasing budget (see :class:`~supermix.errors.AliasingRisk`).
 """
 
 from __future__ import annotations
@@ -37,12 +40,9 @@ def _grid_arrays(half_width: float, n_points: int):
     dx = 2.0 * half_width / n_points
     x = -half_width + dx * np.arange(n_points)
     t = 2.0 * np.pi * np.fft.fftfreq(n_points, d=dx)
-    # phase factors aligning the FFT index convention with the grid origin
-    fwd_phase = np.exp(-1j * t * half_width)
-    inv_phase = np.exp(1j * t * half_width)
-    for a in (x, t, fwd_phase, inv_phase):
+    for a in (x, t):
         a.setflags(write=False)
-    return x, t, fwd_phase, inv_phase
+    return x, t
 
 
 class GridFunction:
@@ -85,12 +85,14 @@ class GridFunction:
     def from_spectrum(cls, half_width: float, n_points: int, spectrum) -> "GridFunction":
         """Build from the DFT twin; values are synthesized by inverse DFT."""
         spectrum = np.asarray(spectrum, dtype=complex)
-        values = _synthesize(half_width, n_points, spectrum)
+        if spectrum.shape != (n_points,):
+            raise ValueError(f"spectrum shape {spectrum.shape} does not match n_points {n_points}")
+        values = _synthesize(half_width, spectrum)
         return cls(half_width, values, spectrum=spectrum)
 
     @classmethod
     def from_callable(cls, half_width: float, n_points: int, fn) -> "GridFunction":
-        x, _, _, _ = _grid_arrays(half_width, n_points)
+        x, _ = _grid_arrays(half_width, n_points)
         return cls(half_width, fn(x))
 
     # -- basic accessors ----------------------------------------------
@@ -102,7 +104,7 @@ class GridFunction:
     @property
     def spectrum(self) -> np.ndarray:
         if self._spectrum is None:
-            spec = _analyze(self.half_width, self.n_points, self._values)
+            spec = _analyze(self.half_width, self._values)
             spec.setflags(write=False)
             self._spectrum = spec
         return self._spectrum
@@ -167,16 +169,12 @@ class GridFunction:
         )
 
 
-def _analyze(half_width: float, n_points: int, values: np.ndarray) -> np.ndarray:
-    _, _, fwd_phase, _ = _grid_arrays(half_width, n_points)
-    dx = 2.0 * half_width / n_points
-    return dx * fwd_phase * (n_points * np.fft.ifft(values))
+def _analyze(half_width: float, values: np.ndarray) -> np.ndarray:
+    return 2.0 * half_width * np.fft.ifft(np.fft.ifftshift(values))
 
 
-def _synthesize(half_width: float, n_points: int, spectrum: np.ndarray) -> np.ndarray:
-    _, _, _, inv_phase = _grid_arrays(half_width, n_points)
-    dx = 2.0 * half_width / n_points
-    return np.fft.fft(spectrum * inv_phase).real / (n_points * dx)
+def _synthesize(half_width: float, spectrum: np.ndarray) -> np.ndarray:
+    return np.fft.fftshift(np.fft.fft(spectrum).real) / (2.0 * half_width)
 
 
 def apply_multiplier(f: GridFunction, multiplier: np.ndarray) -> GridFunction:

@@ -74,7 +74,7 @@ def _superkernel_density(x: np.ndarray, flat: float, cutoff: float) -> np.ndarra
 
 
 def _student_t_density(s: float, nu: float) -> Callable[[np.ndarray], np.ndarray]:
-    c = math.gamma((nu + 1) / 2) / (math.sqrt(nu * math.pi) * math.gamma(nu / 2))
+    c = math.exp(math.lgamma((nu + 1) / 2) - math.lgamma(nu / 2)) / math.sqrt(nu * math.pi)
     return lambda x: (c / s) * (1.0 + (x / s) ** 2 / nu) ** (-(nu + 1) / 2)
 
 
@@ -189,6 +189,10 @@ class KernelSpec:
         return ":".join([self.family, *(t[:-2] if t.endswith(".0") else t for t in texts)])
 
 
+#: the default smoothing kernel of the approximation and transform operators
+SINC_KERNEL = KernelSpec("sinc")
+
+
 def parse_kernel_id(text: str) -> KernelSpec:
     """Parse ``family[:shape...][:scale]``: ``gaussian:1``, ``stable:1.5:1``,
     ``superkernel:1:2:1``.  Every shape field is given, or none where the
@@ -251,20 +255,18 @@ def supersmooth_class(spec: KernelSpec, f: GridFunction) -> SupersmoothClass:
     return SupersmoothClass(rho=rho, r=r, L=L, spectral_support=support)
 
 
-def smoothing_multiplier(
-    kernel: Optional[KernelSpec], sigma: float, f: GridFunction
-) -> np.ndarray:
+def smoothing_multiplier(kernel: KernelSpec, sigma: float, f: GridFunction) -> np.ndarray:
     """Spectral multiplier of convolution with ``kernel_sigma`` on f's grid.
 
-    ``kernel=None`` selects the sinc kernel (band indicator at 1/sigma).
-    sigma must be finite and positive, and ``1/sigma`` must lie inside
-    f's Nyquist band.
+    The sinc kernel's multiplier is the band indicator at 1/sigma.  sigma
+    must be finite and positive, and ``1/sigma`` must lie inside f's
+    Nyquist band.
     """
     if not 0.0 < sigma < math.inf:
         raise ValueError(f"sigma must be finite and positive, got {sigma}")
     if 1.0 / sigma > f.nyquist:
         raise CutoffAboveNyquist(f"1/sigma = {1/sigma:g} exceeds Nyquist {f.nyquist:g}")
-    char = replace(kernel if kernel is not None else KernelSpec("sinc"), scale=sigma).char_fn()
+    char = replace(kernel, scale=sigma).char_fn()
     if char is None:
         raise UnknownFamily(f"no spectral form for {kernel.family}")
     return char(f.freqs())
@@ -275,7 +277,7 @@ def sinc_approx_error(
     cls: SupersmoothClass,
     sigma: float,
     p: float,
-    kernel: Optional[KernelSpec] = None,
+    kernel: KernelSpec = SINC_KERNEL,
 ) -> float:
     """L^p distance between f and its sinc (or superkernel) smoothing.
 
@@ -286,8 +288,7 @@ def sinc_approx_error(
     extends the law to p in [1, 2).
     """
     mult = smoothing_multiplier(kernel, sigma, f)
-    sinc_like = kernel is None or kernel.family == "sinc"
-    if p < 2 and sinc_like and not cls.spectral_support < math.inf:
+    if p < 2 and kernel.family == "sinc" and not cls.spectral_support < math.inf:
         raise InvalidP("sinc approximation controls only p >= 2; pass a superkernel")
     return lp_norm(apply_multiplier(f, mult) - f, p)
 

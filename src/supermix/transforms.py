@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import SeriesNotConverged
 from .gridfn import GridFunction, apply_multiplier, lp_norm
-from .kernels import KernelSpec, smoothing_multiplier
+from .kernels import SINC_KERNEL, KernelSpec, smoothing_multiplier
 
 #: floor constant delta = 1 - sqrt(e)/2 used by the non-negativization
 DELTA_DEFAULT = 1.0 - math.sqrt(math.e) / 2.0
@@ -144,7 +144,7 @@ def _auto_order() -> int:
 
 
 def _corrected(
-    f0: GridFunction, sigma: float, order: int, kernel: Optional[KernelSpec] = None
+    f0: GridFunction, sigma: float, order: int, kernel: KernelSpec = SINC_KERNEL
 ) -> TransformResult:
     """Corrected function with the series truncated at ``order``.
 
@@ -188,13 +188,13 @@ def transform_sobolev(
     f0: GridFunction,
     sigma: float,
     k0: int,
-    superkernel: Optional[KernelSpec] = None,
+    superkernel: KernelSpec = SINC_KERNEL,
 ) -> TransformResult:
     """Sobolev-order corrected function: series truncated at k0 - 1 terms.
 
-    With ``superkernel=None`` the sinc kernel is used; passing a
-    superkernel spec replaces the band indicator by its trapezoidal
-    transform, which keeps the integral exactly 1.
+    By default the sinc kernel is used; passing a superkernel spec
+    replaces the band indicator by its trapezoidal transform, which keeps
+    the integral exactly 1.
     """
     if k0 < 1:
         raise ValueError("k0 must be >= 1")

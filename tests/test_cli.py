@@ -44,6 +44,16 @@ def test_fvp_approx_error_column_zero(tmp_path):
     assert sorted(meta["versions"]) == ["numpy", "supermix"]
 
 
+def test_large_student_t_degrees_of_freedom_approx(tmp_path):
+    # Gamma((nu + 1) / 2) alone overflows a float above nu ~ 342
+    out = tmp_path / "approx.csv"
+    code = main(["approx", "--density", "student_t:400:1", "--sigma", "0.5",
+                 "--out", str(out)])
+    assert code == 0
+    error = float(out.read_text().splitlines()[1].split(",")[-1])
+    assert np.isfinite(error) and error > 0
+
+
 def test_unknown_flag_exits_2():
     res = run_cli(["approx", "--density", "fvp:1", "--sigma", "1", "--out", "/tmp/x.csv",
                    "--bogus-flag", "3"])

@@ -28,6 +28,32 @@ def test_power_of_two_required():
         GridFunction(10.0, np.zeros(1000))
 
 
+def test_spectrum_length_must_match_grid():
+    with pytest.raises(ValueError):
+        GridFunction.from_spectrum(10.0, 1024, np.ones(512))
+
+
+class TestExactPhase:
+    """The grid origin's phase exp(-i t_m X) is exactly (-1)^m."""
+
+    @pytest.mark.parametrize("half_width, n", [(40.0, 2 ** 14), (16.0, 2 ** 11),
+                                               (640.0, 2 ** 18)])
+    def test_flat_spectrum_is_exact_spike(self, half_width, n):
+        f = GridFunction.from_spectrum(half_width, n, np.ones(n))
+        spike = np.zeros(n)
+        spike[n // 2] = 1.0 / f.dx
+        assert f.grid()[n // 2] == 0.0
+        assert np.array_equal(f.values, spike)
+
+    def test_mirror_symmetric_samples_have_real_spectrum(self):
+        f = GridFunction.from_callable(40.0, 2 ** 14, lambda x: np.exp(-x ** 2 / 2))
+        assert np.abs(f.spectrum.imag).max() <= 1e-15
+
+    def test_catalog_gaussian_is_mirror_symmetric(self, gaussian_truth):
+        v = gaussian_truth.f.values
+        assert np.abs(v[1:] - v[:0:-1]).max() <= 2.3e-16
+
+
 class TestConvolve:
     def test_gaussian_self_convolution(self, phi1):
         conv = convolve(phi1, phi1)

@@ -200,6 +200,18 @@ class TestStudentT:
         assert abs(slope - (-math.sqrt(3))) / math.sqrt(3) <= 0.1
 
 
+    @pytest.mark.parametrize("nu", [1.0, 3.0, 30.0, 300.0, 400.0, 1000.0])
+    def test_density_at_zero_matches_mpmath(self, nu):
+        # the normalizing constant Gamma((nu+1)/2) / (sqrt(nu pi) Gamma(nu/2))
+        # stays finite where either gamma alone overflows a float
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            exact = float(mpmath.gamma((nu + 1) / 2)
+                          / (mpmath.sqrt(nu * mpmath.pi) * mpmath.gamma(nu / 2)))
+        got = KernelSpec("student_t", 1.0, nu).density_fn()(np.zeros(1))[0]
+        assert abs(got - exact) <= 1e-12 * exact
+
+
 class TestSuperkernel:
     def test_trapezoid_values(self):
         spec = KernelSpec("superkernel", 1.0, (1.0, 2.0)).char_fn()
