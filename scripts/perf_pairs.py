@@ -1,0 +1,119 @@
+#!/usr/bin/env python3
+"""Alternating ``perfbench`` pairs between two checkouts of this repository.
+
+    python3 scripts/perf_pairs.py PARENT_DIR CHANGE_DIR --workload nig_contract \\
+        --pairs 6 --seconds 12 [--batches 2] [--gap 60] [--seed 1]
+
+Each pair runs ``perfbench/run.py --trace 0`` once in each checkout, one run
+at a time and with the same seed, so both sides run the same task list.
+The side that goes first alternates from pair to pair, starting with the
+parent in the first batch and with the change in the second.  For every
+pair the script prints the five end-to-end metrics of both sides and the
+failed-task counts.  It then prints, for each batch and over all batches,
+each metric's median on both sides, the interquartile range of the
+parent's runs, and the number of pairs in which the change was better.
+The metric names and their better direction come from CHANGE_DIR's
+``BENCHMARK.json``.
+
+``--batches 2`` repeats the pairs as a second batch after ``--gap``
+seconds: on a shared host one batch of pairs can read one side slower in
+nearly every pair and then even out later, so a claimed gain needs a
+second, later batch that agrees.  Uses the standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+SIDES = ("parent", "change")
+
+
+def parse_args(argv):
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("parent", type=Path, help="checkout of the parent commit")
+    p.add_argument("change", type=Path, help="checkout of the change")
+    p.add_argument("--workload", required=True)
+    p.add_argument("--pairs", type=int, default=5)
+    p.add_argument("--seconds", type=float, default=12.0)
+    p.add_argument("--batches", type=int, default=1)
+    p.add_argument("--gap", type=float, default=0.0, help="seconds between batches")
+    p.add_argument("--seed", type=int, default=1)
+    args = p.parse_args(argv)
+    for side in SIDES:
+        if not (getattr(args, side) / "perfbench" / "run.py").is_file():
+            p.error(f"no perfbench/run.py under {getattr(args, side)}")
+    if args.pairs < 1 or args.batches < 1 or args.gap < 0 or not args.seconds > 0:
+        p.error("--pairs and --batches must be >= 1, --gap >= 0 and --seconds > 0")
+    return args
+
+
+def run_once(checkout: Path, args) -> dict:
+    """One ``perfbench`` run; returns its result line."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", args.workload,
+         "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", "0"],
+        cwd=checkout, capture_output=True, text=True,
+    )
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        raise SystemExit(f"perfbench failed in {checkout}:\n{proc.stderr}")
+    return json.loads(lines[-1])
+
+
+def quartiles(values):
+    if len(values) < 2:
+        return values[0], values[0]
+    q = statistics.quantiles(values, n=4, method="inclusive")
+    return q[0], q[2]
+
+
+def summary(title, pairs, metrics):
+    print(f"{title}: {len(pairs)} pairs")
+    for name, better in metrics:
+        old = [p["parent"][name] for p in pairs]
+        new = [p["change"][name] for p in pairs]
+        wins = sum((n < o) if better == "lower" else (n > o) for o, n in zip(old, new))
+        lo, hi = quartiles(old)
+        print(f"  {name:12s} median parent {statistics.median(old):.4g}  "
+              f"change {statistics.median(new):.4g}  parent IQR {hi - lo:.3g}  "
+              f"change better in {wins}/{len(pairs)} ({better} is better)")
+    failed = {side: sum(p["failed"][side] for p in pairs) for side in SIDES}
+    print(f"  failed tasks: parent {failed['parent']}, change {failed['change']}")
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
+    spec = json.loads((args.change / "BENCHMARK.json").read_text())
+    metrics = [(m["name"], m["better"]) for m in spec["end_to_end"]]
+    batches = []
+    for batch in range(args.batches):
+        if batch:
+            time.sleep(args.gap)
+        pairs = []
+        for i in range(args.pairs):
+            order = SIDES if (i + batch) % 2 == 0 else SIDES[::-1]
+            results = {side: run_once(getattr(args, side), args) for side in order}
+            pair = {side: {name: results[side]["metrics"][name]["value"] for name, _ in metrics}
+                    for side in SIDES}
+            pair["failed"] = {side: results[side]["failed"] for side in SIDES}
+            pairs.append(pair)
+            cells = "  ".join(f"{name} {pair['parent'][name]:.4g}/{pair['change'][name]:.4g}"
+                              for name, _ in metrics)
+            print(f"batch {batch + 1} pair {i + 1} ({order[0]} first) parent/change: {cells}  "
+                  f"failed {pair['failed']['parent']}/{pair['failed']['change']}", flush=True)
+        batches.append(pairs)
+    for batch, pairs in enumerate(batches):
+        summary(f"batch {batch + 1}", pairs, metrics)
+    if len(batches) > 1:
+        summary("all batches", [p for pairs in batches for p in pairs], metrics)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -14,10 +14,13 @@ priors:
   generalized-inverse-Gaussian (GIG), drawn for all cells in one
   :func:`~supermix.priors.gig_sample` call per sweep.
 
-Allocation and log likelihood come from :func:`_allocate`, over a
-components x observations buffer allocated once per fit: one matrix
-product writes the log-density relative to the largest log-weight, then
-one exponentiation, one cumulative sum and one comparison draw the labels.
+Allocation and log likelihood come from one :class:`_Allocation`
+workspace per fit, which holds what no sweep changes: the data mean and
+centred design, a components x observations buffer with the row pairs
+of its cumulative sum, a boolean buffer for the label count and the
+coefficient buffer.  Per sweep, one matrix product writes the
+log-density relative to the largest log-weight, then one
+exponentiation, one cumulative sum and one comparison draw the labels.
 The exponent is rounded differently from the direct difference-and-square
 form, so a label could in principle move when a uniform falls within a
 few ulps of a cumulative-sum boundary; over 12,000 sweeps of DP
@@ -203,8 +206,9 @@ class ContractionRow:
 _RESCUE_FLOOR = np.finfo(float).tiny * 2.0 ** 53
 
 
-def _allocate(data, atoms, log_w, sigma, rng, out):
-    """Allocate every observation and score the mixture.
+class _Allocation:
+    """Allocation and log likelihood for one fit's data, over buffers built
+    once per fit.
 
     One matrix product writes the (L, n) log-density relative to the
     largest log-weight ``top``, ``log w_j - top - (x_i - atom_j)^2 /
@@ -219,40 +223,64 @@ def _allocate(data, atoms, log_w, sigma, rng, out):
     falls below ``_RESCUE_FLOOR`` (every component far from the point) is
     rebuilt from the difference ``x_i - atom_j`` with its own max shift.
 
-    Returns ``(alloc, loglik)``; ``out`` is clobbered.
+    The data mean, the centred design, the buffers and the row pairs of
+    the cumulative sum depend only on the data and L, so they are built
+    here.  Raises ``InvalidConfig`` when a centred square or the sum of
+    the squares overflows: the residual sum of squares of the bandwidth
+    draw would too.
     """
-    top = float(log_w.max())
-    centre = data.mean()
-    xc = data - centre
-    ac = atoms - centre
-    inv_var = 1.0 / (sigma * sigma)
-    coef = np.empty((atoms.size, 3))
-    coef[:, 0] = ac * inv_var
-    coef[:, 1] = (log_w - top) - 0.5 * inv_var * ac * ac
-    coef[:, 2] = -0.5 * inv_var
-    np.matmul(coef, np.stack([xc, np.ones_like(xc), xc * xc]), out=out)
-    np.exp(out, out=out)
-    # cumulative sum over components, one row at a time: np.cumsum(axis=0)
-    # runs its inner loop down each column (stride n) and takes about five
-    # times as long; the additions, and so the sums, are the same
-    for j in range(1, out.shape[0]):
-        np.add(out[j - 1], out[j], out=out[j])
-    tot = out[-1]
-    shift = np.zeros(data.size)
-    far = np.flatnonzero(~(tot >= _RESCUE_FLOOR))  # a nan total is rebuilt too
-    if far.size:
-        z = (data[far] - atoms[:, None]) / sigma
-        np.square(z, out=z)
-        z *= -0.5
-        z += (log_w - top)[:, None]
-        shift[far] = z.max(axis=0)
-        out[:, far] = np.cumsum(np.exp(z - shift[far]), axis=0)
-    u = rng.random(data.size) * tot
-    # labels are below L, so the count fits the smallest integer type that
-    # holds L; summing the booleans into a wider type casts every cell
-    alloc = (u > out).sum(axis=0, dtype=np.min_scalar_type(out.shape[0]))
-    const = top - math.log(sigma) - 0.5 * LOG_2PI
-    return alloc, float((shift + np.log(tot)).sum()) + data.size * const
+
+    def __init__(self, data: np.ndarray, n_components: int):
+        self.data = data
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.centre = data.mean()
+            xc = data - self.centre
+            self.design = np.stack([xc, np.ones_like(xc), xc * xc])
+            squares = float(data @ data)
+        if not (np.isfinite(self.design[2]).all() and squares < math.inf):
+            raise InvalidConfig(
+                f"data from {data.min():.3g} to {data.max():.3g} are too large: "
+                "their squares overflow"
+            )
+        self.out = np.empty((n_components, data.size))
+        # cumulative sum over components, one row at a time: np.cumsum(axis=0)
+        # runs its inner loop down each column (stride n) and takes about five
+        # times as long; the additions, and so the sums, are the same
+        self.pairs = [(self.out[j - 1], self.out[j]) for j in range(1, n_components)]
+        self.mask = np.empty(self.out.shape, dtype=bool)
+        self.coef = np.empty((n_components, 3))
+        # labels are below L, so the count fits the smallest integer type that
+        # holds L; summing the booleans into a wider type casts every cell
+        self.label_dtype = np.min_scalar_type(n_components)
+
+    def draw(self, atoms, log_w, sigma, rng):
+        """Labels and mixture log likelihood; returns ``(alloc, loglik)``."""
+        data, out, coef = self.data, self.out, self.coef
+        top = float(log_w.max())
+        ac = atoms - self.centre
+        inv_var = 1.0 / (sigma * sigma)
+        coef[:, 0] = ac * inv_var
+        coef[:, 1] = (log_w - top) - 0.5 * inv_var * ac * ac
+        coef[:, 2] = -0.5 * inv_var
+        np.matmul(coef, self.design, out=out)
+        np.exp(out, out=out)
+        for prev, cur in self.pairs:
+            np.add(prev, cur, cur)
+        tot = out[-1]
+        shift = np.zeros(data.size)
+        far = np.flatnonzero(~(tot >= _RESCUE_FLOOR))  # a nan total is rebuilt too
+        if far.size:
+            z = (data[far] - atoms[:, None]) / sigma
+            np.square(z, out=z)
+            z *= -0.5
+            z += (log_w - top)[:, None]
+            shift[far] = z.max(axis=0)
+            out[:, far] = np.cumsum(np.exp(z - shift[far]), axis=0)
+        u = rng.random(data.size)
+        u *= tot
+        alloc = np.greater(u, out, self.mask).sum(axis=0, dtype=self.label_dtype)
+        const = top - math.log(sigma) - 0.5 * LOG_2PI
+        return alloc, float((shift + np.log(tot)).sum()) + data.size * const
 
 
 def blocked_gibbs_fit(data: np.ndarray, cfg: FitConfig, rng: np.random.Generator) -> Chain:
@@ -272,18 +300,16 @@ def blocked_gibbs_fit(data: np.ndarray, cfg: FitConfig, rng: np.random.Generator
     if not np.all(np.isfinite(data)):
         raise InvalidConfig("data must be finite")
     n = data.size
+    nig = isinstance(cfg.prior, NIGPartitionPrior)
+    allocation = _Allocation(data, cfg.prior.n_cells if nig else cfg.truncation)
     sigma = _init_sigma(data, cfg, rng)
-    if isinstance(cfg.prior, NIGPartitionPrior):
-        block = _NIGCells(cfg.prior)
-    else:
-        block = _PYSticks(cfg.prior, cfg.truncation, rng)
+    block = _NIGCells(cfg.prior) if nig else _PYSticks(cfg.prior, cfg.truncation, rng)
     kept = len(range(cfg.burn_in, cfg.iterations, cfg.thinning))
     atoms, weights = np.empty((2, kept, block.atoms.size))
     sigmas, logliks = np.empty(kept), np.empty(cfg.iterations)
-    work = np.empty((block.atoms.size, n))
 
     for it in range(cfg.iterations):
-        alloc, logliks[it] = _allocate(data, block.atoms, block.log_weights(), sigma, rng, work)
+        alloc, logliks[it] = allocation.draw(block.atoms, block.log_weights(), sigma, rng)
         counts = np.bincount(alloc, minlength=block.atoms.size)
 
         block.update(data, alloc, counts, sigma, rng)
@@ -387,8 +413,9 @@ class _NIGCells:
 
     def __init__(self, prior: NIGPartitionPrior):
         self.atoms = prior.cell_midpoints()
-        self.alphas = prior.cell_alphas()
-        self.y = np.maximum(self.alphas.copy(), 1e-8)
+        alphas = prior.cell_alphas()
+        self.alphas_sq = alphas ** 2
+        self.y = np.maximum(alphas, 1e-8)
 
     def log_weights(self) -> np.ndarray:
         return np.log(self.weights())
@@ -400,7 +427,7 @@ class _NIGCells:
         # latent total-mass scale: u | y ~ Gamma(n, rate = sum y)
         u = rng.gamma(data.size, 1.0 / self.y.sum())
         # y_k | rest ~ GIG(p = counts_k - 1/2, a = 1 + 2u, b = alpha_k^2)
-        y = gig_sample(counts - 0.5, 1.0 + 2.0 * u, self.alphas ** 2, rng)
+        y = gig_sample(counts - 0.5, 1.0 + 2.0 * u, self.alphas_sq, rng)
         self.y = np.maximum(y, 1e-300)
 
 

@@ -372,7 +372,8 @@ def _ig_transform(mu, lam, nu: np.ndarray, u) -> np.ndarray:
 #: GIG (measured for p from 1 to 5000.5 and sqrt(ab) from 1e-6 to 1e4) and
 #: at least 0.71 for the bandwidth (k = nu + n from 1.5 to 1e6, sums of
 #: squares from 0 to 1e12; 0.61 at k = 1.01), so the cap is only reached
-#: when the bounding rectangle is broken
+#: when the bounding rectangle is broken.  The normal tail's rejection in
+#: :func:`_normal_tail` has the same cap
 GIG_MAX_ROUNDS = 100
 
 
@@ -388,69 +389,85 @@ def gig_sample(p, a, b, rng: np.random.Generator) -> np.ndarray:
     generalized inverse Gaussian random variates", Stat. Comput. 24 (2014),
     on GIG(p, a, b) = sqrt(b/a) GIG(p, sqrt(ab), sqrt(ab)).
     """
-    p, a, b = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (p, a, b)))
+    p, a, b = (np.asarray(v, dtype=float) for v in (p, a, b))
     q = np.abs(p)
     half = q == 0.5
-    if not np.all(half | ((q >= 1.0) & (q < np.inf))):
+    if not (half | ((q >= 1.0) & (q < np.inf))).all():
         raise ValueError("gig_sample supports |p| = 1/2 and finite |p| >= 1 only")
-    if not np.all((a > 0) & (a < np.inf) & (b > 0) & (b < np.inf)):
+    if not (((a > 0) & (a < np.inf)).all() and ((b > 0) & (b < np.inf)).all()):
         raise ValueError("GIG parameters a and b must be positive and finite")
-    # flip to the canonical sign of each branch: p = -1/2, or p >= 1
-    flip = np.where(half, p > 0, p < 0)
+    # flip to the canonical sign of each branch, p = -1/2 or p >= 1; the
+    # swap broadcasts a and b to the full shape
+    flip = (p > 0) == half
     a, b = np.where(flip, b, a), np.where(flip, a, b)
-    x = np.empty(p.shape)
+    if q.shape != a.shape:
+        q, half = np.broadcast_to(q, a.shape), np.broadcast_to(half, a.shape)
+    x = np.empty(a.shape)
     lam = b[half]
     nu = rng.standard_normal(lam.size) ** 2
     x[half] = _ig_transform(np.sqrt(lam / a[half]), lam, nu, rng.random(lam.size))
     # |p| >= 1: GIG(q, w, w) with w = sqrt(ab), around its mode m
     rou = ~half
-    q, w = q[rou], np.sqrt(a[rou] * b[rou])
-    m = (q - 1.0 + np.sqrt((q - 1.0) ** 2 + w ** 2)) / w
+    a, b = a[rou], b[rou]
+    q, w = q[rou], np.sqrt(a * b)
+    qm1 = q - 1.0
+    m = (qm1 + np.sqrt(qm1 ** 2 + w ** 2)) / w
     a2 = -2.0 * (q + 1.0) / w - m
-    a1 = 2.0 * m * (q - 1.0) / w - 1.0
-    x[rou] = np.sqrt(b[rou] / a[rou]) * _ratio_of_uniforms(
-        m, a2, a1, m, lambda y, i: _gig_log_ratio(y, q[i], w[i], m[i]), rng
-    )
-    return np.where(flip, 1.0 / x, x)
+    a1 = 2.0 * m * qm1 / w - 1.0
+    params = (qm1, 0.5 * w, m, 1.0 / m)
+    x[rou] = np.sqrt(b / a) * _ratio_of_uniforms(m, a2, a1, m, _gig_log_ratio, rng, params)
+    np.divide(1.0, x, out=x, where=flip)
+    return x
 
 
-def _gig_log_ratio(x, q, w, m):
-    """log h(x) - log h(m) for h(x) = x^(q-1) exp(-w (x + 1/x) / 2); -inf at x <= 0."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = (q - 1.0) * np.log(x / m) - 0.5 * w * ((x - m) + (1.0 / x - 1.0 / m))
-    return np.where(x > 0, out, -np.inf)
+def _gig_log_ratio(x, params):
+    """log h(x) - log h(m) for h(x) = x^(q-1) exp(-w (x + 1/x) / 2), from the
+    rows (q - 1, w / 2, m, 1 / m); nan or -inf at x <= 0."""
+    qm1, half_w, m, inv_m = params
+    return qm1 * np.log(x / m) - half_w * ((x - m) + (1.0 / x - inv_m))
 
 
-def _ratio_of_uniforms(m, a2, a1, a0, log_ratio, rng: np.random.Generator) -> np.ndarray:
+def _ratio_of_uniforms(m, a2, a1, a0, log_ratio, rng: np.random.Generator,
+                       params=()) -> np.ndarray:
     """One draw per element of the mode array ``m`` from a density h on
     (0, inf) by ratio-of-uniforms with mode shift (Leydold, ACM TOMS 26
-    (2000)): one rejection loop over the indices still pending.
+    (2000)): one rejection loop over the draws still pending.
 
-    ``log_ratio(x, i)`` is log h(x) - log h(m) at the draws indexed by
-    ``i``, -inf at x <= 0.  The v-bounds sit at the roots that
-    :func:`_rou_roots` gives for (a2, a1, a0)."""
+    ``log_ratio(x, rows)`` is log h(x) - log h(m) at the draws x, and nan
+    or -inf at x <= 0, which rejects them; ``rows`` stacks the entries of
+    the per-draw arrays ``params`` for those draws.  The pending draws'
+    modes, v-bounds and ``params`` sit in one array, compacted once per
+    round.  The v-bounds sit at the roots that :func:`_rou_roots` gives
+    for (a2, a1, a0)."""
     roots = np.array(_rou_roots(a2, a1, a0))
-    vmin, vmax = (roots - m) * np.exp(0.5 * log_ratio(roots, slice(None)))
-    if not np.all((vmin < 0.0) & (vmax > 0.0)):
-        raise RuntimeError("ratio-of-uniforms bounds are not finite and of opposite sign")
-    width = vmax - vmin
-    x = np.empty(m.shape)
-    pending = np.arange(m.size)
-    for _ in range(GIG_MAX_ROUNDS):
-        if not pending.size:
-            return x
-        u = 1.0 - rng.random(pending.size)  # (0, 1]: v / u stays finite
-        v = vmin[pending] + width[pending] * rng.random(pending.size)
-        cand = v / u + m[pending]
-        accept = 2.0 * np.log(u) <= log_ratio(cand, pending)
-        x[pending[accept]] = cand[accept]
-        pending = pending[~accept]
-    if pending.size:
-        raise RuntimeError(
-            f"ratio-of-uniforms stalled: {pending.size} draws still rejected "
-            f"after {GIG_MAX_ROUNDS} rounds"
-        )
-    return x
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # rows: mode, vmin, width, then params; vmin and width are set below
+        state = np.array([m, m, m, *params])
+        vmin, vmax = (roots - m) * np.exp(0.5 * log_ratio(roots, state[3:]))
+        if not ((vmin < 0.0) & (vmax > 0.0)).all():
+            raise RuntimeError("ratio-of-uniforms bounds are not finite and of opposite sign")
+        state[1], state[2] = vmin, vmax - vmin
+        x = np.empty(m.shape)
+        pending = np.arange(m.size)
+        for _ in range(GIG_MAX_ROUNDS):
+            if not pending.size:
+                return x
+            u = 1.0 - rng.random(pending.size)  # (0, 1]: v / u stays finite
+            cand = rng.random(pending.size)
+            cand *= state[2]
+            cand += state[1]
+            cand /= u
+            cand += state[0]
+            np.log(u, out=u)
+            u *= 2.0
+            accept = u <= log_ratio(cand, state[3:])
+            x[pending[accept]] = cand[accept]
+            keep = ~accept
+            pending, state = pending[keep], state[:, keep]
+    raise RuntimeError(
+        f"ratio-of-uniforms stalled: {pending.size} draws still rejected "
+        f"after {GIG_MAX_ROUNDS} rounds"
+    )
 
 
 def _rou_roots(a2, a1, a0):
@@ -524,6 +541,13 @@ def nig_marginal_cdf(params: NIGParams, z_grid: np.ndarray) -> np.ndarray:
 # scale priors
 
 
+#: bandwidth mode above which :meth:`ScalePriorA0.posterior_sample` finds its
+#: v-bounds in units of the mode: the direct cubic's coefficients grow like
+#: m, m^2 and m^3, and :func:`_rou_roots` cubes a coefficient of order m^2,
+#: which overflows near m = 1e51 and then gives wrong roots
+_SCALE_MODE_MAX = 2.0 ** 128
+
+
 @dataclass(frozen=True)
 class ScalePriorA0:
     """Bandwidth prior with inverse-gamma reference implementation.
@@ -566,6 +590,9 @@ class ScalePriorA0:
             raise ValueError(f"need n >= 1 and a finite ss >= 0, got n={n}, ss={ss}")
         lam, k = self.lam, self.nu + n
         m = (lam + math.sqrt(lam * lam + 4.0 * ss * (k + 1.0))) / (2.0 * (k + 1.0))
+        if m == math.inf:  # 4 ss (k + 1) overflowed
+            half = lam / (2.0 * (k + 1.0))
+            m = half + math.sqrt(half * half + ss / (k + 1.0))
 
         def log_ratio(x: float) -> float:
             if not x > 0.0:
@@ -577,8 +604,13 @@ class ScalePriorA0:
         # _ratio_of_uniforms for one draw, on floats: size-1 arrays cost
         # ~100 us of dispatch per draw.  np.log, np.exp and np.arccos keep
         # its bits on floats; math.log, math.exp, math.acos and ** do not
-        low, top = (float(r) for r in _rou_roots(
-            (-lam - (k + 1.0) * m) / (k - 1.0), (lam * m - ss) / (k - 1.0), m * ss / (k - 1.0)))
+        if m < _SCALE_MODE_MAX:
+            low, top = (float(r) for r in _rou_roots(
+                (-lam - (k + 1.0) * m) / (k - 1.0), (lam * m - ss) / (k - 1.0), m * ss / (k - 1.0)))
+        else:  # the roots in units of m, of a cubic with coefficients of order k
+            r = ss / m / m
+            low, top = (float(t) * m for t in _rou_roots(
+                (-lam / m - (k + 1.0)) / (k - 1.0), (lam / m - r) / (k - 1.0), r / (k - 1.0)))
         vmin = (low - m) * float(np.exp(0.5 * log_ratio(low)))
         vmax = (top - m) * float(np.exp(0.5 * log_ratio(top)))
         if not (vmin < 0.0 < vmax):
@@ -947,7 +979,9 @@ def truncated_normal_sample(
     mean is reflected below it, so both cdf values sit in the lower tail,
     where :func:`ndtr` keeps full relative accuracy.  An interval more than
     37 sd below its mean, where the cdf underflows, is drawn by
-    :func:`_normal_tail` instead.
+    :func:`_normal_tail` instead; a tail draw on its standardized near
+    bound is returned as the near endpoint itself, where mean + sd * z
+    would cancel.
     """
     mean, sd = np.broadcast_arrays(np.asarray(mean, dtype=float), np.asarray(sd, dtype=float))
     alpha, beta = (lo - mean) / sd, (hi - mean) / sd
@@ -963,9 +997,20 @@ def truncated_normal_sample(
     z = np.full(mean.shape, -math.inf)  # the limit of ndtri at q = 0
     inverse = ~tail & (q > 0.0)
     z[inverse] = _elementwise(ndtri, q[inverse])
-    if tail.any():
+    in_tail = tail.any()
+    if in_tail:
         z[tail] = -_normal_tail(-beta[tail], -alpha[tail], rng)
-    return np.clip(mean + sd * np.where(flip, -z, z), lo, hi)
+    out = mean + sd * np.where(flip, -z, z)
+    if in_tail:
+        on_bound = tail & (z == beta)
+        out[on_bound] = np.where(flip, lo, hi)[on_bound]
+    return np.clip(out, lo, hi)
+
+
+#: standardized bound beyond which :func:`_normal_tail` returns the bound:
+#: its square would overflow, and the law's excess over it, of order 1 /
+#: bound, is far below the bound's rounding
+_TAIL_FAR = 2.0 ** 500
 
 
 def _normal_tail(lo: np.ndarray, hi: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -973,15 +1018,23 @@ def _normal_tail(lo: np.ndarray, hi: np.ndarray, rng: np.random.Generator) -> np
 
     The proposal has density proportional to x e^{-x^2/2} on [lo, hi] and
     is drawn by its inverse cdf; a draw x is kept with probability lo/x,
-    which exceeds 1 - 1/lo^2 on average (Marsaglia's tail method).
+    which exceeds 1 - 1/lo^2 on average (Marsaglia's tail method).  A far
+    interval (lo above ``_TAIL_FAR``, or of no width once rounded) gives lo
+    without a draw.  Raises ``RuntimeError`` if draws are still rejected
+    after ``GIG_MAX_ROUNDS`` rounds.
     """
-    out = np.empty(lo.shape)
-    todo = np.arange(lo.size)
-    while todo.size:
+    out = lo.copy()
+    todo = np.flatnonzero((lo < _TAIL_FAR) & (hi > lo))
+    for _ in range(GIG_MAX_ROUNDS):
+        if not todo.size:
+            return out
         a, b = lo[todo], hi[todo]
         mass = -np.expm1(-(b - a) * (b + a) / 2.0)
         x = np.sqrt(a * a - 2.0 * np.log1p(-rng.random(todo.size) * mass))
         keep = rng.random(todo.size) * x <= a
         out[todo[keep]] = x[keep]
         todo = todo[~keep]
-    return out
+    raise RuntimeError(
+        f"normal tail rejection stalled: {todo.size} draws still rejected "
+        f"after {GIG_MAX_ROUNDS} rounds"
+    )

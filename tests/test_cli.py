@@ -398,6 +398,45 @@ def test_fit_contract_smoke(tmp_path):
     assert len(rows) == 3
 
 
+def _fit_wide_data(tmp_path, scale, prior):
+    """``fit`` on 40 standard-normal values times ``scale``; returns the
+    exit code, the output path and the warnings raised."""
+    data_file = tmp_path / "data.txt"
+    np.savetxt(data_file, np.random.default_rng(3).standard_normal(40) * scale, fmt="%.17g")
+    out = tmp_path / "fit.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["fit", "--data", str(data_file), "--prior", prior, "--iterations", "60",
+                     "--burn-in", "20", "--truncation", "10", "--out", str(out)])
+    return code, out, caught
+
+
+@pytest.mark.parametrize("prior", ["dp", "nig"])
+@pytest.mark.parametrize("scale", [1e104, 1e150])
+def test_fit_of_widely_spread_data_is_finite(tmp_path, scale, prior):
+    # the bandwidth's sum of squares is near 1e209 or 1e301, where the
+    # direct form of its ratio-of-uniforms bounds overflows
+    code, out, caught = _fit_wide_data(tmp_path, scale, prior)
+    assert code == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert len(rows) == 20
+    sigma = np.array([float(r[1]) for r in rows])
+    loglik = np.array([float(r[2]) for r in rows])
+    assert np.all(np.isfinite(loglik))
+    assert np.all((sigma > 1e-3 * scale) & (sigma < 1e3 * scale))
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("prior", ["dp", "nig"])
+def test_fit_of_overflowing_data_exits_2(tmp_path, capsys, prior):
+    code, out, caught = _fit_wide_data(tmp_path, 1e160, prior)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "data from -2.83e+160 to 3.32e+160 are too large" in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv", [["contract", "--replicates", "0"], ["w2", "--replicates", "-2"]]
 )

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from supermix import (
 from supermix.errors import InvalidConfig, TooFewDraws
 from supermix.posterior import (
     LOG_2PI,
-    _allocate,
+    _Allocation,
     _w2_draws,
     _worker_count,
     contraction_experiment,
@@ -187,7 +188,7 @@ class TestGibbsPY:
     def test_one_exact_sigma_draw_per_sweep(self, gaussian_data, monkeypatch):
         calls, returned, logliks = [], [], []
         real = ScalePriorA0.posterior_sample
-        real_allocate = posterior._allocate
+        real_draw = _Allocation.draw
 
         def counting(self, n, ss, rng):
             calls.append(n)
@@ -195,12 +196,12 @@ class TestGibbsPY:
             return returned[-1]
 
         def recording(*args):
-            alloc, ll = real_allocate(*args)
+            alloc, ll = real_draw(*args)
             logliks.append(ll)
             return alloc, ll
 
         monkeypatch.setattr(ScalePriorA0, "posterior_sample", counting)
-        monkeypatch.setattr(posterior, "_allocate", recording)
+        monkeypatch.setattr(_Allocation, "draw", recording)
         data = gaussian_data[1]
         # with thinning 3 the 20 sweeps after burn-in leave a remainder of 2
         for cfg in (small_config(iterations=30, burn_in=10),
@@ -279,11 +280,54 @@ class TestAllocate:
                     atoms[0] = data.max() + 60.0 * sigma
             ref_rng, rng = np.random.default_rng(seed + 100), np.random.default_rng(seed + 100)
             want, want_ll = _oracle_allocate(data, atoms, log_w, sigma, ref_rng)
-            got, got_ll = _allocate(data, atoms, log_w, sigma, rng, np.empty((L, n)))
+            got, got_ll = _Allocation(data, L).draw(atoms, log_w, sigma, rng)
             assert np.array_equal(got, want)
             assert rng.bit_generator.state == ref_rng.bit_generator.state
             assert math.isfinite(got_ll)
             assert abs(got_ll - want_ll) <= 1e-12 * abs(want_ll)
+
+    @pytest.mark.parametrize("n,L", [(15, 10), (1000, 64)])
+    @pytest.mark.parametrize("offset", [0.0, 1e4])
+    def test_reused_workspace_matches_oracle(self, n, L, offset):
+        """One workspace serves every call of a fit: cycling the near, far,
+        mixed and light cases through it in turn, each call must match the
+        oracle, so a stale mask, row pair or coefficient row fails."""
+        g = np.random.default_rng(7)
+        lattice = offset + 0.1 * np.arange(L)
+        # half the points on an atom of the lattice, half between two atoms
+        data = lattice[g.integers(0, L - 1, n)] + 0.05 + 1e-5 * g.standard_normal(n)
+        data[::2] -= 0.05
+        work = _Allocation(data, L)
+        rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
+        for seed in range(3):
+            for case in ("near", "far", "near", "mixed", "light", "far"):
+                log_w = np.log(g.dirichlet(np.ones(L)))
+                if case == "mixed":
+                    # sigma = 1e-3: the points between two atoms sit 50
+                    # sigma from both, the others on one
+                    sigma, atoms = 1e-3, lattice.copy()
+                elif case == "far":
+                    # every point 25 sigma or more from its nearest atom
+                    sigma, atoms = 5e-4, lattice + 0.025
+                else:
+                    sigma = g.uniform(0.05, 2.0)
+                    atoms = offset + 2.0 * g.standard_normal(L)
+                    if case == "light":
+                        log_w[1:] -= 730.0
+                        log_w[0] = 0.0
+                        atoms[0] = data.max() + 60.0 * sigma
+                want, want_ll = _oracle_allocate(data, atoms, log_w, sigma, ref_rng)
+                got, got_ll = work.draw(atoms, log_w, sigma, rng)
+                assert np.array_equal(got, want), (seed, case)
+                assert rng.bit_generator.state == ref_rng.bit_generator.state
+                assert abs(got_ll - want_ll) <= 1e-12 * abs(want_ll), (seed, case)
+
+    def test_overflowing_spread_is_rejected(self):
+        data = np.linspace(-1.0, 1.0, 40) * 1e160
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidConfig, match=r"data from -1e\+160 to 1e\+160 are too large"):
+                blocked_gibbs_fit(data, small_config(), np.random.default_rng(0))
 
     @pytest.mark.parametrize("prior_id", ["dp", "nig"])
     def test_fit_matches_oracle_sweep(self, gaussian_data, monkeypatch, prior_id):
@@ -292,10 +336,10 @@ class TestAllocate:
         )
         real = blocked_gibbs_fit(gaussian_data[1], cfg, np.random.default_rng(5))
         monkeypatch.setattr(
-            posterior,
-            "_allocate",
-            lambda data, atoms, log_w, sigma, rng, out: _oracle_allocate(
-                data, atoms, log_w, sigma, rng
+            _Allocation,
+            "draw",
+            lambda self, atoms, log_w, sigma, rng: _oracle_allocate(
+                self.data, atoms, log_w, sigma, rng
             ),
         )
         ref = blocked_gibbs_fit(gaussian_data[1], cfg, np.random.default_rng(5))

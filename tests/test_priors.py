@@ -437,6 +437,20 @@ class TestGIGSample:
         with pytest.raises(RuntimeError, match="stalled"):
             gig_sample(np.full(3, 2.5), GIBBS_A, 1e-3, StuckUniforms())
 
+    def test_scalar_parameters_match_full_arrays(self):
+        # the sweep's call: counts 0, 1 and >= 2 (both branches, flipped and
+        # not) with a scalar a; the same draws as with every parameter spelt out
+        counts = np.array([0, 1, 2, 0, 5, 1, 37, 0, 3, 2, 1, 400])
+        b = np.linspace(1e-3, 3.0, counts.size)
+        for seed in range(4):
+            for a_arg, b_arg in ((GIBBS_A + seed, b), (b, GIBBS_A + seed)):
+                full = [np.broadcast_to(v, counts.shape).copy() for v in (a_arg, b_arg)]
+                got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                got = gig_sample(counts - 0.5, a_arg, b_arg, got_rng)
+                want = gig_sample(counts - 0.5, *full, want_rng)
+                assert got.tobytes() == want.tobytes()
+                assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
 
 class TestScalePrior:
     def test_mode(self):
@@ -553,6 +567,20 @@ class TestScalePosteriorSample:
                 want = self.array_engine_draw(prior, n, ss, want_rng)
                 assert type(got) is float
                 assert got == want, (prior, n, ss)
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    @pytest.mark.parametrize("ss", [1e110, 1e150, 1e250, 1.7e308])
+    def test_huge_sum_of_squares_scales_with_its_root(self, ss):
+        # lam is negligible against sqrt(ss), so sigma / sqrt(ss) has one law
+        # for every large ss: the same uniforms give the same ratio as at
+        # ss = 1e60, where the bounds come from the direct cubic
+        prior = ScalePriorA0()
+        for n in (1, 40, 4000):
+            got_rng, want_rng = np.random.default_rng(n), np.random.default_rng(n)
+            for _ in range(200):
+                got = prior.posterior_sample(n, ss, got_rng) / math.sqrt(ss)
+                want = prior.posterior_sample(n, 1e60, want_rng) / 1e30
+                assert got == pytest.approx(want, rel=1e-12, abs=0.0)
             assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
     @pytest.mark.parametrize(
@@ -741,6 +769,33 @@ class TestTruncatedNormal:
         draws = priors._normal_tail(np.full(4000, 1.0), np.full(4000, 2.5), rng)
         assert draws.min() >= 1.0 and draws.max() <= 2.5
         assert kstest(draws, truncnorm(1.0, 2.5).cdf).pvalue > 1e-3
+
+    class BoundedUniforms:
+        """A generator's uniforms, failing the test once ``budget`` calls
+        are spent: a rejection loop that never ends fails instead of hanging."""
+
+        def __init__(self, seed, budget=200, stuck=False):
+            self.rng, self.budget, self.stuck = np.random.default_rng(seed), budget, stuck
+
+        def random(self, size=None):
+            self.budget -= 1
+            assert self.budget >= 0, "rejection loop did not end"
+            return np.full(size, 1.0 - 2.0 ** -53) if self.stuck else self.rng.random(size)
+
+    @pytest.mark.parametrize("mean", [1e10, 1e150, 1e160, -1e150, -1e160])
+    def test_far_mean_gives_the_near_endpoint(self, mean):
+        # the conditional law sits within 1 / |mean| of the near endpoint;
+        # at 1e150 the standardized interval rounds to one point, and at
+        # 1e160 its square overflows
+        got = truncated_normal_sample(np.array([mean]), np.array([1.0]), -4.0, 4.0,
+                                      self.BoundedUniforms(0))
+        assert got.tolist() == [math.copysign(4.0, mean)]
+
+    def test_tail_rejection_is_capped(self):
+        # uniforms next to 1 propose the far end, and each proposal is rejected
+        with pytest.raises(RuntimeError, match="stalled"):
+            priors._normal_tail(np.full(3, 40.0), np.full(3, 41.0),
+                                self.BoundedUniforms(0, budget=10 ** 4, stuck=True))
 
 
 # Reference versions of the Monte-Carlo event tests as row-wise
