@@ -43,17 +43,27 @@ keeps the RNG stream proves byte identity with one ``diff``:
     (in a checkout of the parent) python3 scripts/cli_digests.py /tmp/old > old.txt
     diff old.txt new.txt
 
+``--write`` instead writes the listing to ``tests/data/cli_digests.txt``
+below a fingerprint of the machine (``FINGERPRINT``: the numpy version,
+``platform.machine()`` and the BLAS name and version), which
+``tests/test_digests.py`` compares against a fresh run:
+
+    python3 scripts/cli_digests.py --write /tmp/digests
+
 Exits 1 if a subcommand fails.  Takes well under a minute on two CPUs.
 """
 
+import argparse
 import hashlib
 import json
 import os
+import platform
 import sys
 from dataclasses import replace
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np
 
@@ -100,6 +110,9 @@ NIG_DRAWS = 1000
 PY_SAMPLE_DISCOUNTS = (0.0, 0.25)
 PY_SAMPLE_DRAWS = 50
 PY_SAMPLE_TOL = 1e-4
+
+#: the committed listing that ``--write`` regenerates
+DIGEST_FILE = ROOT / "tests" / "data" / "cli_digests.txt"
 
 RUNS = {
     "approx_fvp": ["approx", "--density", "fvp:1", "--sigma", "1,0.7,0.5"],
@@ -279,11 +292,37 @@ def py_sample_digests() -> list[tuple[str, str]]:
     return out
 
 
-if __name__ == "__main__":
-    if len(sys.argv) != 2:
-        raise SystemExit("usage: cli_digests.py OUTDIR")
-    for name in run_all(Path(sys.argv[1])):
-        print(f"{hashlib.sha256(Path(name).read_bytes()).hexdigest()}  {name}")
+def fingerprint() -> dict[str, str]:
+    """The fields of the machine on which matmul and exp rounding may
+    depend: the numpy version, the CPU architecture and the BLAS build."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "numpy": np.__version__,
+        "machine": platform.machine(),
+        "blas": f"{blas.get('name')} {blas.get('version')}",
+    }
+
+
+def listing(outdir: Path) -> list[str]:
+    """Every ``sha256  name`` line, in output order."""
+    lines = [f"{hashlib.sha256(Path(name).read_bytes()).hexdigest()}  {name}"
+             for name in run_all(outdir)]
     for digest, name in (grid_digests() + mixture_digests() + gig_digests() + nig_digests()
                          + posterior_digests() + density_digests() + py_sample_digests()):
-        print(f"{digest}  {name}")
+        lines.append(f"{digest}  {name}")
+    return lines
+
+
+if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("outdir", type=Path, help="directory for the CLI outputs")
+    parser.add_argument("--write", action="store_true",
+                        help=f"write the listing with its fingerprint to {DIGEST_FILE}")
+    args = parser.parse_args()
+    lines = listing(args.outdir)
+    if args.write:
+        header = [f"# {key}: {value}" for key, value in fingerprint().items()]
+        DIGEST_FILE.parent.mkdir(parents=True, exist_ok=True)
+        DIGEST_FILE.write_text("\n".join(header + lines) + "\n")
+    else:
+        print("\n".join(lines))
