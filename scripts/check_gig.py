@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
-"""Kolmogorov-Smirnov check of both ratio-of-uniforms samplers in
-``supermix.priors``: ``gig_sample`` (the array engine
-``_ratio_of_uniforms``) on a dense (p, omega) grid and
-``ScalePriorA0.posterior_sample`` (its own float loop, sharing only the
-v-bound roots ``_rou_roots``) on a dense (k, s) grid.
+"""Kolmogorov-Smirnov check of both ratio-of-uniforms samplers:
+``supermix.variates.gig_sample`` (the array engine ``_ratio_of_uniforms``)
+on a dense (p, omega) grid and ``supermix.priors.ScalePriorA0.posterior_sample``
+(its own float loop, sharing only the v-bound roots
+``variates._rou_roots``) on a dense (k, s) grid.
 
 Every GIG cell draws GIG(p, a, b) variates, with density proportional to
 y^(p-1) exp(-(a y + b / y) / 2), in the form the N-IG Gibbs sweep uses:
@@ -25,7 +25,7 @@ independent of the sampler's algebra.
 Prints one KS p-value per cell and exits 1 if any falls below its grid's
 Bonferroni threshold 0.001 / cells.  The tier-1 suite runs small grids
 through :func:`ks_pvalue` and :func:`sigma_ks_pvalue`; this script is the
-long variant (about 70 s at the default draws on one core).
+long variant (about 90 s at the default draws on one core).
 
     python3 scripts/check_gig.py [--draws 100000] [--seed 0]
 """
@@ -40,14 +40,16 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 import numpy as np
 from scipy.stats import invgauss, kstest
 
-from supermix.priors import ScalePriorA0, gig_sample
+from supermix.priors import ScalePriorA0
+from supermix.variates import gig_sample
 
 #: the Gibbs sweep's a = 1 + 2u; u ranged over 800-2000 in an N-IG fit
 #: at n = 1000
 GIBBS_A = 1.0 + 2.0 * 1000.0
 
 P_GRID = (-10.5, -1.5, -0.5, 0.5, 1.0, 1.5, 2.5, 4.5, 10.5, 30.5, 100.5, 309.5, 492.5)
-OMEGA_GRID = (1e-4, 8e-4, 4e-3, 0.03, 0.37, 1.0, 2.4, 4.0, 10.0)
+#: from one end of ``variates.GIG_AB`` to the other
+OMEGA_GRID = (1e-12, 1e-8, 1e-4, 8e-4, 4e-3, 0.03, 0.37, 1.0, 2.4, 4.0, 10.0, 1e4)
 
 #: k = nu + n, the shape of the bandwidth's full conditional, and the
 #: residual sum of squares s

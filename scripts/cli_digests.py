@@ -81,7 +81,8 @@ from supermix.posterior import (
     prior_predictive_density,
     resolve_truth,
 )
-from supermix.priors import NIGParams, PYParams, gig_sample, nig_sample, py_sample
+from supermix.priors import NIGParams, PYParams, nig_sample, py_sample
+from supermix.variates import gig_sample
 
 DISCRETIZE = ["discretize", "--epsilon", "1e-3", "--a", "2", "--sigma", "0.5"]
 FIT = ["fit", "--data", "fit_data.txt", "--iterations", "200", "--burn-in", "50",

@@ -12,7 +12,7 @@ priors:
   finite-dimensional law of the weights is preserved by a latent-scale
   augmentation that makes the un-normalized cell increments conditionally
   generalized-inverse-Gaussian (GIG), drawn for all cells in one
-  :func:`~supermix.priors.gig_sample` call per sweep.
+  :func:`~supermix.variates.gig_sample` call per sweep.
 
 Allocation and log likelihood come from one :class:`_Allocation`
 workspace per fit, which holds what no sweep changes: the data mean and
@@ -66,13 +66,12 @@ from .priors import (
     NIGParams,
     PYParams,
     ScalePriorA0,
-    gig_sample,
     nig_sample,
     py_sample,
     py_sticks,
     stick_log_weights,
-    truncated_normal_sample,
 )
+from .variates import gig_sample, truncated_normal_sample
 
 LOG_2PI = math.log(2.0 * math.pi)
 _GAUSSIAN = KernelSpec("gaussian")
@@ -391,18 +390,15 @@ def _update_atoms_py(data, alloc, counts, sigma, base: BaseMeasure, rng, L):
         prec = counts / sigma ** 2 + 1.0 / base.scale ** 2
         mean = (sums / sigma ** 2) / prec
         return mean + rng.standard_normal(L) / np.sqrt(prec)
-    # uniform base: truncated-conjugate update, prior draws for empty components
-    sd = np.where(counts > 0, sigma / np.sqrt(np.maximum(counts, 1)), np.inf)
-    mean = np.where(counts > 0, sums / np.maximum(counts, 1), 0.0)
+    # uniform base: prior draws for empty components (none is a size-0 draw,
+    # which leaves the generator as it is), truncated-conjugate updates for
+    # the occupied ones, of which there is at least one
     flat = counts == 0
     out = np.empty(L)
-    if flat.any():
-        out[flat] = base.sample(rng, int(flat.sum()))
+    out[flat] = base.sample(rng, int(flat.sum()))
     occ = ~flat
-    if occ.any():
-        out[occ] = truncated_normal_sample(
-            mean[occ], sd[occ], -base.scale, base.scale, rng
-        )
+    out[occ] = truncated_normal_sample(sums[occ] / counts[occ], sigma / np.sqrt(counts[occ]),
+                                       -base.scale, base.scale, rng)
     return out
 
 

@@ -57,9 +57,6 @@ class TransformCoefficients:
     c: np.ndarray
     d: np.ndarray
 
-    def abs_d_sum(self) -> float:
-        return float(np.abs(self.d).sum())
-
     def correction(self, u, order: int) -> np.ndarray:
         """Correction series ``sum_{j <= order} d_j s_j(u)`` at u = (t sigma)^2/2.
 

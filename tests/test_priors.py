@@ -30,25 +30,28 @@ from supermix.errors import (
     NonPositiveSigma,
     PreconditionViolated,
 )
-from supermix import priors
+from supermix import priors, variates
 from supermix.priors import (
-    gig_sample,
-    inverse_gaussian_sample,
     lemma_verification_table,
     log_bessel_k_scaled,
-    ndtr,
-    ndtri,
     nig_marginal_cdf,
-    py_expected_weights,
     simulate_nig_event,
     simulate_py_location_event,
     simulate_py_stick_event,
-    truncated_normal_sample,
 )
+from supermix.variates import gig_sample, ndtr, ndtri, truncated_normal_sample
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
 from check_gig import GIBBS_A, ks_pvalue, sigma_ks_pvalue  # noqa: E402
 from check_special import TOLERANCES, largest_errors  # noqa: E402
+
+
+def py_expected_weights(params: PYParams, n: int) -> np.ndarray:
+    """E[W_j] for the first n weights, from independence of the sticks."""
+    js = np.arange(1, n + 1)
+    means = (1.0 - params.d) / (1.0 - params.d + params.c + params.d * js)
+    one_minus = np.concatenate([[1.0], np.cumprod(1.0 - means)[:-1]])
+    return means * one_minus
 
 
 def log_bessel_k_half(order_times_two: int, x) -> np.ndarray:
@@ -343,25 +346,18 @@ class TestNIGSampler:
         ).max()
         assert dev <= 0.02
 
+    # IG(mu, lam) is GIG(-1/2, a = lam / mu^2, b = lam), which gig_sample
+    # draws by the Michael-Schucany-Haas transform
+
     def test_inverse_gaussian_moments(self):
         # IG(mu, lam): mean mu, variance mu^3 / lam
         rng = np.random.default_rng(9)
-        y = inverse_gaussian_sample(2.0, 3.0, rng, size=2 * 10 ** 5)
+        y = gig_sample(np.full(2 * 10 ** 5, -0.5), 3.0 / 4.0, 3.0, rng)
         assert abs(y.mean() - 2.0) <= 4 * y.std() / math.sqrt(y.size)
         assert abs(y.var() - 8.0 / 3.0) / (8.0 / 3.0) <= 0.05
 
-    @pytest.mark.parametrize("mu, lam, name", [
-        (-1.0, 1.0, "mu"), (0.0, 1.0, "mu"), (np.inf, 1.0, "mu"), (np.nan, 1.0, "mu"),
-        (1.0, -2.0, "lam"), (1.0, 0.0, "lam"), (1.0, np.inf, "lam"),
-        (np.array([1.0, -1.0]), 1.0, "mu"),
-    ], ids=["mu_negative", "mu_zero", "mu_inf", "mu_nan", "lam_negative", "lam_zero",
-            "lam_inf", "mu_array_with_negative"])
-    def test_inverse_gaussian_rejects_bad_parameters(self, mu, lam, name):
-        with pytest.raises(ValueError, match=f"inverse-Gaussian {name} must be positive"):
-            inverse_gaussian_sample(mu, lam, np.random.default_rng(0), size=10)
-
     def test_inverse_gaussian_scalar_parameters_give_a_scalar_draw(self):
-        y = inverse_gaussian_sample(2.0, 3.0, np.random.default_rng(0))
+        y = gig_sample(-0.5, 3.0 / 4.0, 3.0, np.random.default_rng(0))
         assert y.shape == () and y > 0
 
     @pytest.mark.parametrize("omega", [1e-2, 1e-4, 1e-6, 1e-8])
@@ -374,12 +370,14 @@ class TestNIGSampler:
         size = 200
         for mu in (0.3, 1.0, 7.0):
             lam = omega * mu
-            y = inverse_gaussian_sample(mu, lam, np.random.default_rng(11), size=size)
+            a = lam / mu ** 2
+            y = gig_sample(np.full(size, -0.5), a, lam, np.random.default_rng(11))
             replay = np.random.default_rng(11)
             nus = replay.standard_normal(size) ** 2
             us = replay.random(size)
             with mpmath.workdps(50):
-                m, lm = mpmath.mpf(mu), mpmath.mpf(lam)
+                # the mean gig_sample forms, sqrt(b / a), within an ulp of mu
+                m, lm = mpmath.mpf(float(np.sqrt(lam / a))), mpmath.mpf(lam)
                 for got, nu, u in zip(y, nus, us):
                     nu = mpmath.mpf(nu)
                     root = m + m ** 2 * nu / (2 * lm) - (m / (2 * lm)) * mpmath.sqrt(
@@ -458,9 +456,9 @@ class TestScalePrior:
 
     def test_envelope_exponents(self):
         prior = ScalePriorA0(2.0, 0.5)
-        s, t, gamma = prior.envelope_exponents()
-        assert (s, t, gamma) == (3.0, 0.0, 1.0)
-        # two-sided envelope with D1 > lam > D2 on sigma in (0, 0.2]
+        # exponents (s, t, gamma) = (nu + 1, 0, 1): a two-sided envelope
+        # with D1 > lam > D2 on sigma in (0, 0.2]
+        s = prior.nu + 1.0
         sigma = np.linspace(1e-3, 0.2, 500)
         g = np.exp(prior.logpdf(sigma))
         c0 = prior.lam ** prior.nu / math.gamma(prior.nu)
@@ -555,7 +553,7 @@ class TestScalePosteriorSample:
 
         coefs = (-lam - (k + 1.0) * m, lam * m - ss, m * ss)
         a2, a1, a0 = (np.array([c / (k - 1.0)]) for c in coefs)
-        return float(priors._ratio_of_uniforms(np.array([m]), a2, a1, a0, log_ratio, rng)[0])
+        return float(variates._ratio_of_uniforms(np.array([m]), a2, a1, a0, log_ratio, rng)[0])
 
     def test_float_loop_matches_array_engine_bitwise(self):
         grid = [(n, ss) for n in (1, 2, 37, 1000, 4000)
@@ -766,7 +764,7 @@ class TestTruncatedNormal:
         from scipy.stats import truncnorm
 
         rng = np.random.default_rng(16)
-        draws = priors._normal_tail(np.full(4000, 1.0), np.full(4000, 2.5), rng)
+        draws = variates._normal_tail(np.full(4000, 1.0), np.full(4000, 2.5), rng)
         assert draws.min() >= 1.0 and draws.max() <= 2.5
         assert kstest(draws, truncnorm(1.0, 2.5).cdf).pvalue > 1e-3
 
@@ -794,7 +792,7 @@ class TestTruncatedNormal:
     def test_tail_rejection_is_capped(self):
         # uniforms next to 1 propose the far end, and each proposal is rejected
         with pytest.raises(RuntimeError, match="stalled"):
-            priors._normal_tail(np.full(3, 40.0), np.full(3, 41.0),
+            variates._normal_tail(np.full(3, 40.0), np.full(3, 41.0),
                                 self.BoundedUniforms(0, budget=10 ** 4, stuck=True))
 
 
@@ -808,7 +806,8 @@ def _nig_sample_axis1(params, rng, size):
     out = np.zeros((size, a.size))
     pos = a > 0
     mu = np.broadcast_to(a[pos], (size, pos.sum()))
-    out[:, pos] = inverse_gaussian_sample(mu, mu ** 2, rng)
+    nu = rng.standard_normal(mu.shape) ** 2
+    out[:, pos] = variates._ig_transform(mu, mu ** 2, nu, rng.random(mu.shape))
     out /= out.sum(axis=1, keepdims=True)
     return out
 

@@ -64,7 +64,7 @@ class TestCoefficients:
         # sum |d_j| stays below (sqrt(e) - 1) sqrt(e) at every truncation
         bound = (math.sqrt(math.e) - 1.0) * math.sqrt(math.e)
         for j_max in (10, 40, 120):
-            assert coefficients(j_max).abs_d_sum() <= bound
+            assert np.abs(coefficients(j_max).d).sum() <= bound
 
 
 class TestSymbolIdentity:
