@@ -40,26 +40,29 @@ def log_bessel_k_scaled(nu: float, x) -> np.ndarray:
     kappa = sqrt(x^2 + nu^2) and t = t* + u, the exponent lies below its
     peak by (kappa - nu)(cosh u - 1) + nu (e^u - 1 - u) to the right and
     by the same with -u to the left: sums of non-negative terms, so no
-    cancellation at large |u|.  The integrand is analytic in the strip
-    |Im u| < pi/2 and is a Gaussian of curvature kappa at the peak; the
-    step 1 / sqrt(24 + 2 kappa) keeps the discretization error of both
-    regimes below e^-38 relative, and the sum stops once every new term
-    is below e^-40 of the peak.  The left drop grows at least like
-    nu (u - 1), so nu >= 1/2 bounds the number of steps at any x.
-    ``scripts/check_special.py`` checks the result against mpmath.
+    cancellation at large |u|; cosh u - 1 is taken as 2 sinh^2(u/2), so
+    no cancellation at the small u of large x either.  The integrand is
+    analytic in the strip |Im u| < pi/2 and is a Gaussian of curvature
+    kappa at the peak; the step 1 / sqrt(24 + 2 kappa) keeps the
+    discretization error of both regimes below e^-38 relative, and the sum
+    stops once every new term is below e^-40 of the peak.  Both drops grow
+    at least like kappa u^2 / 2 and the left one like nu (u - 1), so the
+    sum takes at most about 13 steps at large x and 1 + 80 / (nu h) at
+    small x.  ``scripts/check_special.py`` checks the result against mpmath.
     """
     x = np.asarray(x, dtype=float)
     if not (nu >= 0.5 and np.all((x > 0) & (x < np.inf))):
         raise ValueError("log_bessel_k_scaled needs nu >= 1/2 and finite x > 0")
     kappa = np.hypot(x, nu)
     half_excess = 0.5 * x / (kappa + nu) * x  # (kappa - nu) / 2
-    h = 1.0 / np.sqrt(24.0 + 2.0 * kappa)
+    h = math.sqrt(0.5) / np.sqrt(12.0 + kappa)  # 2 kappa would overflow near the largest x
     total = np.ones(x.shape)  # the peak term
     for k in itertools.count(1):
         u = k * h
         up = np.expm1(u)
         down = -up / (up + 1.0)  # expm1(-u)
-        common = half_excess * (up + down)
+        s = np.sinh(0.5 * u)
+        common = (half_excess * s) * (4.0 * s)
         right = common + nu * (up - u)
         left = common + nu * (down + u)
         total += np.exp(-right)
@@ -314,11 +317,14 @@ def _nig_cells(params: NIGParams, rng: np.random.Generator, size: int) -> np.nda
 
 
 def nig_marginal_cdf(params: NIGParams, z_grid: np.ndarray) -> np.ndarray:
-    """CDF of the first coordinate at N = 2, by trapezoid quadrature."""
+    """CDF of the first coordinate at N = 2, by trapezoid quadrature on the
+    density relative to its largest grid value, which stays normal where
+    the density itself underflows on the whole grid."""
     if params.n_cells != 2:
         raise ValueError("marginal cdf implemented for N = 2")
     z = np.asarray(z_grid, dtype=float)
-    pdf = nig_density(np.stack([z, 1.0 - z], axis=-1), params)
+    log_pdf = nig_log_density(np.stack([z, 1.0 - z], axis=-1), params)
+    pdf = np.exp(log_pdf - log_pdf.max())
     cdf = np.concatenate([[0.0], np.cumsum((pdf[1:] + pdf[:-1]) / 2.0 * np.diff(z))])
     return cdf / cdf[-1]
 

@@ -1,5 +1,6 @@
 import json
 import os
+import signal
 import subprocess
 import sys
 import warnings
@@ -256,6 +257,23 @@ def test_nig_check_degenerate_cell_mass_exits_2(tmp_path, capsys, alphas, messag
                  "--out", str(tmp_path / "nc.csv")]) == 2
     assert message in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_nig_check_of_far_apart_masses_returns(tmp_path):
+    # the Bessel sum behind the N=2 marginal cdf never ended beyond x ~ 1e60;
+    # a stuck run is interrupted, and main reports the interruption as exit 1
+    def interrupt(signum, frame):
+        raise TimeoutError("nig-check did not return within 60 s")
+
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    signal.alarm(60)
+    try:
+        code = main(["nig-check", "--alphas", "1e100,1", "--budget", "2000",
+                     "--out", str(tmp_path / "nc.csv")])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code in (0, 2)
 
 
 @pytest.mark.parametrize("order", ["0", "1", "3", "5"])

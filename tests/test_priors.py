@@ -285,6 +285,20 @@ class TestSpecialFunctions:
             exact = log_bessel_k_half(m, x) + x
             assert np.abs(log_bessel_k_scaled(m / 2.0, x) - exact).max() <= 1e-13
 
+    @pytest.mark.parametrize("nu", [0.5, 1.0, 2.5, 16.0, 32.0])
+    def test_bessel_k_at_large_x_against_mpmath(self, nu):
+        # where 2 (cosh u - 1) as a difference of expm1 terms cancelled: the
+        # log was 0.10 off at x = 1e32 and the sum did not end beyond 1e60
+        import mpmath
+
+        for e in (4, 8, 17, 32, 40, 60, 100, 200, 300):
+            got = float(log_bessel_k_scaled(nu, np.array([10.0 ** e]))[0])
+            # log K_nu(x) + x cancels about e digits of the working precision
+            with mpmath.workdps(30 + e):
+                x = mpmath.mpf(10.0 ** e)
+                ref = float(mpmath.log(mpmath.besselk(nu, x)) + x)
+            assert abs(got - ref) <= 1e-13, (e, got, ref)
+
     def test_bessel_k_keeps_shape_and_rejects_bad_arguments(self):
         x = np.array([[0.5, 2.0], [10.0, 40.0]])
         assert log_bessel_k_scaled(2, x).shape == (2, 2)
