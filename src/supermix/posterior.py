@@ -351,7 +351,9 @@ def _init_sigma(data: np.ndarray, cfg: FitConfig, rng: np.random.Generator) -> f
         return float(cfg.fixed_sigma)
     sigma = float(SCALE_PRIOR.sample(rng))
     spread = float(data.std()) or 1.0
-    return min(max(sigma, 1e-3), 10.0 * spread)
+    # within three decades of the data's spread on either side, so the first
+    # sweeps' log likelihood stays of order n (x - atom)^2 / sigma^2 <= 1e6 n
+    return min(max(sigma, 1e-3 * spread), 10.0 * spread)
 
 
 class _PYSticks:

@@ -446,6 +446,21 @@ def test_fit_of_widely_spread_data_is_finite(tmp_path, scale, prior):
 
 
 @pytest.mark.parametrize("prior", ["dp", "nig"])
+@pytest.mark.parametrize("scale", [1e100, 1e153])
+def test_fit_of_huge_data_warns_nothing(tmp_path, scale, prior):
+    # with sigma started at its prior scale, the first sweeps' log likelihood
+    # was of order -n scale^2 (-inf at 1e153) and the burn-in monitor's
+    # spread overflowed; under warnings-as-errors that was exit 1
+    data_file = tmp_path / "data.txt"
+    np.savetxt(data_file, np.random.default_rng(0).standard_normal(40) * scale, fmt="%.17g")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["fit", "--data", str(data_file), "--prior", prior, "--iterations", "120",
+                     "--burn-in", "60", "--truncation", "10", "--out", str(tmp_path / "fit.csv")])
+    assert code == 0
+
+
+@pytest.mark.parametrize("prior", ["dp", "nig"])
 def test_fit_of_overflowing_data_exits_2(tmp_path, capsys, prior):
     code, out, caught = _fit_wide_data(tmp_path, 1e160, prior)
     assert code == 2
