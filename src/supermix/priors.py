@@ -46,9 +46,9 @@ def log_bessel_k_scaled(nu: float, x) -> np.ndarray:
     kappa at the peak; the step 1 / sqrt(24 + 2 kappa) keeps the
     discretization error of both regimes below e^-38 relative, and the sum
     stops once every new term is below e^-40 of the peak.  Both drops grow
-    at least like kappa u^2 / 2 and the left one like nu (u - 1), so the
-    sum takes at most about 13 steps at large x and 1 + 80 / (nu h) at
-    small x.  ``scripts/check_special.py`` checks the result against mpmath.
+    at least like kappa u^2 / 2, and the left one at least like nu (u - 1):
+    the sum ends after about 13 steps at large x, and by u = 1 + 40 / nu
+    at any x.  ``scripts/check_special.py`` checks the result against mpmath.
     """
     x = np.asarray(x, dtype=float)
     if not (nu >= 0.5 and np.all((x > 0) & (x < np.inf))):

@@ -56,6 +56,8 @@ GIG_MAX_ROUNDS = 100
 GIG_P_MAX = 1e8
 GIG_AB = (1e-24, 1e8)
 GIG_B_OVER_A = (1e-200, 1e200)
+_GIG_DOMAIN = (f"gig_sample needs |p| = 1/2 or 1 <= |p| <= {GIG_P_MAX:g}, and a, b > 0 with ab "
+               f"in {GIG_AB} and b/a in {GIG_B_OVER_A}")
 
 
 def gig_sample(p, a, b, rng: np.random.Generator) -> np.ndarray:
@@ -74,15 +76,12 @@ def gig_sample(p, a, b, rng: np.random.Generator) -> np.ndarray:
     p, a, b = (np.asarray(v, dtype=float) for v in (p, a, b))
     q = np.abs(p)
     half = q == 0.5
-    _require(half | ((q >= 1.0) & (q <= GIG_P_MAX)),
-             f"gig_sample needs |p| = 1/2 or 1 <= |p| <= {GIG_P_MAX:g}", p=p)
+    _require(half | ((q >= 1.0) & (q <= GIG_P_MAX)), _GIG_DOMAIN, p=p)
     with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
         ab, ratio = a * b, b / a
     # a > 0 and ab > 0 make b > 0
     _require((a > 0.0) & (ab >= GIG_AB[0]) & (ab <= GIG_AB[1])
-             & (ratio >= GIG_B_OVER_A[0]) & (ratio <= GIG_B_OVER_A[1]),
-             f"gig_sample needs a, b > 0 with ab in {GIG_AB} and b/a in {GIG_B_OVER_A}",
-             a=a, b=b)
+             & (ratio >= GIG_B_OVER_A[0]) & (ratio <= GIG_B_OVER_A[1]), _GIG_DOMAIN, a=a, b=b)
     # flip to the canonical sign of each branch, p = -1/2 or p >= 1; the
     # swap broadcasts a and b to the full shape
     flip = (p > 0) == half
