@@ -25,7 +25,7 @@ independent of the sampler's algebra.
 Prints one KS p-value per cell and exits 1 if any falls below its grid's
 Bonferroni threshold 0.001 / cells.  The tier-1 suite runs small grids
 through :func:`ks_pvalue` and :func:`sigma_ks_pvalue`; this script is the
-long variant (about 90 s at the default draws on one core).
+long variant (about 45 s at the default draws).
 
     python3 scripts/check_gig.py [--draws 100000] [--seed 0]
 """

@@ -51,7 +51,7 @@ def _require(inside, domain: str, **values) -> None:
 GIG_MAX_ROUNDS = 100
 
 #: the domain of :func:`gig_sample`: ``scripts/check_gig.py`` KS-tests
-#: sqrt(ab) over it (the N-IG sweep reaches 2e-5 to 5); draws were positive
+#: sqrt(ab) over it (default N-IG fits reach 2e-4 to 6); draws were positive
 #: up to sqrt(b/a) = 1e140 and matched the gamma limit up to |p| = 1e10
 GIG_P_MAX = 1e8
 GIG_AB = (1e-24, 1e8)
@@ -223,13 +223,14 @@ def truncated_normal_sample(
     """Draws of N(mean, sd^2) restricted to [lo, hi] (vectorized, deterministic).
 
     Domain: finite ``mean``, finite ``sd`` > 0 and lo < hi, either of which
-    may be infinite; every draw is finite and lies in [lo, hi].  Inverse cdf with one uniform per draw.  An
-    interval that lies above its mean is reflected below it, so both cdf
-    values sit in the lower tail, where :func:`ndtr` keeps full relative
-    accuracy.  An interval more than 37 sd below its mean, where the cdf
-    underflows, is drawn by :func:`_normal_tail` instead; a tail draw on
-    its standardized near bound is returned as the near endpoint itself,
-    where mean + sd * z would cancel.
+    may be infinite; every draw is finite and lies in [lo, hi].  Inverse
+    cdf with one uniform per draw.  An interval that lies above its mean is
+    reflected below it, so both cdf values sit in the lower tail, where
+    :func:`ndtr` keeps full relative accuracy.  An interval more than 37 sd
+    below its mean, where the cdf underflows, is drawn by
+    :func:`_normal_tail` instead; a tail draw on its standardized near bound
+    is returned as the near endpoint itself, where mean + sd * z would
+    cancel.
     """
     mean, sd = np.broadcast_arrays(np.asarray(mean, dtype=float), np.asarray(sd, dtype=float))
     _require(np.isfinite(mean) & (sd > 0.0) & (sd < math.inf),
