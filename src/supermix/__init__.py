@@ -49,7 +49,6 @@ from .metrics import (
 )
 from .priors import (
     BaseMeasure,
-    FittedConstants,
     NIGParams,
     PYParams,
     ScalePriorA0,
@@ -57,10 +56,13 @@ from .priors import (
     nig_density,
     nig_log_density,
     nig_sample,
+    py_sample,
+)
+from .prior_mass import (
+    FittedConstants,
     prior_mass_bound_nig,
     prior_mass_bound_py_locations,
     prior_mass_bound_py_sticks,
-    py_sample,
 )
 from .posterior import (
     Chain,

@@ -24,7 +24,8 @@ from . import __version__
 from .errors import SupermixError
 from .kernels import catalog_density, parse_kernel_id, sinc_approx_error
 from .posterior import FitConfig
-from .priors import NIGParams, lemma_verification_table, nig_marginal_cdf, nig_sample
+from .prior_mass import lemma_verification_table
+from .priors import NIGParams, nig_marginal_cdf, nig_sample
 from .transforms import gaussian_smoothing_error, spectral_symbol_check, transform_analytic
 
 

@@ -1,11 +1,9 @@
-"""Stick-breaking and normalized inverse-Gaussian priors with the
-prior-mass lower bounds they induce.
+"""Stick-breaking and normalized inverse-Gaussian priors, base measures
+and the bandwidth prior.
 
 All samplers take an explicit ``numpy.random.Generator``; there is no
-global mutable state.  The prior-mass lemmas carry existential constants:
-we expose them as a :class:`FittedConstants` pair fitted once on a small
-reference configuration, after which the bounds become falsifiable
-against Monte-Carlo probabilities on larger configurations.
+global mutable state.  The prior-mass lower bounds these priors induce,
+and their Monte-Carlo check, live in :mod:`supermix.prior_mass`.
 """
 
 from __future__ import annotations
@@ -13,7 +11,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -21,7 +18,6 @@ from .errors import (
     BoundaryPoint,
     InvalidDiscount,
     NonPositiveSigma,
-    PreconditionViolated,
     TruncationOverflow,
 )
 from .variates import GIG_MAX_ROUNDS, _ig_transform, _rou_roots, ndtr
@@ -316,6 +312,22 @@ def _nig_cells(params: NIGParams, rng: np.random.Generator, size: int) -> np.nda
     return cells
 
 
+def _across_columns(op: np.ufunc, draws: np.ndarray) -> np.ndarray:
+    """``op.reduce(draws, axis=1)`` with the same bits, for an (n_mc, N)
+    array in either memory order; the transpose of a cell-major (N, n_mc)
+    work array is one.  Below 8 columns numpy's row-wise reduction is
+    sequential but runs a short inner loop per row, ~10x slower than N
+    whole-column passes in the same order; from 8 on it sums each row
+    pairwise, which it does only along contiguous rows, so it is handed
+    a C-ordered copy."""
+    if draws.shape[1] >= 8:
+        return op.reduce(np.ascontiguousarray(draws), axis=1)
+    acc = draws[:, 0].copy()
+    for j in range(1, draws.shape[1]):
+        op(acc, draws[:, j], out=acc)
+    return acc
+
+
 def nig_marginal_cdf(params: NIGParams, z_grid: np.ndarray) -> np.ndarray:
     """CDF of the first coordinate at N = 2, by trapezoid quadrature on the
     density relative to its largest grid value, which stays normal where
@@ -425,335 +437,6 @@ class ScalePriorA0:
         return self.lam / (self.nu + 1.0)
 
 
-# ---------------------------------------------------------------------
-# prior-mass lower bounds with fitted constants
-
-
-@dataclass(frozen=True)
-class FittedConstants:
-    """(log C, rate) pair turning an existential bound into a number."""
-
-    log_c: float
-    rate: float
-
-    @classmethod
-    def fit(
-        cls, log_p_ref: float, exponent_ref: float, rate: float, log_margin: float
-    ) -> "FittedConstants":
-        """Anchor the bound ``log_margin`` below a reference probability."""
-        return cls(log_c=log_p_ref - log_margin + rate * exponent_ref, rate=rate)
-
-    def bound(self, exponent: float) -> float:
-        return self.log_c - self.rate * exponent
-
-
-#: default rates; fitted log_c anchors come from the acceptance suite
-PY_STICKS_RATE = 1.5
-PY_LOCATIONS_RATE = 1.0
-NIG_RATE = 2.0
-
-
-def _across_columns(op: np.ufunc, draws: np.ndarray) -> np.ndarray:
-    """``op.reduce(draws, axis=1)`` with the same bits, for an (n_mc, N)
-    array in either memory order; the transpose of a cell-major (N, n_mc)
-    work array is one.  Below 8 columns numpy's row-wise reduction is
-    sequential but runs a short inner loop per row, ~10x slower than N
-    whole-column passes in the same order; from 8 on it sums each row
-    pairwise, which it does only along contiguous rows, so it is handed
-    a C-ordered copy."""
-    if draws.shape[1] >= 8:
-        return op.reduce(np.ascontiguousarray(draws), axis=1)
-    acc = draws[:, 0].copy()
-    for j in range(1, draws.shape[1]):
-        op(acc, draws[:, j], out=acc)
-    return acc
-
-
-def _event_targets(targets, eps: float, n_mc: int) -> np.ndarray:
-    """The targets of a Monte-Carlo event test as a float array, after
-    checking the test's inputs: a budget ``n_mc`` >= 1, a non-empty 1-D
-    array of finite targets and a finite ``eps`` > 0."""
-    targets = np.asarray(targets, dtype=float)
-    if not n_mc >= 1:
-        raise ValueError(f"Monte-Carlo budget n_mc must be >= 1, got {n_mc}")
-    if targets.ndim != 1 or targets.size == 0:
-        raise ValueError(f"event targets must be a non-empty 1-D array, got shape {targets.shape}")
-    if not np.all(np.isfinite(targets)):
-        raise ValueError(f"event targets must be finite, got {targets.tolist()}")
-    if not 0.0 < eps < math.inf:
-        raise ValueError(f"eps must be finite and positive, got {eps}")
-    return targets
-
-
-def _mc_estimate(hit: np.ndarray) -> tuple[float, float]:
-    """Monte-Carlo probability of an event and its binomial standard error."""
-    p = hit.mean()
-    se = math.sqrt(max(p * (1.0 - p), 1e-300) / hit.size)
-    return float(p), se
-
-
-def py_sticks_exponent(n: int, eps: float, v_max: float, d: float) -> float:
-    return n * max(
-        math.log(n / eps), d * n * math.log(1.0 / (1.0 - v_max)) if d > 0 else 0.0
-    )
-
-
-def prior_mass_bound_py_sticks(
-    n: int,
-    eps: float,
-    v_max: float,
-    c: float,
-    d: float,
-    constants: FittedConstants,
-) -> float:
-    """Log lower bound for the stick event
-    ``(sum_{j<=N} sum_{h<=j} |V_h - v_h| <= 2 eps, min V_j > eps/N^2)``."""
-    if not 0 < eps < 1:
-        raise PreconditionViolated("eps must lie in (0, 1)")
-    if not 0 < v_max < 1:
-        raise PreconditionViolated("v_max must lie in (0, 1)")
-    if not (2.0 * eps / n ** 2) < (1.0 - v_max) / 2.0:
-        raise PreconditionViolated("need 2 eps / N^2 < (1 - v_max)/2")
-    PYParams(c=c, d=d)  # validates (c, d)
-    return constants.bound(py_sticks_exponent(n, eps, v_max, d))
-
-
-def _py_stick_draws(c: float, d: float, n: int, n_mc: int, rng: np.random.Generator) -> np.ndarray:
-    """``n_mc`` draws of the first ``n`` Pitman-Yor sticks, cell-major:
-    shape (n, n_mc), row j - 1 holding V_j ~ Beta(1 - d, c + d j).
-
-    Each stick is the gamma ratio G_a / (G_a + G_b) of independent
-    standard gammas of shapes 1 - d and c + d j (Devroye, Non-Uniform
-    Random Variate Generation, 1986, IX.4), which numpy's own ``beta``
-    uses whenever a shape exceeds 1; at Beta(1, 1) it replaces Johnk's
-    rejection loop by two exponential draws.  Every G_a is drawn first,
-    row by row, then every G_b.  Raises ``ValueError`` unless 0 <= d < 1
-    and c > -d."""
-    if not (0.0 <= d < 1.0 and c > -d):
-        raise ValueError(f"Pitman-Yor sticks need 0 <= d < 1 and c > -d, got c={c}, d={d}")
-    numerators = rng.standard_gamma(1.0 - d, size=(n, n_mc))
-    totals = rng.standard_gamma((c + d * np.arange(1, n + 1))[:, None], size=(n, n_mc))
-    totals += numerators
-    numerators /= totals
-    return numerators
-
-
-def simulate_py_stick_event(
-    v_targets: np.ndarray,
-    eps: float,
-    c: float,
-    d: float,
-    n_mc: int,
-    rng: np.random.Generator,
-) -> tuple[float, float]:
-    """Monte-Carlo probability (and standard error) of the stick event,
-    on ``n_mc`` draws of the sticks from :func:`_py_stick_draws`.  The sums
-    and minima run over its cell-major rows, with numpy's row-wise bits."""
-    v = _event_targets(v_targets, eps, n_mc)
-    n = v.size
-    sticks = _py_stick_draws(c, d, n, n_mc, rng)
-    floor = _across_columns(np.minimum, sticks.T) > eps / n ** 2
-    # sum_{j<=N} sum_{h<=j} |V_h - v_h| = sum_h (N - h + 1) |V_h - v_h|
-    sticks -= v[:, None]
-    np.abs(sticks, out=sticks)
-    sticks *= np.arange(n, 0, -1.0)[:, None]
-    return _mc_estimate((_across_columns(np.add, sticks.T) <= 2.0 * eps) & floor)
-
-
-def py_locations_exponent(n: int, eps: float, a: float, base: BaseMeasure) -> float:
-    b, delta = base.tail_parameters()
-    tail = 0.0 if math.isinf(delta) else b * a ** delta
-    return n * (math.log(n * base.total_mass / (2.0 * eps)) + tail)
-
-
-def prior_mass_bound_py_locations(
-    n: int,
-    eps: float,
-    a: float,
-    base: BaseMeasure,
-    constants: FittedConstants,
-) -> float:
-    """Log lower bound for ``P(sum_j |Z_j - z_j| <= eps)`` with targets in
-    [-a, a] and i.i.d. base draws."""
-    if not 0 < eps < 1:
-        raise PreconditionViolated("eps must lie in (0, 1)")
-    if a <= 0:
-        raise PreconditionViolated("a must be positive")
-    return constants.bound(py_locations_exponent(n, eps, a, base))
-
-
-def simulate_py_location_event(
-    z_targets: np.ndarray,
-    eps: float,
-    base: BaseMeasure,
-    n_mc: int,
-    rng: np.random.Generator,
-) -> tuple[float, float]:
-    """Monte-Carlo probability (and standard error) of the location
-    event; the base draws come in (n_mc, N) order and are transposed once,
-    minus the targets, into a cell-major work array."""
-    z = _event_targets(z_targets, eps, n_mc)
-    cells = np.subtract(base.sample(rng, (n_mc, z.size)).T, z[:, None], order="C")
-    np.abs(cells, out=cells)
-    return _mc_estimate(_across_columns(np.add, cells.T) <= eps)
-
-
-def nig_exponent(n: int, eps: float, z0: np.ndarray) -> float:
-    z_min = float(np.min(z0))
-    return n * max(math.log(1.0 / eps), math.log(1.0 / (z_min - eps)))
-
-
-def prior_mass_bound_nig(
-    n: int,
-    eps: float,
-    z0: np.ndarray,
-    params: NIGParams,
-    constants: FittedConstants,
-) -> float:
-    """Log lower bound for the N-IG event
-    ``(sum_j |Z_j - z0_j| <= 2 eps, min Z_j > eps^2 / 2)``.
-
-    Preconditions: min z0 > eps, eps <= 1/N, and cell masses within
-    [eps, 1].
-    """
-    z0 = np.asarray(z0, dtype=float)
-    if z0.size != n or params.n_cells != n:
-        raise PreconditionViolated("z0 and alphas must have length N")
-    if not 0 < eps <= 1.0 / n:
-        raise PreconditionViolated("need eps in (0, 1/N]")
-    if not float(z0.min()) > eps:
-        raise PreconditionViolated("need min z0 > eps")
-    if np.any(params.alphas < eps - 1e-12) or np.any(params.alphas > 1.0 + 1e-12):
-        raise PreconditionViolated(
-            f"cell masses must lie in [{eps:.3g}, 1] for this bound"
-        )
-    return constants.bound(nig_exponent(n, eps, z0))
-
-
-def simulate_nig_event(
-    z0: np.ndarray,
-    eps: float,
-    params: NIGParams,
-    n_mc: int,
-    rng: np.random.Generator,
-) -> tuple[float, float]:
-    """Monte-Carlo probability (and standard error) of the N-IG event, on
-    the cell-major draws of :func:`_nig_cells`."""
-    z0 = _event_targets(z0, eps, n_mc)
-    if z0.size != params.n_cells:
-        raise ValueError(f"need one target per cell: {z0.size} targets, {params.n_cells} cells")
-    cells = _nig_cells(params, rng, n_mc)
-    floor = _across_columns(np.minimum, cells.T) > eps ** 2 / 2.0
-    cells -= z0[:, None]
-    np.abs(cells, out=cells)
-    return _mc_estimate((_across_columns(np.add, cells.T) <= 2.0 * eps) & floor)
-
-
-@dataclass(frozen=True)
-class LemmaCheckRow:
-    """One (configuration, MC estimate, bound) comparison."""
-
-    config: str
-    mc_estimate: float
-    mc_stderr: float
-    analytic_bound: float
-
-    @property
-    def holds(self) -> bool:
-        """Bound dominated by the MC probability at 3-s.e. resolution."""
-        return self.mc_estimate + 3.0 * self.mc_stderr >= self.analytic_bound
-
-
-#: verification grids: the reference configuration (used for the fit)
-#: first, then at least six strictly harder ones per lemma
-_PY_STICKS_GRID = [
-    (np.array([0.5, 0.35]), 0.2, 1.0, 0.0),
-    (np.array([0.5, 0.35]), 0.10, 1.0, 0.0),
-    (np.array([0.5, 0.35, 0.3]), 0.20, 1.0, 0.0),
-    (np.array([0.5, 0.35, 0.3]), 0.15, 1.0, 0.0),
-    (np.array([0.5, 0.35]), 0.20, 1.0, 0.25),
-    (np.array([0.5, 0.35, 0.3]), 0.20, 1.0, 0.25),
-    (np.array([0.5, 0.35, 0.3]), 0.20, 0.5, 0.40),
-    (np.array([0.4, 0.35, 0.3, 0.25]), 0.25, 1.0, 0.25),
-]
-_PY_LOCATIONS_GRID = [
-    (np.array([0.3]), 0.2, 0.5),
-    (np.array([0.3]), 0.10, 0.5),
-    (np.array([-0.5, 0.5]), 0.30, 0.8),
-    (np.array([-0.5, 0.5]), 0.20, 0.8),
-    (np.array([-1.0, 0.0, 1.0]), 0.40, 1.2),
-    (np.array([-1.0, 0.0, 1.0]), 0.30, 1.2),
-    (np.array([-1.2, -0.4, 0.4, 1.2]), 0.50, 1.5),
-]
-_NIG_GRID = [
-    (np.array([0.5, 0.5]), 0.25, np.array([0.5, 0.5])),
-    (np.array([0.5, 0.5]), 0.15, np.array([0.5, 0.5])),
-    (np.array([0.5, 0.5]), 0.10, np.array([0.4, 0.4])),
-    (np.ones(3) / 3, 0.20, np.array([0.5, 0.5, 0.5])),
-    (np.ones(3) / 3, 0.10, np.array([0.5, 0.5, 0.5])),
-    (np.ones(3) / 3, 0.15, np.array([0.3, 0.3, 0.3])),
-    (np.ones(4) / 4, 0.20, np.array([0.4, 0.4, 0.4, 0.4])),
-]
-
-FIT_LOG_MARGIN = 0.7
-
-
-# A lemma case is (label, simulate(n_mc, rng) -> (p, se), exponent(),
-# log_bound(constants)) for one configuration tuple of the lemma's grid.
-
-
-def _py_sticks_case(v, eps, c, d):
-    args = (v.size, eps, float(v.max()))
-    return (
-        f"N={v.size} eps={eps} c={c} d={d}",
-        partial(simulate_py_stick_event, v, eps, c, d),
-        partial(py_sticks_exponent, *args, d),
-        partial(prior_mass_bound_py_sticks, *args, c, d),
-    )
-
-
-def _py_locations_case(z, eps, a):
-    base = BaseMeasure("gaussian", 1.0)
-    return (
-        f"N={z.size} eps={eps} a={a}",
-        partial(simulate_py_location_event, z, eps, base),
-        partial(py_locations_exponent, z.size, eps, a, base),
-        partial(prior_mass_bound_py_locations, z.size, eps, a, base),
-    )
-
-
-def _nig_case(z0, eps, alphas):
-    params = NIGParams(alphas)
-    return (
-        f"N={z0.size} eps={eps}",
-        partial(simulate_nig_event, z0, eps, params),
-        partial(nig_exponent, z0.size, eps, z0),
-        partial(prior_mass_bound_nig, z0.size, eps, z0, params),
-    )
-
-
-_LEMMAS = {
-    "py-sticks": (_py_sticks_case, PY_STICKS_RATE, _PY_STICKS_GRID),
-    "py-locations": (_py_locations_case, PY_LOCATIONS_RATE, _PY_LOCATIONS_GRID),
-    "nig": (_nig_case, NIG_RATE, _NIG_GRID),
-}
-
-
-def lemma_verification_table(
-    lemma: str, budget: int, rng: np.random.Generator
-) -> tuple[FittedConstants, list[LemmaCheckRow]]:
-    """Fit the lemma constants on the smallest configuration, then compare
-    the bound with Monte-Carlo probabilities on the harder grid."""
-    if lemma not in _LEMMAS:
-        raise ValueError(f"unknown lemma id {lemma!r}")
-    if budget < 1:
-        raise ValueError(f"Monte-Carlo budget must be >= 1, got {budget}")
-    case, rate, (reference, *grid) = _LEMMAS[lemma]
-    _, simulate, exponent, _ = case(*reference)
-    p_ref, _ = simulate(budget, rng)
-    consts = FittedConstants.fit(math.log(p_ref), exponent(), rate, FIT_LOG_MARGIN)
-    rows = []
-    for label, simulate, _, log_bound in (case(*config) for config in grid):
-        p, se = simulate(budget, rng)
-        rows.append(LemmaCheckRow(label, p, se, math.exp(log_bound(consts))))
-    return consts, rows
+# the acceptance suite reads the lemma table from this module; importing it
+# last lets supermix.prior_mass import the laws above
+from .prior_mass import lemma_verification_table  # noqa: E402

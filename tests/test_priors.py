@@ -30,15 +30,14 @@ from supermix.errors import (
     NonPositiveSigma,
     PreconditionViolated,
 )
-from supermix import priors, variates
-from supermix.priors import (
+from supermix import prior_mass, priors, variates
+from supermix.prior_mass import (
     lemma_verification_table,
-    log_bessel_k_scaled,
-    nig_marginal_cdf,
     simulate_nig_event,
     simulate_py_location_event,
     simulate_py_stick_event,
 )
+from supermix.priors import log_bessel_k_scaled, nig_marginal_cdf
 from supermix.variates import gig_sample, ndtr, ndtri, truncated_normal_sample
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
@@ -726,11 +725,11 @@ class TestPYStickDraws:
     def test_ks_against_beta_for_every_grid_pair(self):
         # every (1 - d, c + d j) pair of the py-sticks grid, 10^5 draws each
         pairs = {(1.0 - d, c + d * j): (c, d, v.size, j)
-                 for v, _, c, d in priors._PY_STICKS_GRID for j in range(1, v.size + 1)}
+                 for v, _, c, d in prior_mass._PY_STICKS_GRID for j in range(1, v.size + 1)}
         rng = np.random.default_rng(20261019)
         pvalues = {}
         for (a, b), (c, d, n, j) in pairs.items():
-            sticks = priors._py_stick_draws(c, d, n, 10 ** 5, rng)
+            sticks = prior_mass._py_stick_draws(c, d, n, 10 ** 5, rng)
             assert sticks.shape == (n, 10 ** 5)
             pvalues[a, b] = kstest(sticks[j - 1], beta_dist(a, b).cdf).pvalue
         low = {pair: p for pair, p in pvalues.items() if p < self.KS_P_MIN}
@@ -815,6 +814,12 @@ class TestTruncatedNormal:
 # library reduces column by column and must give the same bits.
 
 
+def _mc_estimate(hit):
+    """Monte-Carlo probability of an event and its binomial standard error."""
+    p = hit.mean()
+    return float(p), math.sqrt(max(p * (1.0 - p), 1e-300) / hit.size)
+
+
 def _nig_sample_axis1(params, rng, size):
     a = params.alphas
     out = np.zeros((size, a.size))
@@ -834,25 +839,26 @@ def _py_sticks_axis1(v, eps, c, d, n_mc, rng):
     g_b = rng.standard_gamma((c + d * js)[:, None], size=(n, n_mc)).T
     draws = g_a / (g_a + g_b)
     dist = ((n - js + 1.0) * np.abs(draws - v)).sum(axis=1)
-    return priors._mc_estimate((dist <= 2.0 * eps) & (draws.min(axis=1) > eps / n ** 2))
+    return _mc_estimate((dist <= 2.0 * eps) & (draws.min(axis=1) > eps / n ** 2))
 
 
 def _py_locations_axis1(z, eps, a, n_mc, rng):
     draws = BaseMeasure("gaussian", 1.0).sample(rng, (n_mc, z.size))
-    return priors._mc_estimate(np.abs(draws - z).sum(axis=1) <= eps)
+    return _mc_estimate(np.abs(draws - z).sum(axis=1) <= eps)
 
 
 def _nig_axis1(z0, eps, alphas, n_mc, rng):
     draws = _nig_sample_axis1(NIGParams(alphas), rng, n_mc)
-    return priors._mc_estimate(
+    return _mc_estimate(
         (np.abs(draws - z0).sum(axis=1) <= 2.0 * eps) & (draws.min(axis=1) > eps ** 2 / 2.0)
     )
 
 
 _AXIS1_ORACLES = {
-    "py-sticks": (priors._PY_STICKS_GRID, priors._py_sticks_case, _py_sticks_axis1),
-    "py-locations": (priors._PY_LOCATIONS_GRID, priors._py_locations_case, _py_locations_axis1),
-    "nig": (priors._NIG_GRID, priors._nig_case, _nig_axis1),
+    "py-sticks": (prior_mass._PY_STICKS_GRID, prior_mass._py_sticks_case, _py_sticks_axis1),
+    "py-locations": (prior_mass._PY_LOCATIONS_GRID, prior_mass._py_locations_case,
+                     _py_locations_axis1),
+    "nig": (prior_mass._NIG_GRID, prior_mass._nig_case, _nig_axis1),
 }
 
 
@@ -864,7 +870,7 @@ class TestColumnReductions:
     def test_simulate_matches_axis1_oracle(self, lemma, index):
         grid, case, oracle = _AXIS1_ORACLES[lemma]
         config = grid[index]
-        _, simulate, _, _ = case(*config)
+        _, simulate, _ = case(*config)
         got = simulate(1000, np.random.default_rng(index))
         want = oracle(*config, 1000, np.random.default_rng(index))
         assert got == want
