@@ -65,7 +65,12 @@ def log_bessel_k_scaled(nu: float, x) -> np.ndarray:
         total += np.exp(-left)
         if min(right.min(initial=np.inf), left.min(initial=np.inf)) > 40.0:
             break
-    return nu * (np.arcsinh(nu / x) - nu / (x + kappa)) + np.log(0.5 * h * total)
+    with np.errstate(over="ignore"):
+        ratio = nu / x
+    # nu / x overflows only for x below ~1e-308 nu, where asinh(nu / x) is
+    # log(2 nu / x) to rounding
+    peak = np.where(np.isinf(ratio), math.log(2.0 * nu) - np.log(x), np.arcsinh(ratio))
+    return nu * (peak - nu / (x + kappa)) + np.log(0.5 * h * total)
 
 
 # ---------------------------------------------------------------------
@@ -90,13 +95,6 @@ class BaseMeasure:
         if not (0.0 < self.scale < math.inf and 0.0 < self.total_mass < math.inf):
             raise ValueError("scale and total_mass must be finite and positive")
 
-    def pdf(self, theta) -> np.ndarray:
-        theta = np.asarray(theta, dtype=float)
-        s = self.scale
-        if self.family == "gaussian":
-            return np.exp(-(theta / s) ** 2 / 2.0) / (s * math.sqrt(2 * math.pi))
-        return np.where(np.abs(theta) <= s, 1.0 / (2.0 * s), 0.0)
-
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         s = self.scale
         if self.family == "gaussian":
@@ -111,12 +109,6 @@ class BaseMeasure:
             return ndtr(hi / s) - ndtr(lo / s)
         lo, hi = max(lo, -s), min(hi, s)
         return max(hi - lo, 0.0) / (2.0 * s)
-
-    def tail_parameters(self) -> tuple[float, float]:
-        """(b, delta) with normalized density ~ exp(-b |theta|^delta)."""
-        if self.family == "gaussian":
-            return 1.0 / (2.0 * self.scale ** 2), 2.0
-        return math.inf, math.inf  # compact support
 
 
 # ---------------------------------------------------------------------
@@ -431,10 +423,6 @@ class ScalePriorA0:
             if 2.0 * float(np.log(u)) <= log_ratio(cand):
                 return cand
         raise RuntimeError(f"ratio-of-uniforms stalled after {GIG_MAX_ROUNDS} rounds")
-
-    @property
-    def mode(self) -> float:
-        return self.lam / (self.nu + 1.0)
 
 
 # the acceptance suite reads the lemma table from this module; importing it

@@ -236,7 +236,8 @@ def truncated_normal_sample(
     _require(np.isfinite(mean) & (sd > 0.0) & (sd < math.inf),
              "truncated_normal_sample needs a finite mean and a finite sd > 0", mean=mean, sd=sd)
     _require(np.asarray(lo < hi), "truncated_normal_sample needs lo < hi", lo=lo, hi=hi)
-    alpha, beta = (lo - mean) / sd, (hi - mean) / sd
+    with np.errstate(over="ignore"):  # an overflow to +-inf gives the right endpoint
+        alpha, beta = (lo - mean) / sd, (hi - mean) / sd
     flip = alpha > 0
     alpha, beta = np.where(flip, -beta, alpha), np.where(flip, -alpha, beta)
     a, b = (np.asarray(np.frompyfunc(ndtr, 1, 1)(v), dtype=float) for v in (alpha, beta))
@@ -280,7 +281,8 @@ def _normal_tail(lo: np.ndarray, hi: np.ndarray, rng: np.random.Generator) -> np
         if not todo.size:
             return out
         a, b = lo[todo], hi[todo]
-        mass = -np.expm1(-(b - a) * (b + a) / 2.0)
+        with np.errstate(over="ignore"):  # an infinite product gives the full mass 1
+            mass = -np.expm1(-(b - a) * (b + a) / 2.0)
         x = np.sqrt(a * a - 2.0 * np.log1p(-rng.random(todo.size) * mass))
         keep = rng.random(todo.size) * x <= a
         out[todo[keep]] = x[keep]

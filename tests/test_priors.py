@@ -313,6 +313,14 @@ class TestSpecialFunctions:
         exact = log_bessel_k_half(1, tiny) + tiny
         assert np.abs(log_bessel_k_scaled(0.5, tiny) - exact).max() <= 1e-12
 
+    def test_bessel_k_below_the_smallest_normal_x(self, recwarn):
+        # nu / x overflowed to inf below x ~ 1e-308, and so did the result
+        x = np.array([5e-324, 1e-310])
+        exact = 0.5 * (np.log(np.pi / 2.0) - np.log(x))  # 372.45 and 357.13
+        got = log_bessel_k_scaled(0.5, x)
+        assert np.abs(got / exact - 1.0).max() <= 1e-13, got
+        assert not recwarn.list
+
     def test_against_mpmath_small_grid(self):
         errors = largest_errors(points=9, orders=(1, 2, 5, 16, 32))
         assert all(errors[name] <= TOLERANCES[name] for name in TOLERANCES), errors
@@ -465,7 +473,12 @@ class TestGIGSample:
 
 class TestScalePrior:
     def test_mode(self):
-        assert abs(ScalePriorA0(2.0, 1.0).mode - 1.0 / 3.0) <= 1e-15
+        # the inverse-gamma IG(nu, lam) density peaks at lam / (nu + 1)
+        prior = ScalePriorA0(2.0, 1.0)
+        mode = prior.lam / (prior.nu + 1.0)
+        assert abs(mode - 1.0 / 3.0) <= 1e-15
+        near = prior.logpdf(mode * np.array([1.0 - 1e-4, 1.0, 1.0 + 1e-4]))
+        assert near[1] > max(near[0], near[2])
 
     def test_envelope_exponents(self):
         prior = ScalePriorA0(2.0, 0.5)

@@ -6,6 +6,7 @@ domain and raises ``ValueError`` outside it."""
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,6 +18,9 @@ from supermix.variates import (
     gig_sample,
     truncated_normal_sample,
 )
+
+#: a numpy overflow or invalid-value warning inside a domain is a failure
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 CONTRACT = settings(max_examples=300, deadline=None, derandomize=True)
 BAD = st.sampled_from([0.0, -1.0, math.inf, -math.inf, math.nan])
