@@ -261,7 +261,18 @@ def cmd_discretize(args) -> Output:
     )
 
 
+#: largest Monte-Carlo budget of ``prior-mass`` and ``nig-check``: ten
+#: times the largest budget in use, 80 MB per cell of a work array
+MC_BUDGET_CAP = 10 ** 7
+
+
+def _check_budget(budget: int) -> None:
+    if not 1 <= budget <= MC_BUDGET_CAP:
+        raise ValueError(f"Monte-Carlo budget must be >= 1 and <= {MC_BUDGET_CAP}, got {budget}")
+
+
 def cmd_prior_mass(args) -> Output:
+    _check_budget(args.budget)
     rng = np.random.default_rng(args.seed)
     _, rows = lemma_verification_table(args.lemma, args.budget, rng)
     return (
@@ -274,18 +285,53 @@ def cmd_prior_mass(args) -> Output:
     )
 
 
+#: the logit range of the ``nig-check`` grid ends where the Bessel argument
+#: of the marginal density exceeds its smallest value by this much
+_NIG_CHECK_LOG_DROP = 40.0
+
+
+def _nig_check_grid(a_s: float, a_l: float) -> np.ndarray:
+    """The 20001-point z-grid for the marginal cdf of the first coordinate
+    at N = 2 and cell masses (a_s, a_l), from the masses alone.
+
+    The logit t of that coordinate has density proportional to
+    cosh(t / 2) K_1(r) / r, where r^2 = (a_s + a_l)^2 + 2 a_s a_l
+    (cosh(t - t_c) - 1) and t_c = log(a_s / a_l).  The grid is the logistic
+    map of an even t-grid over |t - t_c| <= w, where r has grown by
+    ``_NIG_CHECK_LOG_DROP``: there the density lies about 38 or more below
+    its peak in log.  Raises ``ValueError`` naming the masses where float
+    arithmetic cannot represent the law: where the range's ends round to 0
+    or 1, or where the rounding of ``nig_log_density``'s terms of size
+    a_s + a_l, about (a_s + a_l) 2^-52, exceeds 1e-6."""
+    total, drop = a_s + a_l, _NIG_CHECK_LOG_DROP
+    w = 2.0 * math.asinh(math.sqrt(drop * (2.0 * total + drop) / (4.0 * a_s * a_l)))
+    t = math.log(a_s / a_l) + w * np.linspace(-1.0, 1.0, 20001)
+    z = np.exp(-np.logaddexp(0.0, -t))
+    if not (z[0] > 0.0 and z[-1] < 1.0 and total * 2.0 ** -52 <= 1e-6):
+        raise ValueError(f"nig-check cannot represent the marginal law of cell masses "
+                         f"{a_s:g} and {a_l:g} in floats")
+    return z
+
+
 def cmd_nig_check(args) -> Output:
-    if args.budget < 1:
-        raise ValueError(f"Monte-Carlo budget must be >= 1, got {args.budget}")
-    rng = np.random.default_rng(args.seed)
+    """Coordinate means of ``budget`` draws against alpha / sum(alpha), and
+    at N = 2 the KS distance of the smaller mass's coordinate, which keeps
+    its relative precision, to its marginal law: the cdf of the first
+    coordinate with the masses ordered (smaller, larger)."""
+    _check_budget(args.budget)
     params = NIGParams(np.array(args.alphas))
-    draws = nig_sample(params, rng, size=args.budget)
+    if params.n_cells == 2:
+        small = int(np.argmin(params.alphas))
+        law = NIGParams(params.alphas[[small, 1 - small]])
+        if law.alphas[0] == 0.0:
+            raise ValueError("a zero cell mass puts the N = 2 law on a vertex: no marginal cdf")
+        zs = _nig_check_grid(*law.alphas.tolist())
+    draws = nig_sample(params, np.random.default_rng(args.seed), size=args.budget)
     rows = [("coordinate_mean_max_dev",
              float(np.abs(draws.mean(axis=0) - params.alphas / params.total).max()))]
     if params.n_cells == 2:
-        zs = np.linspace(1e-9, 1 - 1e-9, 20001)
-        cdf = nig_marginal_cdf(params, zs)
-        emp = np.sort(draws[:, 0])
+        cdf = nig_marginal_cdf(law, zs)
+        emp = np.sort(draws[:, small])
         ks = float(
             np.abs(np.interp(emp, zs, cdf) - np.arange(1, emp.size + 1) / emp.size).max()
         )

@@ -274,11 +274,11 @@ def lemma_verification_table(lemma: str, budget: int, rng: np.random.Generator
     bound_0 is the reference bound at log C = 0."""
     if lemma not in _LEMMAS:
         raise ValueError(f"unknown lemma id {lemma!r}")
-    if budget < 1:
-        raise ValueError(f"Monte-Carlo budget must be >= 1, got {budget}")
     case, rate, (reference, *grid) = _LEMMAS[lemma]
     _, simulate, log_bound = case(*reference)
     p_ref, _ = simulate(budget, rng)
+    if p_ref == 0.0:
+        raise ValueError(f"no {lemma} reference draw of {budget} hit its event: raise the budget")
     bound_0 = log_bound(FittedConstants(0.0, rate))
     consts = FittedConstants(math.log(p_ref) - FIT_LOG_MARGIN - bound_0, rate)
     return consts, [LemmaCheckRow(label, *simulate(budget, rng), math.exp(log_bound(consts)))

@@ -3,6 +3,7 @@ import os
 import signal
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -10,7 +11,10 @@ import numpy as np
 import pytest
 
 import supermix
-from supermix.cli import main, parse_args
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from supermix.cli import MC_BUDGET_CAP, main, parse_args
 
 
 def run_python(args, env=None):
@@ -274,6 +278,86 @@ def test_nig_check_of_far_apart_masses_returns(tmp_path):
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
     assert code in (0, 2)
+
+
+@pytest.mark.parametrize("alphas", ["1e-3,1", "1e-6,1", "1,1e-6", "1e6,1", "1,1"])
+def test_nig_check_marginal_ks_at_unequal_masses(tmp_path, alphas):
+    # a fixed z-grid on [1e-9, 1 - 1e-9] missed the law: 0.71 at 1e-3,1
+    # and 0.94 at 1e6,1, for a sampler that is right
+    out = tmp_path / "n.csv"
+    assert main(["nig-check", "--alphas", alphas, "--budget", "2000", "--out", str(out)]) == 0
+    rows = dict(line.split(",") for line in out.read_text().splitlines()[1:])
+    assert float(rows["marginal_ks"]) <= 0.05
+
+
+@pytest.mark.parametrize("alphas, masses", [("1e100,1", "1 and 1e+100"),
+                                            ("1e-8,1e-8", "1e-08 and 1e-08")])
+def test_nig_check_of_unrepresentable_marginal_law_exits_2(tmp_path, capsys, alphas, masses):
+    assert main(["nig-check", "--alphas", alphas, "--budget", "100",
+                 "--out", str(tmp_path / "n.csv")]) == 2
+    assert f"cannot represent the marginal law of cell masses {masses}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [["prior-mass", "--lemma", "py-locations"],
+                                  ["nig-check", "--alphas", "1,1"]])
+def test_budget_above_the_cap_exits_2(tmp_path, capsys, argv):
+    # 10^12 draws used to fail with "Unable to allocate 7.28 TiB" and exit 1
+    assert main(argv + ["--budget", str(10 ** 12), "--out", str(tmp_path / "b.csv")]) == 2
+    assert f"<= {MC_BUDGET_CAP}, got {10 ** 12}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+#: values that replace a Monte-Carlo flag, or that a list of ordinary
+#: alphas gains as its last entry; "" is an empty list or an empty number
+_FUZZ_EDGES = ["0", "-0", "5e-324", "-5e-324", "1e300", "-1e300", "1e-300", "-1e-300", "inf",
+               "-inf", "nan", "", str(MC_BUDGET_CAP + 1), str(10 ** 12)]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    command=st.sampled_from([["prior-mass", "--lemma", "py-sticks"],
+                             ["prior-mass", "--lemma", "py-locations"],
+                             ["prior-mass", "--lemma", "nig"], ["nig-check"]]),
+    flags=st.fixed_dictionaries({
+        "--alphas": st.lists(st.floats(1e-3, 1e3).map(repr), min_size=2, max_size=3).map(",".join),
+        "--budget": st.integers(1, 1000).map(str),
+        "--seed": st.integers(0, 2 ** 64).map(str),
+    }),
+    edges=st.dictionaries(st.sampled_from(["--alphas", "--budget", "--seed"]),
+                          st.sampled_from(_FUZZ_EDGES), max_size=2),
+)
+def test_monte_carlo_commands_exit_0_or_2(command, flags, edges):
+    # exit 2 writes nothing and exit 0 writes only finite numbers; a case
+    # that hangs is interrupted, which main reports as exit 1
+    def interrupt(signum, frame):
+        raise TimeoutError("the command did not return within 10 s")
+
+    if "--alphas" in edges:
+        edge = edges.pop("--alphas")
+        flags["--alphas"] = f"{flags['--alphas']},{edge}" if edge else ""
+    flags.update(edges)
+    if command != ["nig-check"]:
+        del flags["--alphas"]
+    argv = command + [text for flag in flags.items() for text in flag]
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "mc.csv"
+        previous = signal.signal(signal.SIGALRM, interrupt)
+        signal.alarm(10)
+        try:
+            code = main(argv + ["--out", str(out)])
+        except SystemExit as exc:  # argparse rejects the value
+            code = exc.code
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert code in (0, 2), argv
+        if code == 2:
+            assert list(Path(tmp).iterdir()) == []
+            return
+        for line in out.read_text().splitlines()[1:]:
+            values = [float(v) for v in line.split(",")[1:]]  # column 0 is a label
+            assert np.all(np.isfinite(values)), line
 
 
 @pytest.mark.parametrize("order", ["0", "1", "3", "5"])
