@@ -28,8 +28,8 @@ chain's atom and weight rows) and of the chain's sigma and log
 likelihood arrays; the CSVs round floats to
 17 digits, these do not.  It also prints the raw-byte digest of
 ``mixture_density`` for the 64 N-IG cell midpoints with seed-0 Dirichlet
-weights on ``experiment_grid()`` at sigma = 0.15, 0.4 and 1.0 (atoms on
-the grid's lattice), and of ``prior_predictive_density`` for the
+weights on ``experiment_grid()`` at sigma = 0.15, 0.4 and 1.0 (each
+midpoint is a grid point), and of ``prior_predictive_density`` for the
 ``nig``, ``dp`` and ``py`` configs at seed 0 (sigma from the prior, so
 most Gaussian terms underflow) and for ``default_w2_config()`` (sigma
 fixed at 1, uniform base).  Last, for d = 0 and d = 0.25 (c = 1),

@@ -107,16 +107,10 @@ def mixture_density(atoms, weights, kernel: KernelSpec, sigma: float, x) -> np.n
     elements.  For the Gaussian kernel a block touches only the
     x-range where some term's exponent is at least log(tiny), and
     inside it terms at or below that are set to exactly 0, so no term
-    dropped exceeds tiny / (sigma sqrt(2 pi)).  Two shortcuts leave every
-    bit as the direct form gives it:
-
-    * lattice reuse: when ``x`` ascends in steps of a power of two dx
-      and every point and atom is an integer multiple of dx, each
-      x_k - a_j is exactly (k - s_j) dx, so the block's kernel row is
-      evaluated once per offset and copied into each atom's row;
-    * underflow: ``exp`` skips the exponents at or below log(tiny), and
-      is called unmasked when the block's farthest (x, atom) pair stays
-      above it.
+    dropped exceeds tiny / (sigma sqrt(2 pi)).  ``exp`` skips the
+    exponents at or below log(tiny), and is called unmasked when the
+    block's farthest (x, atom) pair stays above it; either way every bit
+    is as the direct form gives it.
     """
     if not math.isfinite(sigma):
         raise ValueError(f"sigma must be finite, got {sigma!r}")
@@ -142,7 +136,6 @@ def mixture_density(atoms, weights, kernel: KernelSpec, sigma: float, x) -> np.n
         order = np.argsort(xs, kind="stable")
         xs = xs[order]
     gaussian = kernel.family == "gaussian"
-    lattice = _lattice(xs, atoms) if gaussian and order is None else None
     reach = sigma * math.sqrt(-2.0 * _LOG_TINY)
     n = xs.size
     rows = min(atoms.size, max(1, _DENSITY_BUFFER // max(n, 1)))
@@ -156,21 +149,17 @@ def mixture_density(atoms, weights, kernel: KernelSpec, sigma: float, x) -> np.n
             if lo == hi:
                 continue
         terms = buf[: a.size * (hi - lo)].reshape(a.size, hi - lo)
-        if lattice is not None:
-            # x_k - a_j = (g0 + k - s_j) dx: row holds every offset the
-            # window needs, and atom j's terms start at top - s_j in it
-            dx, g0, s = lattice
-            s = s[start : start + rows]
-            top = int(s.max())
-            row = np.arange(g0 + lo - top, g0 + hi - int(s.min())) * dx
-            _gaussian_exp(row, sigma, max(-row[0], row[-1]))
-            for j, shift in enumerate((top - s).tolist()):
-                terms[j] = row[shift : shift + hi - lo]
-        elif gaussian:
-            np.subtract(xs[lo:hi], a[:, None], out=terms)
-            _gaussian_exp(terms, sigma, max(xs[hi - 1] - a[0], a[-1] - xs[lo]))
+        np.subtract(xs[lo:hi], a[:, None], out=terms)
+        if gaussian:
+            # exp(-(t / sigma)^2 / 2), skipping the exponents at or below
+            # log(tiny) unless the block's farthest pair shows there are none
+            far = float(max(xs[hi - 1] - a[0], a[-1] - xs[lo])) / sigma
+            terms /= sigma
+            np.square(terms, out=terms)
+            terms *= -0.5
+            np.exp(terms, out=terms, where=-0.5 * (far * far) >= _LOG_TINY or terms > _LOG_TINY)
+            terms[terms <= _EXP_LOG_TINY] = 0.0
         else:
-            np.subtract(xs[lo:hi], a[:, None], out=terms)
             terms = dens(terms)
         out[lo:hi] += weights[start : start + rows] @ terms
     if gaussian:
@@ -178,38 +167,6 @@ def mixture_density(atoms, weights, kernel: KernelSpec, sigma: float, x) -> np.n
     if order is not None:
         out[order] = out.copy()
     return out.reshape(x.shape)
-
-
-def _lattice(xs: np.ndarray, atoms: np.ndarray):
-    """(dx, g0, s) when the ascending ``xs`` is exactly (g0 + k) dx and the
-    atoms exactly s dx, with dx a power of two and |g0|, |s| < 2^52, so that
-    every x_k - a_j is exact; None otherwise."""
-    dx = float(xs[1] - xs[0]) if xs.size > 1 else 0.0
-    if not (dx > 0.0 and math.frexp(dx)[0] == 0.5):
-        return None
-    s, g = atoms / dx, xs[[0, -1]] / dx
-    if not (np.all(np.abs(s) < 2.0 ** 52) and np.all(np.abs(g) < 2.0 ** 52)):
-        return None
-    s, g0 = s.astype(np.int64), int(g[0])
-    if np.array_equal(atoms, s * dx) and np.array_equal(xs, (g0 + np.arange(xs.size)) * dx):
-        return dx, g0, s
-    return None
-
-
-def _gaussian_exp(terms: np.ndarray, sigma: float, far: float) -> None:
-    """Overwrite the differences ``terms``, all within ``far`` of 0, with
-    exp(-(t / sigma)^2 / 2), set to exactly 0 where the exponent is at or
-    below log(tiny); ``exp`` skips those exponents unless ``far``'s own
-    exponent shows there are none."""
-    t = float(far) / sigma
-    terms /= sigma
-    np.square(terms, out=terms)
-    terms *= -0.5
-    if -0.5 * (t * t) >= _LOG_TINY:
-        np.exp(terms, out=terms)
-    else:
-        np.exp(terms, out=terms, where=terms > _LOG_TINY)
-    terms[terms <= _EXP_LOG_TINY] = 0.0
 
 
 # ---------------------------------------------------------------------

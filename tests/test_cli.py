@@ -674,3 +674,28 @@ def test_fit_independent_of_blas_threads():
         digests.append(res.stdout.strip())
     assert len(digests[0]) == 64
     assert digests[0] == digests[1]
+
+
+def test_spectral_means_independent_of_blas_threads():
+    # the spectral sums are BLAS products too; a matrix-matrix product
+    # moved the seed-0 py prior predictive between one and two threads
+    code = (
+        "import dataclasses, hashlib, numpy as np; from supermix import posterior; "
+        "grid, h = posterior.experiment_grid(), hashlib.sha256(); "
+        "[h.update(posterior.prior_predictive_density(posterior.default_py_config(p), grid, "
+        "np.random.default_rng(0)).values.tobytes()) for p in ('py', 'dp', 'nig')]; "
+        "rng = np.random.default_rng(11); "
+        "data = posterior.resolve_truth('gaussian:1').sample(400, rng); "
+        "cfg = dataclasses.replace(posterior.default_py_config('dp'), "
+        "iterations=110, burn_in=10, thinning=1, truncation=300); "
+        "chain = posterior.blocked_gibbs_fit(data, cfg, rng); "
+        "h.update(posterior.posterior_mean_density(chain, grid).values.tobytes()); "
+        "print(h.hexdigest())"
+    )
+    digests = []
+    for threads in ("1", "2"):
+        res = run_python(["-c", code], env={"OPENBLAS_NUM_THREADS": threads})
+        assert res.returncode == 0, res.stderr
+        digests.append(res.stdout.strip())
+    assert len(digests[0]) == 64
+    assert digests[0] == digests[1]

@@ -16,7 +16,6 @@ from supermix.discretize import (
     _LOG_TINY,
     _cellwise_gauss,
     _gauss_from_recurrence,
-    _lattice,
     mixture_density,
 )
 from supermix.errors import IllConditionedMoments, InvalidSupport, RegimeUnavailable
@@ -104,8 +103,8 @@ class TestMixtureDensity:
 
 
 class TestGaussianMixtureDensityBits:
-    """The Gaussian evaluator against the direct form, bit for bit: with
-    or without the lattice reuse, and however many terms underflow."""
+    """The Gaussian evaluator against the direct form, bit for bit: on
+    lattice grids and off them, and however many terms underflow."""
 
     ATOMS = NIGPartitionPrior().cell_midpoints()
     WEIGHTS = np.random.default_rng(0).dirichlet(np.ones(ATOMS.size))
@@ -129,13 +128,11 @@ class TestGaussianMixtureDensityBits:
     @pytest.mark.parametrize("sigma", [0.15, 0.4, 1.0])
     def test_nig_midpoints_on_the_experiment_grid(self, sigma):
         # -7.875 + 0.25 j = x[520 + 16 j] with dx = 2^-6
-        dx, g0, s = _lattice(self.GRID, self.ATOMS)
-        assert (dx, g0) == (2.0 ** -6, -1024) and np.array_equal(s, -504 + 16 * np.arange(64))
+        assert np.array_equal(self.ATOMS, self.GRID[520 + 16 * np.arange(64)])
         self.check(self.ATOMS, self.GRID, sigma)
 
     def test_power_of_two_linspace_is_a_lattice(self):
         x = np.linspace(-8.0, 8.0, 1025)
-        assert _lattice(x, self.ATOMS) is not None
         self.check(self.ATOMS, x, 0.15)
 
     @pytest.mark.parametrize("sigma", [0.1, 0.15, 1.0])
@@ -149,7 +146,6 @@ class TestGaussianMixtureDensityBits:
             atoms[40] = np.nextafter(atoms[40], np.inf)
         else:
             x = x[::-1]
-        assert _lattice(x, atoms) is None
         self.check(atoms, x, sigma)
 
     def test_most_terms_underflow_at_small_sigma(self):

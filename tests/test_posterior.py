@@ -20,7 +20,9 @@ from supermix import (
     posterior_mean_density,
     wasserstein,
 )
+from supermix.discretize import mixture_density
 from supermix.errors import InvalidConfig, TooFewDraws
+from supermix.gridfn import GridFunction
 from supermix.posterior import (
     LOG_2PI,
     _Allocation,
@@ -34,7 +36,7 @@ from supermix.posterior import (
     resolve_truth,
     wasserstein_recovery_experiment,
 )
-from supermix.priors import BaseMeasure, ScalePriorA0
+from supermix.priors import BaseMeasure, ScalePriorA0, nig_sample, py_sample
 
 GAUSSIAN = KernelSpec("gaussian")
 
@@ -418,7 +420,7 @@ class TestChain:
         for d in chain:
             acc += d.mixing.mixture_density(GAUSSIAN, d.sigma, grid.grid())
         mean = posterior_mean_density(chain, grid)
-        assert mean.values.tobytes() == (acc / len(chain)).tobytes()
+        assert np.abs(mean.values - acc / len(chain)).max() <= 1e-14
         truth = resolve_truth("gaussian:1")
         w2 = [wasserstein(d.mixing, truth.mixing, 2) for d in chain]
         assert _w2_draws(chain, truth).tobytes() == np.array(w2).tobytes()
@@ -451,7 +453,7 @@ class TestPosteriorSummaries:
         grid = experiment_grid()
         one = posterior_mean_density(draws[:1], grid, min_draws=1)
         direct = draws[0].mixing.mixture_density(GAUSSIAN, draws[0].sigma, grid.grid())
-        assert np.array_equal(one.values, direct)
+        assert np.abs(one.values - direct).max() <= 1e-14
 
     def test_mean_density_is_density(self, gaussian_data):
         truth, data = gaussian_data
@@ -470,7 +472,7 @@ class TestPosteriorSummaries:
         naive = sum(
             d.mixing.mixture_density(GAUSSIAN, d.sigma, grid.grid()) for d in draws
         ) / len(draws)
-        assert np.abs(mean.values - naive).max() <= 1e-12
+        assert np.abs(mean.values - naive).max() <= 1e-14
 
     def test_too_few_draws(self, gaussian_data):
         truth, data = gaussian_data
@@ -517,6 +519,93 @@ class TestPosteriorSummaries:
             prior_predictive_density(cfg, grid, np.random.default_rng(10)) - f0, 1
         )
         assert post_err <= prior_err
+
+
+def direct_mean(atoms, weights, sigma, grid):
+    """The per-draw sum that the spectral mean replaces."""
+    rows = zip(atoms, weights, np.asarray(sigma).tolist())
+    return sum(mixture_density(a, w, GAUSSIAN, s, grid.grid()) for a, w, s in rows) / len(sigma)
+
+
+def direct_prior_predictive(cfg, grid, rng):
+    """``prior_predictive_density`` as a per-draw sum, drawing in its order."""
+    atoms, weights, sigma = [], [], []
+    for _ in range(posterior.PRIOR_PREDICTIVE_DRAWS):
+        if isinstance(cfg.prior, NIGPartitionPrior):
+            mix = DiscreteMixingMeasure(cfg.prior.cell_midpoints(),
+                                        nig_sample(cfg.prior.nig_params(), rng)[0])
+        else:
+            draw = py_sample(cfg.prior, posterior.PRIOR_PREDICTIVE_TRUNC_TOL, rng)
+            mix = DiscreteMixingMeasure(draw.atoms, draw.weights / draw.weights.sum())
+        atoms.append(mix.atoms)
+        weights.append(mix.weights)
+        sigma.append(cfg.fixed_sigma if cfg.fixed_sigma is not None
+                     else float(posterior.SCALE_PRIOR.sample(rng)))
+    return direct_mean(atoms, weights, sigma, grid)
+
+
+class TestSpectralMean:
+    """The posterior mean and the prior predictive summed as spectra,
+    against the per-draw sum on the experiment grid."""
+
+    @staticmethod
+    @pytest.fixture(scope="class")
+    def chains(gaussian_data):
+        small = dict(iterations=110, burn_in=60, thinning=1, truncation=12)
+        return {name: blocked_gibbs_fit(gaussian_data[1],
+                                        dataclasses.replace(default_py_config(name), **small),
+                                        np.random.default_rng(21))
+                for name in ("dp", "py", "nig")}
+
+    @staticmethod
+    def spy(monkeypatch):
+        """Record the sigma of every draw evaluated directly."""
+        calls, real = [], posterior.mixture_density
+
+        def recording(atoms, weights, kernel, sigma, x):
+            calls.append(sigma)
+            return real(atoms, weights, kernel, sigma, x)
+
+        monkeypatch.setattr(posterior, "mixture_density", recording)
+        return calls
+
+    @pytest.mark.parametrize("name", ["dp", "py", "nig"])
+    def test_matches_the_per_draw_sum(self, chains, name, monkeypatch):
+        chain, grid = chains[name], experiment_grid()
+        direct = self.spy(monkeypatch)
+        mean = posterior_mean_density(chain, grid)
+        assert direct == []
+        want = direct_mean(chain.atoms, chain.weights, chain.sigma, grid)
+        assert np.abs(mean.values - want).max() <= 1e-14
+        # the cached spectrum is the values' own, up to the band's cut
+        resynth = GridFunction(grid.half_width, mean.values).spectrum
+        assert np.abs(mean.spectrum - resynth).max() <= 1e-13
+
+    @pytest.mark.parametrize("name", ["dp", "nig"])
+    def test_narrow_and_wrapping_draws_are_evaluated_directly(self, chains, name, monkeypatch):
+        chain, grid = chains[name], experiment_grid()
+        atoms, weights, sigma = (np.array(a) for a in (chain.atoms, chain.weights, chain.sigma))
+        # band 9.5 / sigma wider than the grid's pi / dx = 201
+        sigma[3] = 0.04
+        assert posterior.SPECTRAL_BAND / sigma[3] > grid.nyquist
+        if name == "dp":
+            # draw 7 puts mass 0.1 at 15.9, 0.1 inside the period's edge at 16
+            atoms[7, -1], weights[7] = 15.9, np.append(0.9 * weights[7, :-1], 0.1)
+        direct = self.spy(monkeypatch)
+        mean = posterior_mean_density(Chain(atoms, weights, sigma, chain.loglik), grid)
+        assert direct == [sigma[d] for d in ([3, 7] if name == "dp" else [3])]
+        assert np.abs(mean.values - direct_mean(atoms, weights, sigma, grid)).max() <= 1e-14
+        # no cached spectrum leaves the direct draws out
+        resynth = GridFunction(grid.half_width, mean.values).spectrum
+        assert np.abs(mean.spectrum - resynth).max() <= 1e-13
+
+    @pytest.mark.parametrize("name", ["nig", "dp", "w2"])
+    def test_prior_predictive_matches_the_per_draw_sum(self, name):
+        cfg = default_w2_config() if name == "w2" else default_py_config(name)
+        grid = experiment_grid()
+        got = prior_predictive_density(cfg, grid, np.random.default_rng(4))
+        want = direct_prior_predictive(cfg, grid, np.random.default_rng(4))
+        assert np.abs(got.values - want).max() <= 1e-14
 
 
 class TestExperiments:
