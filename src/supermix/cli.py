@@ -261,14 +261,17 @@ def cmd_discretize(args) -> Output:
     )
 
 
-#: largest Monte-Carlo budget of ``prior-mass`` and ``nig-check``: ten
-#: times the largest budget in use, 80 MB per cell of a work array
+#: largest Monte-Carlo work array, in draws: the budget of ``prior-mass``,
+#: and the budget times the cell count of ``nig-check``; ten times the
+#: largest budget in use, 80 MB per float64 work array
 MC_BUDGET_CAP = 10 ** 7
 
 
-def _check_budget(budget: int) -> None:
-    if not 1 <= budget <= MC_BUDGET_CAP:
-        raise ValueError(f"Monte-Carlo budget must be >= 1 and <= {MC_BUDGET_CAP}, got {budget}")
+def _check_budget(budget: int, cells: int = 1) -> None:
+    if not (budget >= 1 and budget * cells <= MC_BUDGET_CAP):
+        draws = f" x {cells} cells = {budget * cells} draws" if cells > 1 else ""
+        raise ValueError(f"Monte-Carlo budget must be >= 1 and <= {MC_BUDGET_CAP}, "
+                         f"got {budget}{draws}")
 
 
 def cmd_prior_mass(args) -> Output:
@@ -318,7 +321,7 @@ def cmd_nig_check(args) -> Output:
     at N = 2 the KS distance of the smaller mass's coordinate, which keeps
     its relative precision, to its marginal law: the cdf of the first
     coordinate with the masses ordered (smaller, larger)."""
-    _check_budget(args.budget)
+    _check_budget(args.budget, len(args.alphas))
     params = NIGParams(np.array(args.alphas))
     if params.n_cells == 2:
         small = int(np.argmin(params.alphas))

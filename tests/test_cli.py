@@ -5,7 +5,9 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ import supermix
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from supermix import posterior
 from supermix.cli import MC_BUDGET_CAP, main, parse_args
 
 
@@ -308,6 +311,17 @@ def test_budget_above_the_cap_exits_2(tmp_path, capsys, argv):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_nig_check_work_array_above_the_cap_exits_2(tmp_path, capsys):
+    # 10^7 draws of 5000 cells used to fail with "Unable to allocate 373.
+    # GiB" and exit 1: the cap bounded the draws per cell only
+    alphas = ",".join(["1"] * 5000)
+    argv = ["nig-check", "--alphas", alphas, "--budget", str(10 ** 7)]
+    assert main(argv + ["--out", str(tmp_path / "n.csv")]) == 2
+    assert (f"<= {MC_BUDGET_CAP}, got {10 ** 7} x 5000 cells = {5 * 10 ** 10} draws"
+            in capsys.readouterr().err)
+    assert list(tmp_path.iterdir()) == []
+
+
 #: values that replace a Monte-Carlo flag, or that a list of ordinary
 #: alphas gains as its last entry; "" is an empty list or an empty number
 _FUZZ_EDGES = ["0", "-0", "5e-324", "-5e-324", "1e300", "-1e300", "1e-300", "-1e-300", "inf",
@@ -328,20 +342,24 @@ _FUZZ_EDGES = ["0", "-0", "5e-324", "-5e-324", "1e300", "-1e300", "1e-300", "-1e
                           st.sampled_from(_FUZZ_EDGES), max_size=2),
 )
 def test_monte_carlo_commands_exit_0_or_2(command, flags, edges):
-    # exit 2 writes nothing and exit 0 writes only finite numbers; a case
-    # that hangs is interrupted, which main reports as exit 1
-    def interrupt(signum, frame):
-        raise TimeoutError("the command did not return within 10 s")
-
     if "--alphas" in edges:
         edge = edges.pop("--alphas")
         flags["--alphas"] = f"{flags['--alphas']},{edge}" if edge else ""
     flags.update(edges)
     if command != ["nig-check"]:
         del flags["--alphas"]
-    argv = command + [text for flag in flags.items() for text in flag]
+    check_exit_0_or_2(command + [text for flag in flags.items() for text in flag], first=1)
+
+
+def check_exit_0_or_2(argv, first):
+    """Run ``argv`` within 10 s: exit 2 must write nothing, and exit 0 only
+    finite numbers from column ``first`` on.  A case that hangs is
+    interrupted, which main reports as exit 1."""
+    def interrupt(signum, frame):
+        raise TimeoutError("the command did not return within 10 s")
+
     with tempfile.TemporaryDirectory() as tmp:
-        out = Path(tmp) / "mc.csv"
+        out = Path(tmp) / "out.csv"
         previous = signal.signal(signal.SIGALRM, interrupt)
         signal.alarm(10)
         try:
@@ -356,8 +374,50 @@ def test_monte_carlo_commands_exit_0_or_2(command, flags, edges):
             assert list(Path(tmp).iterdir()) == []
             return
         for line in out.read_text().splitlines()[1:]:
-            values = [float(v) for v in line.split(",")[1:]]  # column 0 is a label
+            values = [float(v) for v in line.split(",")[first:]]
             assert np.all(np.isfinite(values)), line
+
+
+#: values that replace an experiment flag: no ladder entry or replicate
+#: count is large, since each one is a fit
+_EXPERIMENT_EDGES = {
+    "--truth": ["gaussian:0", "gaussian:-1", "gaussian:inf", "gaussian:nan", "gaussian:5e-324",
+                "gaussian:1e300", "gaussian:1e-150", "cauchy:1", "twopoint:2", "", "bogus"],
+    "--n-ladder": ["0", "-5", "9", "", ",", "40,20", "nan", "1e300", "5e-324"],
+    "--replicates": ["0", "-1", "", "nan", "1e300"],
+    "--seed": ["-1", str(2 ** 64), str(-2 ** 63), "", "nan"],
+    "--threads": ["-1", "", "nan", "1e300"],
+}
+
+#: the fuzzed experiments' fits: 50 kept draws, the fewest the posterior
+#: mean accepts
+_TINY_FIT = dict(iterations=60, burn_in=10, thinning=1, truncation=10)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    command=st.sampled_from([["contract", "--prior", "dp"], ["contract", "--prior", "py"],
+                             ["contract", "--prior", "nig"], ["w2"]]),
+    flags=st.fixed_dictionaries({
+        "--truth": st.sampled_from(["gaussian:1", "gaussian:0.5", "twopoint"]),
+        "--n-ladder": st.lists(st.integers(10, 40), min_size=1, max_size=2, unique=True)
+                        .map(lambda ns: ",".join(map(str, sorted(ns)))),
+        "--replicates": st.integers(1, 2).map(str),
+        "--seed": st.integers(0, 2 ** 64).map(str),
+        "--threads": st.just("1"),
+    }),
+    edges=st.lists(st.sampled_from(sorted(_EXPERIMENT_EDGES)).flatmap(
+        lambda flag: st.tuples(st.just(flag), st.sampled_from(_EXPERIMENT_EDGES[flag]))),
+        max_size=2),
+)
+def test_experiment_commands_exit_0_or_2(command, flags, edges):
+    flags.update(edges)
+    argv = command + [text for flag in flags.items() for text in flag]
+    tiny_py = lambda prior_id, real=posterior.default_py_config: replace(real(prior_id), **_TINY_FIT)
+    tiny_w2 = lambda real=posterior.default_w2_config: replace(real(), **_TINY_FIT)
+    with mock.patch.object(posterior, "default_py_config", tiny_py), \
+            mock.patch.object(posterior, "default_w2_config", tiny_w2):
+        check_exit_0_or_2(argv, first=0)
 
 
 @pytest.mark.parametrize("order", ["0", "1", "3", "5"])
