@@ -99,10 +99,6 @@ def _parse_threads(text: str) -> int:
     return threads
 
 
-def _parse_p(text: str) -> float:
-    return math.inf if text in ("inf", "Inf", "INF") else float(text)
-
-
 def _load_config_file(path: str) -> dict:
     values = {}
     for line in Path(path).read_text().splitlines():
@@ -144,7 +140,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     common(p)
     p.add_argument("--density", required=True, help="e.g. fvp:1, gaussian:1, cauchy:1")
     p.add_argument("--sigma", type=_parse_float_list, required=True, help="comma list")
-    p.add_argument("--p", type=_parse_p, default=math.inf)
+    p.add_argument("--p", type=float, default=math.inf)
 
     p = add_parser("transform", help="corrected-transform error ladder")
     common(p)

@@ -241,11 +241,17 @@ def spectral_derivative(f: GridFunction, order: int) -> GridFunction:
 
 
 def lp_norm(f: GridFunction, p: float) -> float:
-    """Riemann-sum L^p norm (p < inf) or max absolute value (p = inf)."""
-    if p == math.inf or p == np.inf:
-        return float(np.abs(f.values).max())
+    """Riemann-sum L^p norm (p < inf) or max absolute value (p = inf).  Where
+    max|f|^p is not a normal positive float, max|f| is factored out of the sum."""
     if not p >= 1:
         raise InvalidP(f"p must be >= 1 or inf, got {p}")
     absv = np.abs(f.values)
+    top = float(absv.max())
+    if p == math.inf:
+        return top
+    with np.errstate(over="ignore"):
+        peak = np.float64(top) ** p
+    if 0.0 < top < math.inf and not np.finfo(float).tiny <= peak < math.inf:
+        return top * float(((absv / top) ** p).sum() * f.dx) ** (1.0 / p)
     return float((absv ** p).sum() * f.dx) ** (1.0 / p)
 

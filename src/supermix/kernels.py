@@ -209,6 +209,16 @@ def parse_kernel_id(text: str) -> KernelSpec:
     return KernelSpec(family, values[n] if len(values) > n else 1.0, tuple(values[:n]) or None)
 
 
+def check_resolution(spec: KernelSpec, half_width: float = DEFAULT_HALF_WIDTH,
+                     n_points: int = DEFAULT_N_POINTS) -> float:
+    """The grid step dx; a scale below 4 dx, which the grid does not resolve
+    (0.01953125 on the default grid), raises ``ScaleTooSmall``."""
+    dx = 2.0 * half_width / n_points
+    if spec.scale < 4.0 * dx:
+        raise ScaleTooSmall(f"scale {spec.scale:g} below grid resolution 4*dx = {4 * dx:g}")
+    return dx
+
+
 def kernel_grid(
     spec: KernelSpec,
     half_width: float = DEFAULT_HALF_WIDTH,
@@ -220,11 +230,7 @@ def kernel_grid(
     then the exact periodization of the density); Student-t is sampled in
     the x-domain and its transform computed by DFT.
     """
-    dx = 2.0 * half_width / n_points
-    if spec.scale < 4.0 * dx:
-        raise ScaleTooSmall(
-            f"scale {spec.scale:g} below grid resolution 4*dx = {4 * dx:g}"
-        )
+    dx = check_resolution(spec, half_width, n_points)
     char = spec.char_fn()
     if char is not None:
         t = _grid_arrays(half_width, n_points)[1]

@@ -56,7 +56,7 @@ import numpy as np
 from .discretize import DiscreteMixingMeasure, mixture_density
 from .errors import InvalidConfig, NonConvergenceWarning, TooFewDraws
 from .gridfn import GridFunction, lp_norm
-from .kernels import KernelSpec, catalog_density, parse_kernel_id
+from .kernels import KernelSpec, check_resolution, parse_kernel_id
 from .metrics import kl_divergence, quantile_distance
 from .priors import (
     BaseMeasure,
@@ -85,6 +85,9 @@ WRAP_TOL = 1e-16
 
 #: half-width B of the uniform base on [-B, B] in the W2 recovery setting
 W2_THETA_HALF_WIDTH = 4.0
+
+#: fewest observations a fit accepts
+MIN_OBSERVATIONS = 10
 
 #: bandwidth prior of every fit whose ``FitConfig.fixed_sigma`` is None
 SCALE_PRIOR = ScalePriorA0()
@@ -296,8 +299,8 @@ def blocked_gibbs_fit(data: np.ndarray, cfg: FitConfig, rng: np.random.Generator
     data = np.asarray(data, dtype=float)
     if data.ndim != 1:
         raise InvalidConfig("data must be one value per observation")
-    if data.size < 10:
-        raise InvalidConfig("need at least 10 observations")
+    if data.size < MIN_OBSERVATIONS:
+        raise InvalidConfig(f"need at least {MIN_OBSERVATIONS} observations")
     if not np.all(np.isfinite(data)):
         raise InvalidConfig("data must be finite")
     n = data.size
@@ -538,6 +541,16 @@ def prior_predictive_density(cfg: FitConfig, grid: GridFunction,
 EXPERIMENT_HALF_WIDTH = 16.0
 EXPERIMENT_N_POINTS = 2 ** 11
 
+#: largest n ladder entry, 25 times the largest in use (4000): a fit's
+#: allocation buffers take about 9 L n bytes, 45 MB at L = 50, and its 1500
+#: sweeps about 15 s on one core
+MAX_LADDER_N = 10 ** 5
+
+#: most tasks (ladder entries times replicates) of one experiment: the task
+#: list is built before the first fit, and at 0.5 s or more a fit this many
+#: take over an hour per core
+MAX_TASKS = 10 ** 4
+
 
 def experiment_grid() -> GridFunction:
     return GridFunction(EXPERIMENT_HALF_WIDTH, np.zeros(EXPERIMENT_N_POINTS))
@@ -567,14 +580,12 @@ def resolve_truth(truth_id: str) -> TruthSpec:
             name="twopoint",
             mixing=DiscreteMixingMeasure(np.array([-1.0, 1.0]), np.array([0.5, 0.5])),
         )
-    cat = catalog_density(truth_id)
     spec = parse_kernel_id(truth_id)
+    check_resolution(spec)
     if spec.family != "gaussian":
-        raise InvalidConfig(
-            f"truth {truth_id!r} has no Gaussian mixture representation"
-        )
+        raise InvalidConfig(f"truth {truth_id!r} has no Gaussian mixture representation")
     return TruthSpec(
-        name=cat.name,
+        name=spec.id(),
         mixing=DiscreteMixingMeasure.point_mass(0.0),
         kernel_sigma=spec.scale,
     )
@@ -622,8 +633,13 @@ def _run_experiment(summarize, truth_id, n_ladder, replicates, cfg, seed, thread
     """
     if list(n_ladder) != sorted(n_ladder):
         raise InvalidConfig("n ladder must be increasing")
-    if replicates < 1:
-        raise InvalidConfig(f"need at least one replicate, got {replicates}")
+    if not all(MIN_OBSERVATIONS <= n <= MAX_LADDER_N for n in n_ladder):
+        raise InvalidConfig(f"n ladder entries must be in {MIN_OBSERVATIONS}..{MAX_LADDER_N}, "
+                            f"got {min(n_ladder)} to {max(n_ladder)}")
+    cap = MAX_TASKS // max(len(n_ladder), 1)
+    if not 1 <= replicates <= cap:
+        raise InvalidConfig(f"replicates must be in 1..{cap} for {len(n_ladder)} ladder "
+                            f"entries (at most {MAX_TASKS} tasks), got {replicates}")
     tasks = [
         (summarize, truth_id, int(n), rep, i * replicates + rep, seed, cfg)
         for i, n in enumerate(n_ladder)

@@ -22,8 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -38,21 +36,21 @@ DELTA_DEFAULT = 1.0 - math.sqrt(math.e) / 2.0
 #: series-tail threshold used by the automatic truncation-order choice
 SERIES_TOL = 1e-14
 
+#: highest series order of the coefficient table
 MAX_ORDER = 120
 
 
 @dataclass(frozen=True)
 class TransformCoefficients:
-    """Gaussian-moment coefficient sequences m_j, c_j, d_j.
+    """Gaussian-moment coefficient sequences m_j, c_j, d_j from j = 0 on.
 
-    Computed in exact rational arithmetic and rounded once to binary64:
-    m_j are the standard normal moments (odd ones vanish,
-    m_{2k} = (2k-1)!!), c_j the negative Cauchy-product corrections, and
-    d_j = (-1)^j m_j / j! + c_j.  Only even-index d's are non-zero and
-    their absolute sum stays below (sqrt(e)-1) sqrt(e).
+    m_j are the standard normal moments, c_j = -sum_{0<k<j} m_k m_{j-k} /
+    (k! (j-k)!) from j = 3 on, and d_j = (-1)^j m_j / j! + c_j from j = 2
+    on.  Odd entries vanish; with n_k = 2^k k!, m_{2k} = (2k-1)!!,
+    c_{2k} = (2 - 2^k) / n_k and d_{2k} = (3 - 2^k) / n_k for k >= 1.  The
+    absolute sum of the d's stays below (sqrt(e)-1) sqrt(e).
     """
 
-    max_order: int
     m: np.ndarray
     c: np.ndarray
     d: np.ndarray
@@ -70,50 +68,44 @@ class TransformCoefficients:
             acc = acc * v + self.d[2 * k]
         return acc * v
 
-    def symbol(self, u) -> np.ndarray:
-        """In-band spectral symbol ``1 - sum_j d_j s_j(u)`` up to ``max_order``."""
-        return 1.0 - self.correction(u, self.max_order)
+
+def _closed_form_table() -> TransformCoefficients:
+    """The read-only table up to ``MAX_ORDER``: each entry is one ratio of
+    integers, which int division rounds once, as it would the exact rational."""
+    m, c, d = (np.zeros(MAX_ORDER + 1) for _ in range(3))
+    for k in range(MAX_ORDER // 2 + 1):
+        m[2 * k] = math.prod(range(1, 2 * k, 2))
+        if k:
+            n_k = 2 ** k * math.factorial(k)
+            c[2 * k] = (2 - 2 ** k) / n_k
+            d[2 * k] = (3 - 2 ** k) / n_k
+    for a in (m, c, d):
+        a.flags.writeable = False
+    return TransformCoefficients(m, c, d)
 
 
-@lru_cache(maxsize=8)
+_TABLE = _closed_form_table()
+
+#: the smallest even order J >= 10 whose in-band term bound at the band
+#: edge, |d_J| (sigma t)^J <= |d_J| at t = 1/sigma, is below SERIES_TOL
+AUTO_ORDER = next(j for j in range(10, MAX_ORDER + 1, 2) if abs(_TABLE.d[j]) <= SERIES_TOL)
+
+
 def coefficients(max_order: int) -> TransformCoefficients:
-    """Exact coefficient sequences up to ``max_order`` (inclusive)."""
-    if max_order < 2:
-        raise ValueError("max_order must be >= 2")
-    m = [Fraction(0)] * (max_order + 1)
-    m[0] = Fraction(1)
-    for j in range(2, max_order + 1, 2):
-        m[j] = m[j - 2] * (j - 1)  # double factorial recursion
-    fact = [Fraction(math.factorial(j)) for j in range(max_order + 1)]
-    c = [Fraction(0)] * (max_order + 1)
-    d = [Fraction(0)] * (max_order + 1)
-    d[2] = m[2] / fact[2]
-    for j in range(3, max_order + 1):
-        cj = Fraction(0)
-        for k in range(1, j):
-            cj -= m[k] * m[j - k] / (fact[k] * fact[j - k])
-        c[j] = cj
-        d[j] = Fraction((-1) ** j) * m[j] / fact[j] + cj
-    return TransformCoefficients(
-        max_order=max_order,
-        m=np.array([float(v) for v in m]),
-        c=np.array([float(v) for v in c]),
-        d=np.array([float(v) for v in d]),
-    )
-
-
-def closed_form_symbol(u) -> np.ndarray:
-    """The exact in-band symbol ``3 - 3 e^{-u} + e^{-2u}``."""
-    u = np.asarray(u, dtype=float)
-    return 3.0 - 3.0 * np.exp(-u) + np.exp(-2.0 * u)
+    """The table's entries 0..``max_order``, for 2 <= max_order <= MAX_ORDER."""
+    if not 2 <= max_order <= MAX_ORDER:
+        raise ValueError(f"series order must be in 2..{MAX_ORDER}, got {max_order}")
+    n = max_order + 1
+    return TransformCoefficients(_TABLE.m[:n], _TABLE.c[:n], _TABLE.d[:n])
 
 
 def spectral_symbol_check(max_order: int, u_max: float) -> float:
-    """Max deviation of the truncated symbol from its closed form at 401
-    evenly spaced points of [0, u_max]."""
-    coef = coefficients(max_order)
+    """Max deviation of the in-band symbol ``1 - sum_{j <= max_order} d_j
+    s_j(u)`` from its closed form ``3 - 3 e^{-u} + e^{-2u}`` at 401 evenly
+    spaced points of [0, u_max]."""
     u = np.linspace(0.0, u_max, 401)
-    return float(np.abs(coef.symbol(u) - closed_form_symbol(u)).max())
+    symbol = 1.0 - coefficients(max_order).correction(u, max_order)
+    return float(np.abs(symbol - (3.0 - 3.0 * np.exp(-u) + np.exp(-2.0 * u))).max())
 
 
 @dataclass(frozen=True)
@@ -129,15 +121,6 @@ class TransformResult:
     sigma: float
     truncation_order: int
     mass_defect: float
-
-
-def _auto_order() -> int:
-    coef = coefficients(MAX_ORDER)
-    # in-band term bound |d_J| (sigma * t)^J <= |d_J| at t = 1/sigma
-    for j in range(10, MAX_ORDER + 1, 2):
-        if abs(coef.d[j]) <= SERIES_TOL:
-            return j
-    return MAX_ORDER
 
 
 def _corrected(
@@ -166,13 +149,13 @@ def transform_analytic(
 ) -> TransformResult:
     """Full corrected function for analytic-class inputs.
 
-    ``order`` defaults to the smallest even J with |d_J| below the series
-    tolerance (the in-band term bound at the band edge), capped at 120.
-    An explicit order is checked on the last even term the series uses
-    (odd d's vanish); orders below 2 keep no correction term and fail.
+    ``order`` defaults to ``AUTO_ORDER``.  An explicit order is checked on
+    the last even term the series uses (odd d's vanish); orders below 2
+    keep no correction term and fail, and orders above ``MAX_ORDER`` raise
+    ``ValueError``.
     """
     if order is None:
-        order = _auto_order()
+        order = AUTO_ORDER
     elif order < 2 or abs(coefficients(order).d[order - order % 2]) > SERIES_TOL:
         raise SeriesNotConverged(
             f"order {order} leaves its last in-band term above {SERIES_TOL:g}; "
@@ -191,7 +174,8 @@ def transform_sobolev(
 
     By default the sinc kernel is used; passing a superkernel spec
     replaces the band indicator by its trapezoidal transform, which keeps
-    the integral exactly 1.
+    the integral exactly 1.  ``k0 - 1`` above ``MAX_ORDER`` raises
+    ``ValueError``.
     """
     if k0 < 1:
         raise ValueError("k0 must be >= 1")

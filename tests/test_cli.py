@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import signal
 import subprocess
@@ -13,10 +14,10 @@ import numpy as np
 import pytest
 
 import supermix
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from supermix import posterior
+from supermix import catalog_density, posterior, sinc_approx_error
 from supermix.cli import MC_BUDGET_CAP, main, parse_args
 
 
@@ -35,6 +36,29 @@ def run_python(args, env=None):
 
 def run_cli(args):
     return run_python(["-m", "supermix", *args])
+
+
+class Hang(Exception):
+    """A command that did not return in time.  main counts it as a runtime
+    error (exit 1); a TimeoutError, being an OSError, would pass as bad
+    input (exit 2)."""
+
+
+def main_within(seconds, argv):
+    """``main(argv)``, or argparse's exit code, with the command interrupted
+    by :class:`Hang` after ``seconds``."""
+    def interrupt(signum, frame):
+        raise Hang(f"the command did not return within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    signal.alarm(seconds)
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse rejects the value
+        return exc.code
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_fvp_approx_error_column_zero(tmp_path):
@@ -267,19 +291,9 @@ def test_nig_check_degenerate_cell_mass_exits_2(tmp_path, capsys, alphas, messag
 
 
 def test_nig_check_of_far_apart_masses_returns(tmp_path):
-    # the Bessel sum behind the N=2 marginal cdf never ended beyond x ~ 1e60;
-    # a stuck run is interrupted, and main reports the interruption as exit 1
-    def interrupt(signum, frame):
-        raise TimeoutError("nig-check did not return within 60 s")
-
-    previous = signal.signal(signal.SIGALRM, interrupt)
-    signal.alarm(60)
-    try:
-        code = main(["nig-check", "--alphas", "1e100,1", "--budget", "2000",
-                     "--out", str(tmp_path / "nc.csv")])
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
+    # the Bessel sum behind the N=2 marginal cdf never ended beyond x ~ 1e60
+    code = main_within(60, ["nig-check", "--alphas", "1e100,1", "--budget", "2000",
+                            "--out", str(tmp_path / "nc.csv")])
     assert code in (0, 2)
 
 
@@ -351,31 +365,24 @@ def test_monte_carlo_commands_exit_0_or_2(command, flags, edges):
     check_exit_0_or_2(command + [text for flag in flags.items() for text in flag], first=1)
 
 
-def check_exit_0_or_2(argv, first):
+def check_exit_0_or_2(argv, first, inf_column=None):
     """Run ``argv`` within 10 s: exit 2 must write nothing, and exit 0 only
-    finite numbers from column ``first`` on.  A case that hangs is
-    interrupted, which main reports as exit 1."""
-    def interrupt(signum, frame):
-        raise TimeoutError("the command did not return within 10 s")
-
+    finite numbers from column ``first`` on, apart from a literal ``inf``
+    in column ``inf_column``.  Returns the data rows of exit 0, as lists of
+    fields, and None on exit 2."""
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out.csv"
-        previous = signal.signal(signal.SIGALRM, interrupt)
-        signal.alarm(10)
-        try:
-            code = main(argv + ["--out", str(out)])
-        except SystemExit as exc:  # argparse rejects the value
-            code = exc.code
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
+        code = main_within(10, argv + ["--out", str(out)])
         assert code in (0, 2), argv
         if code == 2:
             assert list(Path(tmp).iterdir()) == []
-            return
-        for line in out.read_text().splitlines()[1:]:
-            values = [float(v) for v in line.split(",")[first:]]
-            assert np.all(np.isfinite(values)), line
+            return None
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    for row in rows:
+        values = [float(v) for i, v in enumerate(row) if i >= first and
+                  not (i == inf_column and v == "inf")]
+        assert np.all(np.isfinite(values)), row
+    return rows
 
 
 #: values that replace an experiment flag: no ladder entry or replicate
@@ -418,6 +425,70 @@ def test_experiment_commands_exit_0_or_2(command, flags, edges):
     with mock.patch.object(posterior, "default_py_config", tiny_py), \
             mock.patch.object(posterior, "default_w2_config", tiny_w2):
         check_exit_0_or_2(argv, first=0)
+
+
+@pytest.mark.parametrize("command", ["contract", "w2"])
+@pytest.mark.parametrize(
+    "flags, message",
+    [(["--n-ladder", "9"], "n ladder entries must be in 10..100000, got 9 to 9"),
+     (["--n-ladder", "20,100001"], "n ladder entries must be in 10..100000, got 20 to 100001"),
+     (["--n-ladder", "20", "--replicates", str(10 ** 9)],
+      f"replicates must be in 1..10000 for 1 ladder entries (at most 10000 tasks), "
+      f"got {10 ** 9}"),
+     (["--n-ladder", "10,20", "--replicates", "5001"],
+      "replicates must be in 1..5000 for 2 ladder entries (at most 10000 tasks), got 5001")],
+    ids=["below-the-fit-minimum", "above-the-ladder-cap", "billion-tasks", "above-the-task-cap"],
+)
+def test_experiment_inputs_outside_their_caps_exit_2(tmp_path, capsys, command, flags, message):
+    # 10^9 replicates used to build the task list before any fit and exit 1
+    # with an empty MemoryError; n = 9 failed only in the first fit
+    argv = [command, *flags, "--threads", "1", "--out", str(tmp_path / "e.csv")]
+    assert main_within(10, argv) == 2
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+#: extreme values of the construction commands' flags
+_SIGMA_EDGES = ["0", "-0", "5e-324", "-5e-324", "1e300", "-1e300", "1e-300", "-1e-300", "inf",
+                "-inf", "nan"]
+_ORDER_EDGES = ["1", "121", "2000", str(10 ** 9)]
+_P_EDGES = ["0.5", "1000", "1e300", "nan"]
+_DENSITY_EDGES = ["gaussian:5e-324", "gaussian:1e154", "cauchy:1e300", "fvp:1e-300", "fvp:1e300",
+                  "stable:5e-324:1", "stable:2:1e300", "student_t:1e300:1", "student_t:5e-324:1",
+                  "superkernel:1e-300:1:1", "superkernel:1:1e300:1", "superkernel:1:2:5e-324"]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    command=st.sampled_from(["approx", "transform"]),
+    density=st.sampled_from(["gaussian:1", "cauchy:1", "fvp:1", "stable:1.5:1", "student_t:3:1",
+                             "superkernel:1:2:1", *_DENSITY_EDGES]),
+    sigma=st.lists(st.one_of(st.floats(0.2, 1.0).map(repr), st.sampled_from(_SIGMA_EDGES)),
+                   min_size=1, max_size=3).map(",".join),
+    order=st.one_of(st.none(), st.integers(2, 120).map(str), st.sampled_from(_ORDER_EDGES)),
+    p=st.sampled_from(["1", "2", "3.5", "inf", *_P_EDGES]),
+)
+@example("transform", "gaussian:1", "0.5", "2000", "inf")  # ran for minutes
+@example("transform", "gaussian:1", "0.5", str(10 ** 9), "inf")
+@example("approx", "gaussian:1", "0.5", None, "1000")  # wrote error 0
+def test_construction_commands_exit_0_or_2(command, density, sigma, order, p):
+    argv = [command, "--density", density, "--sigma", sigma]
+    if command == "transform":
+        argv += [] if order is None else ["--order", order]
+        check_exit_0_or_2(argv, first=0)
+        return
+    rows = check_exit_0_or_2(argv + ["--p", p], first=1, inf_column=4)
+    if rows is None:
+        return
+    # the Riemann sum of |error|^p holds the largest term and at most n of
+    # them: at p = 1000 the error of gaussian:1 came out 0
+    f = catalog_density(density)
+    for row in rows:
+        sigma_row, p_row, err = float(row[3]), float(row[4]), float(row[5])
+        if p_row < math.inf:
+            sup = sinc_approx_error(f.f, f.smooth, sigma_row, math.inf)
+            lo, hi = f.f.dx ** (1.0 / p_row), (f.f.n_points * f.f.dx) ** (1.0 / p_row)
+            assert sup * lo * (1 - 1e-9) <= err <= sup * hi * (1 + 1e-9), row
 
 
 @pytest.mark.parametrize("order", ["0", "1", "3", "5"])

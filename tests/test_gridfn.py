@@ -181,6 +181,18 @@ class TestLpNorm:
     def test_sup_norm(self, phi1):
         assert abs(lp_norm(phi1, math.inf) - 1 / math.sqrt(2 * math.pi)) <= 1e-10
 
+    @pytest.mark.parametrize("p", [1, 2, 3.5, 100, 1000, 1e300])
+    @pytest.mark.parametrize("scale", [1e-200, 1e-5, 1.0, 1e200])
+    def test_finite_p_is_homogeneous_and_below_the_sup(self, phi1, p, scale):
+        # max|f|^p underflowed or overflowed at large p or extreme values:
+        # p = 1000 gave 0 for the standard normal, whose sup is 0.399
+        sup = lp_norm(phi1, math.inf)
+        norm = lp_norm(GridFunction(phi1.half_width, scale * phi1.values), p)
+        assert norm == pytest.approx(scale * lp_norm(phi1, p), rel=1e-12)
+        # the Riemann sum holds the largest term and at most n of them
+        lo, hi = phi1.dx ** (1.0 / p), (phi1.n_points * phi1.dx) ** (1.0 / p)
+        assert scale * sup * lo * (1 - 1e-12) <= norm <= scale * sup * hi * (1 + 1e-12)
+
     def test_invalid_p(self, phi1):
         with pytest.raises(InvalidP):
             lp_norm(phi1, 0.5)

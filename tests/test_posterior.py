@@ -15,13 +15,16 @@ from supermix import (
     NIGPartitionPrior,
     PYParams,
     blocked_gibbs_fit,
+    kernel_grid,
+    kernels,
     lp_norm,
+    parse_kernel_id,
     posterior,
     posterior_mean_density,
     wasserstein,
 )
 from supermix.discretize import mixture_density
-from supermix.errors import InvalidConfig, TooFewDraws
+from supermix.errors import InvalidConfig, ScaleTooSmall, TooFewDraws
 from supermix.gridfn import GridFunction
 from supermix.posterior import (
     LOG_2PI,
@@ -624,3 +627,28 @@ class TestExperiments:
             for t in (1, 2)
         ]
         assert rows[0] == rows[1]
+
+
+class TestResolveTruth:
+    @pytest.mark.parametrize("truth_id", ["gaussian:1", "gaussian", "gaussian:0.50",
+                                          "gaussian:1e10", "gaussian:0.01953125"])
+    def test_builds_no_grid(self, monkeypatch, truth_id):
+        # the name comes from the parsed id; no 2^14-point density is built
+        def no_grid(*args):
+            raise AssertionError("resolve_truth built a grid density")
+
+        monkeypatch.setattr(kernels, "catalog_density", no_grid)
+        monkeypatch.setattr(kernels, "kernel_grid", no_grid)
+        spec = parse_kernel_id(truth_id)
+        truth = resolve_truth(truth_id)
+        assert truth.name == spec.id()
+        assert truth.kernel_sigma == spec.scale
+
+    @pytest.mark.parametrize("truth_id", ["gaussian:5e-324", "gaussian:0.0195", "cauchy:1e-300"])
+    def test_shares_the_grid_resolution_check(self, truth_id):
+        with pytest.raises(ScaleTooSmall) as grid_error:
+            kernel_grid(parse_kernel_id(truth_id))
+        with pytest.raises(ScaleTooSmall) as truth_error:
+            resolve_truth(truth_id)
+        assert str(truth_error.value) == str(grid_error.value)
+        assert "below grid resolution 4*dx = 0.0195312" in str(truth_error.value)

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from supermix import (
 from supermix.errors import CutoffAboveNyquist, SeriesNotConverged
 from supermix.gridfn import GridFunction
 from supermix.kernels import KernelSpec
+from supermix.transforms import MAX_ORDER
 
 
 def fit_slope(xs, ys):
@@ -65,6 +67,59 @@ class TestCoefficients:
         bound = (math.sqrt(math.e) - 1.0) * math.sqrt(math.e)
         for j_max in (10, 40, 120):
             assert np.abs(coefficients(j_max).d).sum() <= bound
+
+
+def exact_recursion(max_order):
+    """m, c and d up to ``max_order`` in exact rational arithmetic, each
+    entry rounded once to binary64: m by the double-factorial recursion,
+    c_j = -sum_{0<k<j} m_k m_{j-k} / (k! (j-k)!) from j = 3 on, and
+    d_j = (-1)^j m_j / j! + c_j from j = 2 on."""
+    m = [Fraction(0)] * (max_order + 1)
+    m[0] = Fraction(1)
+    for j in range(2, max_order + 1, 2):
+        m[j] = m[j - 2] * (j - 1)
+    fact = [Fraction(math.factorial(j)) for j in range(max_order + 1)]
+    c = [Fraction(0)] * (max_order + 1)
+    d = [Fraction(0)] * (max_order + 1)
+    d[2] = m[2] / fact[2]
+    for j in range(3, max_order + 1):
+        c[j] = -sum(m[k] * m[j - k] / (fact[k] * fact[j - k]) for k in range(1, j))
+        d[j] = (-1) ** j * m[j] / fact[j] + c[j]
+    return tuple(np.array([float(v) for v in seq]) for seq in (m, c, d))
+
+
+class TestCoefficientTable:
+    def test_every_entry_is_the_rounded_exact_recursion(self):
+        table = coefficients(MAX_ORDER)
+        for name, exact in zip("mcd", exact_recursion(MAX_ORDER)):
+            assert getattr(table, name).tobytes() == exact.tobytes(), name
+
+    @pytest.mark.parametrize("max_order", [2, 40, MAX_ORDER])
+    def test_arrays_are_read_only(self, max_order):
+        coef = coefficients(max_order)
+        for name in "mcd":
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(coef, name)[2] = 1.0
+        assert coefficients(MAX_ORDER).d[2] == 0.5
+
+    @pytest.mark.parametrize("max_order", [0, 1, MAX_ORDER + 1, 2000])
+    def test_orders_outside_the_table_raise(self, max_order):
+        with pytest.raises(ValueError, match=f"series order must be in 2..{MAX_ORDER}"):
+            coefficients(max_order)
+
+    @pytest.mark.parametrize("order", [MAX_ORDER + 1, 2000, 10 ** 9])
+    def test_transforms_above_the_table_raise(self, phi1, order):
+        # orders from 340 on used to fail in the rational-to-float rounding
+        # (exit 1), and order 2000 ran for minutes
+        with pytest.raises(ValueError, match=f"got {order}"):
+            transform_analytic(phi1, 0.3, order=order)
+        with pytest.raises(ValueError, match=f"got {order}"):
+            transform_sobolev(phi1, 0.3, order + 1)
+
+    def test_order_at_the_table_end_runs(self, phi1):
+        analytic = transform_analytic(phi1, 0.3, order=MAX_ORDER)
+        sobolev = transform_sobolev(phi1, 0.3, MAX_ORDER + 1)
+        assert np.array_equal(analytic.t_sigma.values, sobolev.t_sigma.values)
 
 
 class TestSymbolIdentity:
