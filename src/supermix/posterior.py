@@ -583,7 +583,9 @@ def resolve_truth(truth_id: str) -> TruthSpec:
     spec = parse_kernel_id(truth_id)
     check_resolution(spec)
     if spec.family != "gaussian":
-        raise InvalidConfig(f"truth {truth_id!r} has no Gaussian mixture representation")
+        raise InvalidConfig(
+            f"truth {truth_id!r} has no Gaussian mixture representation"
+        )
     return TruthSpec(
         name=spec.id(),
         mixing=DiscreteMixingMeasure.point_mass(0.0),
