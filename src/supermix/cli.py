@@ -99,31 +99,35 @@ def _parse_threads(text: str) -> int:
     return threads
 
 
-def _load_config_file(path: str) -> dict:
-    values = {}
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, val = line.partition("=")
-        values[key.strip().replace("-", "_")] = val.strip()
-    return values
+def _config_line_to_args(line: str) -> list[str]:
+    """One line of an ``@file`` as argv tokens: ``key=value`` is the token
+    ``--key=value``, with ``_`` in the key read as ``-``; a blank line or
+    a ``#`` comment line gives none."""
+    line = line.strip()
+    if not line or line.startswith("#"):
+        return []
+    key, _, value = line.partition("=")
+    return [f"--{key.strip().replace('_', '-')}={value.strip()}"]
 
 
-def build_parser() -> tuple[argparse.ArgumentParser, dict]:
+def build_parser() -> argparse.ArgumentParser:
+    """The ``supermix`` parser.  An argument ``@FILE`` after the subcommand
+    stands for FILE's ``key=value`` lines, each read as ``--key=value``, so
+    argparse checks file values by each flag's type and choices like any
+    other; a later flag wins.  Flags are never abbreviated, so a misspelt
+    key cannot prefix-match a flag."""
     parser = argparse.ArgumentParser(
         prog="supermix",
         description="Spectral approximation, discretization, prior-mass and "
         "posterior-contraction experiments for kernel mixtures",
+        fromfile_prefix_chars="@",
+        epilog="@FILE after the subcommand reads key=value lines as --key=value flags",
     )
-    parser.add_argument("--config", default=None, help="key=value file; flags override")
+    parser.convert_arg_line_to_args = _config_line_to_args
     sub = parser.add_subparsers(dest="command", required=True)
-    subparsers = {}
 
     def add_parser(name, **kw):
-        p = sub.add_parser(name, **kw)
-        subparsers[name] = p
-        return p
+        return sub.add_parser(name, allow_abbrev=False, **kw)
 
     def common(p):
         p.add_argument("--seed", type=int, default=0)
@@ -150,8 +154,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
     p = add_parser("discretize", help="moment-matched discretization")
     common(p)
-    p.add_argument("--density", default=None, help="catalog id; or use --atoms-csv")
-    p.add_argument("--atoms-csv", type=Path, default=None, help="CSV atom,weight rows")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--density", help="catalog id of the mixing density")
+    source.add_argument("--atoms-csv", type=Path, help="CSV atom,weight rows")
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--a", type=float, required=True)
     p.add_argument("--sigma", type=float, required=True)
@@ -182,7 +187,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--prior", default="dp", choices=["dp", "py", "nig"])
 
     experiment(add_parser("w2", help="Wasserstein recovery experiment"), "twopoint")
-    return parser, subparsers
+    return parser
 
 
 #: what a subcommand returns: CSV header, CSV rows and the entries it adds
@@ -226,14 +231,12 @@ def cmd_discretize(args) -> Output:
         if not total > 0:
             raise ValueError(f"{args.atoms_csv}: weights must sum to a positive value, got {total}")
         source = DiscreteMixingMeasure(raw[:, 0], raw[:, 1] / total)
-    elif args.density is not None:
+    else:
         cat = catalog_density(args.density)
         x = cat.f.grid()
         window = np.abs(x) <= args.a
         w = np.clip(cat.f.values[window], 0.0, None)
         source = DiscreteMixingMeasure(x[window], w / w.sum())
-    else:
-        raise SupermixError("need --density or --atoms-csv")
     try:
         budget = support_budget(args.epsilon, args.a, args.sigma, kernel)
         out = moment_match(source, budget.order, (-args.a, args.a))
@@ -399,38 +402,11 @@ COMMANDS = {
 
 
 def vars_config(args) -> dict:
-    return {
-        k: (v if not isinstance(v, Path) else str(v))
-        for k, v in vars(args).items()
-        if k != "config"
-    }
+    return {k: (v if not isinstance(v, Path) else str(v)) for k, v in vars(args).items()}
 
 
 def parse_args(argv: Optional[list] = None) -> argparse.Namespace:
-    """Parse the command line; a ``--config`` file's values become the
-    subcommand's defaults, so argparse parses them with each flag's type
-    and explicit flags still win.  A key that is not a flag of the
-    subcommand, or a value outside its flag's choices, is a usage error."""
-    parser, subparsers = build_parser()
-    args = parser.parse_args(argv)
-    if args.config:
-        overrides = _load_config_file(args.config)
-        unknown = sorted(set(overrides) - (set(vars(args)) - {"command", "config"}))
-        if unknown:
-            parser.error(
-                f"{args.config}: not flags of {args.command}: {', '.join(unknown)}"
-            )
-        subparsers[args.command].set_defaults(**overrides)
-        args = parser.parse_args(argv)
-        # argparse checks choices only for values given on the command line
-        for action in subparsers[args.command]._actions:
-            value = getattr(args, action.dest, None)
-            if action.dest in overrides and action.choices and value not in action.choices:
-                parser.error(
-                    f"{args.config}: {action.dest}={value!r} is not one of "
-                    f"{', '.join(map(str, action.choices))}"
-                )
-    return args
+    return build_parser().parse_args(argv)
 
 
 def main(argv: Optional[list] = None) -> int:

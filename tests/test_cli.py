@@ -124,16 +124,14 @@ def test_config_file_override(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("budget=5000\nseed=9\n")
     out1 = tmp_path / "c1.csv"
-    code = main(["--config", str(cfg), "nig-check", "--alphas", "1,1",
-                 "--out", str(out1)])
+    code = main(["nig-check", f"@{cfg}", "--alphas", "1,1", "--out", str(out1)])
     assert code == 0
     meta = json.loads(Path(str(out1) + ".meta.json").read_text())
     assert meta["config"]["budget"] == 5000
     assert meta["config"]["seed"] == 9
-    # explicit flag wins over the file
+    # a flag after the file wins over it
     out2 = tmp_path / "c2.csv"
-    main(["--config", str(cfg), "nig-check", "--alphas", "1,1",
-          "--budget", "7000", "--out", str(out2)])
+    main(["nig-check", f"@{cfg}", "--alphas", "1,1", "--budget", "7000", "--out", str(out2)])
     meta2 = json.loads(Path(str(out2) + ".meta.json").read_text())
     assert meta2["config"]["budget"] == 7000
 
@@ -141,7 +139,7 @@ def test_config_file_override(tmp_path):
 def test_config_file_values_parse_by_flag_type(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("n_ladder=60,120\nreplicates=3\n")
-    args = parse_args(["--config", str(cfg), "contract", "--out", "c.csv"])
+    args = parse_args(["contract", f"@{cfg}", "--out", "c.csv"])
     assert args.n_ladder == [60, 120]
     assert args.replicates == 3
 
@@ -149,7 +147,7 @@ def test_config_file_values_parse_by_flag_type(tmp_path):
 def test_config_file_explicit_flag_at_default_wins(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("budget=5000\n")
-    args = parse_args(["--config", str(cfg), "nig-check", "--alphas", "1,1",
+    args = parse_args(["nig-check", f"@{cfg}", "--alphas", "1,1",
                        "--budget", "100000", "--out", "c.csv"])
     assert args.budget == 100000
 
@@ -159,10 +157,57 @@ def test_config_file_unknown_key_exits_2(tmp_path):
     cfg.write_text("bugdet=5000\n")
     out = tmp_path / "c.csv"
     with pytest.raises(SystemExit) as exc:
-        main(["--config", str(cfg), "nig-check", "--alphas", "1,1", "--out", str(out)])
+        main(["nig-check", f"@{cfg}", "--alphas", "1,1", "--out", str(out)])
     assert exc.value.code == 2
     assert not out.exists()
     assert not Path(str(out) + ".meta.json").exists()
+
+
+@pytest.mark.parametrize("line", ["bud=5000", "burn=20"])
+def test_config_file_abbreviated_key_exits_2(tmp_path, capsys, line):
+    # argparse would otherwise take a unique prefix for the whole flag
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    out = tmp_path / "c.csv"
+    command = ["nig-check", "--alphas", "1,1"] if line.startswith("bud") else \
+        ["fit", "--data", "d.txt"]
+    with pytest.raises(SystemExit) as exc:
+        main([*command, f"@{cfg}", "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: --{line}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+def test_config_file_skips_comments_and_blank_lines(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# a comment\n\n  \n  # indented comment\n budget = 5000 \n")
+    args = parse_args(["nig-check", f"@{cfg}", "--alphas", "1,1", "--out", "c.csv"])
+    assert (args.budget, args.seed) == (5000, 0)
+
+
+def test_config_file_gives_required_flags(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    out = tmp_path / "n.csv"
+    cfg.write_text(f"alphas=1,2\nbudget=100\nout={out}\n")
+    assert main(["nig-check", f"@{cfg}"]) == 0
+    meta = json.loads(Path(str(out) + ".meta.json").read_text())
+    assert meta["config"]["alphas"] == [1.0, 2.0]
+    assert meta["config"]["out"] == str(out)
+
+
+@pytest.mark.parametrize("argv", [["@missing.cfg", "nig-check", "--alphas", "1,1"],
+                                  ["nig-check", "--alphas", "1,1", "@missing.cfg"]],
+                         ids=["before-the-subcommand", "missing-file"])
+def test_config_file_misplaced_or_missing_exits_2(tmp_path, argv):
+    # keys before the subcommand are not its flags; a missing file is a usage error
+    cfg = tmp_path / "missing.cfg"
+    if argv[0].startswith("@"):
+        cfg.write_text("budget=100\n")
+    argv = [f"@{cfg}" if a == "@missing.cfg" else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path / "n.csv")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "n.csv").exists()
 
 
 def test_negative_threads_exits_2(tmp_path):
@@ -700,21 +745,39 @@ def test_config_file_value_outside_choices_exits_2(tmp_path, capsys, line):
     cfg.write_text(line + "\n")
     out = tmp_path / "c.csv"
     with pytest.raises(SystemExit) as exc:
-        main(["--config", str(cfg), "contract", "--n-ladder", "60", "--replicates", "1",
-              "--out", str(out)])
+        main(["contract", f"@{cfg}", "--n-ladder", "60", "--replicates", "1", "--out", str(out)])
     assert exc.value.code == 2
-    assert "is not one of dp, py, nig" in capsys.readouterr().err
+    value = line.partition("=")[2]
+    assert f"argument --prior: invalid choice: '{value}'" in capsys.readouterr().err
     assert not out.exists()
-    # an explicit flag still wins over the file, and is checked by argparse
-    args = parse_args(["--config", str(cfg), "contract", "--prior", "py", "--out", "c.csv"])
-    assert args.prior == "py"
+    # every value is checked as it is read: a later flag does not hide a bad one
+    with pytest.raises(SystemExit) as exc:
+        parse_args(["contract", f"@{cfg}", "--prior", "py", "--out", "c.csv"])
+    assert exc.value.code == 2
 
 
 def test_config_file_value_inside_choices(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("prior=nig\n")
-    args = parse_args(["--config", str(cfg), "fit", "--data", "d.txt", "--out", "f.csv"])
+    args = parse_args(["fit", f"@{cfg}", "--data", "d.txt", "--out", "f.csv"])
     assert args.prior == "nig"
+
+
+@pytest.mark.parametrize("argv", [["--density", "gaussian:1", "--atoms-csv", "atoms.csv"], []],
+                         ids=["both", "neither"])
+def test_discretize_takes_exactly_one_source(tmp_path, capsys, argv):
+    # with both, --atoms-csv used to win and --density was ignored
+    src = tmp_path / "atoms.csv"
+    src.write_text("-1.0,0.5\n1.0,0.5\n")
+    argv = [str(src) if a == "atoms.csv" else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(["discretize", *argv, "--epsilon", "1e-3", "--a", "1.5", "--sigma", "0.5",
+              "--out", str(tmp_path / "d.csv")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert ("not allowed with argument" in err if argv else
+            "one of the arguments --density --atoms-csv is required" in err)
+    assert list(tmp_path.iterdir()) == [src]
 
 
 def test_failed_sidecar_write_leaves_previous_pair(tmp_path, monkeypatch):
