@@ -223,12 +223,15 @@ def cmd_discretize(args) -> Output:
         if not 0.0 < value < math.inf:
             raise ValueError(f"{flag} must be finite and positive, got {value}")
     kernel = parse_kernel_id(args.kernel)
+    if kernel.density_fn() is None:
+        raise ValueError(f"no closed-form density for {kernel.family}: "
+                         "discretize cannot compare the mixtures")
     if args.atoms_csv is not None:
         raw = np.loadtxt(args.atoms_csv, delimiter=",", ndmin=2)
         if raw.shape[0] == 0 or raw.shape[1] != 2:
             raise ValueError(f"{args.atoms_csv}: need atom,weight rows, got shape {raw.shape}")
         total = raw[:, 1].sum()
-        if not total > 0:
+        if not 0 < total < math.inf:
             raise ValueError(f"{args.atoms_csv}: weights must sum to a positive value, got {total}")
         source = DiscreteMixingMeasure(raw[:, 0], raw[:, 1] / total)
     else:
@@ -303,13 +306,12 @@ def _nig_check_grid(a_s: float, a_l: float) -> np.ndarray:
     ``_NIG_CHECK_LOG_DROP``: there the density lies about 38 or more below
     its peak in log.  Raises ``ValueError`` naming the masses where float
     arithmetic cannot represent the law: where the range's ends round to 0
-    or 1, or where the rounding of ``nig_log_density``'s terms of size
-    a_s + a_l, about (a_s + a_l) 2^-52, exceeds 1e-6."""
+    or 1, or where neighbouring grid points round to the same float."""
     total, drop = a_s + a_l, _NIG_CHECK_LOG_DROP
     w = 2.0 * math.asinh(math.sqrt(drop * (2.0 * total + drop) / (4.0 * a_s * a_l)))
     t = math.log(a_s / a_l) + w * np.linspace(-1.0, 1.0, 20001)
     z = np.exp(-np.logaddexp(0.0, -t))
-    if not (z[0] > 0.0 and z[-1] < 1.0 and total * 2.0 ** -52 <= 1e-6):
+    if not (z[0] > 0.0 and z[-1] < 1.0 and np.all(np.diff(z) > 0.0)):
         raise ValueError(f"nig-check cannot represent the marginal law of cell masses "
                          f"{a_s:g} and {a_l:g} in floats")
     return z

@@ -29,6 +29,15 @@ HANKEL_CONDITION_CAP = 1e12
 #: multiplier applied to every budget (the lemma's implicit constant)
 BUDGET_CONSTANT = 4.0
 
+#: largest moment order a budget may ask for: its Gauss rule has at most
+#: 501 nodes, so the Lanczos pass over a catalog density's 2^14 grid atoms
+#: holds a 2^14 x 501 float64 basis (66 MB) and takes a few seconds
+MAX_BUDGET_ORDER = 1000
+
+#: most cells of :func:`partition_discretize`: each cell scans every
+#: source atom, 1.6e8 comparisons for the 2^14 atoms of a catalog density
+MAX_PARTITION_CELLS = 10 ** 4
+
 #: Gauss nodes per cell of ``finite_gaussian_mixture``, before the cap
 #: that keeps the atom count within the budget
 NODES_PER_CELL = 16
@@ -299,6 +308,22 @@ def moment_match(
 # support-point budgets
 
 
+def _power(base: float, exponent: float) -> float:
+    """``base ** exponent``, or inf where the result overflows."""
+    try:
+        return base ** exponent
+    except OverflowError:
+        return math.inf
+
+
+def _budget_order(n: float) -> int:
+    """The moment order ceil(n); ``ValueError`` above ``MAX_BUDGET_ORDER``."""
+    if not n <= MAX_BUDGET_ORDER:
+        raise ValueError(f"the support budget needs moment order {n:.4g}, above "
+                         f"{MAX_BUDGET_ORDER}: raise epsilon or sigma, or lower a")
+    return int(math.ceil(n))
+
+
 @dataclass(frozen=True)
 class SupportBudget:
     """Number of matched moments (and atoms) needed for target accuracy.
@@ -325,7 +350,8 @@ def support_budget(
 
     The kernel's unit-scale decay parameters (rho, r) are used; ``sigma``
     enters as the mixture bandwidth.  Raises RegimeUnavailable when the
-    r <= 1 side conditions fail (partition path required).
+    r <= 1 side conditions fail (partition path required), and
+    ``ValueError`` for an order above ``MAX_BUDGET_ORDER``.
     """
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must lie in (0, 1)")
@@ -338,17 +364,15 @@ def support_budget(
         n = BUDGET_CONSTANT * max(log_eps, a * math.e ** 2 * support / sigma)
         regime = "finite-support"
     elif r > 1:
-        n = BUDGET_CONSTANT * max(log_eps, (a / sigma) ** (r / (r - 1.0)))
+        n = BUDGET_CONSTANT * max(log_eps, _power(a / sigma, r / (r - 1.0)))
         regime = "r>1"
     elif r == 1:
-        if a / (rho * sigma) > math.exp(-1.0):
-            raise RegimeUnavailable(
-                f"r=1 needs a/(rho sigma) <= 1/e, got {a / (rho * sigma):.3g}"
-            )
+        if a / sigma / rho > math.exp(-1.0):
+            raise RegimeUnavailable(f"r=1 needs a/(rho sigma) <= 1/e, got {a / sigma / rho:.3g}")
         n = BUDGET_CONSTANT * log_eps
         regime = "r=1"
     else:
-        side = (rho * sigma / a) ** (r / (1.0 - r))
+        side = _power(rho * sigma / a, r / (1.0 - r))
         if side < log_eps:
             raise RegimeUnavailable(
                 "r<1 needs (rho sigma / a)^{r/(1-r)} >= log(1/eps); "
@@ -356,7 +380,7 @@ def support_budget(
             )
         n = BUDGET_CONSTANT * log_eps
         regime = "r<1"
-    return SupportBudget(order=int(math.ceil(n)), regime=regime)
+    return SupportBudget(order=_budget_order(n), regime=regime)
 
 
 def partition_discretize(
@@ -373,6 +397,8 @@ def partition_discretize(
     moment-matches each re-normalized cell restriction, and recombines.
     Source atoms must lie in [-a, a], as for :func:`moment_match`; those
     within its rounding slack outside are moved onto the end points.
+    More than ``MAX_PARTITION_CELLS`` cells, or a per-cell order above
+    ``MAX_BUDGET_ORDER``, raise ``ValueError``.
     """
     unit = replace(kernel, scale=1.0)
     rho, r, support = unit.supersmooth_parameters()
@@ -382,10 +408,13 @@ def partition_discretize(
     source = DiscreteMixingMeasure(np.clip(source.atoms, -a, a), source.weights)
     log_eps = math.log(1.0 / epsilon)
     exponent = (1.0 - r) / r
-    half_cell = rho * sigma * log_eps ** (-exponent) / math.e
-    n_cells = max(1, int(math.ceil(a / half_cell)))  # cell length 2a/k <= 2*half_cell
-    edges = np.linspace(-a, a, n_cells + 1)
-    order = int(math.ceil(BUDGET_CONSTANT * log_eps))
+    half_cell = rho * sigma * _power(log_eps, -exponent) / math.e
+    cells = a / half_cell if half_cell > 0 else math.inf  # cell length 2a/k <= 2*half_cell
+    if not cells <= MAX_PARTITION_CELLS:
+        raise ValueError(f"the partition needs {cells:.4g} cells, above {MAX_PARTITION_CELLS}: "
+                         "raise epsilon or sigma, or lower a")
+    order = _budget_order(BUDGET_CONSTANT * log_eps)
+    edges = np.linspace(-a, a, max(1, int(math.ceil(cells))) + 1)
     atoms, weights = _cellwise_gauss(source, edges, _n_gauss_nodes(order))
     return DiscreteMixingMeasure(atoms, weights / weights.sum())
 

@@ -74,6 +74,9 @@ def _superkernel_density(x: np.ndarray, flat: float, cutoff: float) -> np.ndarra
 
 
 def _student_t_density(s: float, nu: float) -> Callable[[np.ndarray], np.ndarray]:
+    if not nu / 2 > 0:
+        raise InvalidShape(f"student_t degrees of freedom nu = {nu!r} have nu / 2 = 0, "
+                           "the pole of lgamma(nu / 2)")
     c = math.exp(math.lgamma((nu + 1) / 2) - math.lgamma(nu / 2)) / math.sqrt(nu * math.pi)
     return lambda x: (c / s) * (1.0 + (x / s) ** 2 / nu) ** (-(nu + 1) / 2)
 

@@ -89,6 +89,15 @@ W2_THETA_HALF_WIDTH = 4.0
 #: fewest observations a fit accepts
 MIN_OBSERVATIONS = 10
 
+#: most sweeps of one fit, 13 times the default 1500: at n = 4000 they take
+#: about 9 s on one core at L = 50 and 80 s at L = MAX_TRUNCATION
+MAX_ITERATIONS = 20_000
+
+#: most stick-breaking components L of one fit, 10 times the default 50: the
+#: allocation buffers take about 9 L n bytes (18 MB at n = 4000), and the
+#: kept atoms and weights at most 16 L MAX_ITERATIONS bytes (160 MB)
+MAX_TRUNCATION = 500
+
 #: bandwidth prior of every fit whose ``FitConfig.fixed_sigma`` is None
 SCALE_PRIOR = ScalePriorA0()
 
@@ -140,12 +149,15 @@ class FitConfig:
     thinning: int = 2
 
     def __post_init__(self):
-        if self.truncation < 10:
-            raise InvalidConfig("truncation level must be >= 10")
+        if not 10 <= self.truncation <= MAX_TRUNCATION:
+            raise InvalidConfig(f"truncation level must be in 10..{MAX_TRUNCATION}, "
+                                f"got {self.truncation}")
         if self.burn_in < 0:
             raise InvalidConfig(f"burn_in must be >= 0, got {self.burn_in}")
         if not self.iterations > self.burn_in:
             raise InvalidConfig("iterations must exceed burn_in")
+        if self.iterations > MAX_ITERATIONS:
+            raise InvalidConfig(f"iterations must be <= {MAX_ITERATIONS}, got {self.iterations}")
         if self.thinning < 1:
             raise InvalidConfig("thinning must be >= 1")
         if self.fixed_sigma is not None and not 0.0 < self.fixed_sigma < math.inf:

@@ -252,16 +252,15 @@ def nig_log_density(z, params: NIGParams) -> np.ndarray:
         raise BoundaryPoint("all simplex coordinates must be positive")
     if np.any(np.abs(z.sum(axis=-1) - 1.0) > 1e-9):
         raise BoundaryPoint("coordinates must sum to 1")
+    total = a.sum()
     quad = (a ** 2 / z).sum(axis=-1)
     root = np.sqrt(quad)
-    log_k = log_bessel_k_scaled(n / 2.0, root) - root
-    log_const = (
-        a.sum()
-        + np.log(a).sum()
-        - (n / 2.0 - 1.0) * math.log(2.0)
-        - (n / 2.0) * math.log(math.pi)
-    )
-    out = log_const + log_k - (n / 4.0) * np.log(quad) - 1.5 * np.log(z).sum(axis=-1)
+    # total - root as a sum of non-negative terms: root^2 - total^2 equals
+    # sum_j (a_j - total z_j)^2 / z_j where sum_j z_j = 1, so nothing cancels
+    excess = -((a - total * z) ** 2 / z).sum(axis=-1) / (total + root)
+    log_const = np.log(a).sum() - (n / 2.0 - 1.0) * math.log(2.0) - (n / 2.0) * math.log(math.pi)
+    out = (log_const + excess + log_bessel_k_scaled(n / 2.0, root)
+           - (n / 4.0) * np.log(quad) - 1.5 * np.log(z).sum(axis=-1))
     return out if out.shape else float(out)
 
 

@@ -133,9 +133,11 @@ def _corrected(
     and exactly 1 elsewhere, where the smoothing kills every term.
     """
     smooth = smoothing_multiplier(kernel, sigma, f0)
-    u = (sigma * f0.freqs()) ** 2 / 2.0
-    correction = coefficients(max(order, 2)).correction(u, order)
-    t_sigma = apply_multiplier(f0, np.where(smooth != 0.0, 1.0 - correction * smooth, 1.0))
+    band = smooth != 0.0  # outside it the series overflows at large sigma
+    u = (sigma * f0.freqs()[band]) ** 2 / 2.0
+    multiplier = np.ones_like(smooth)
+    multiplier[band] = 1.0 - coefficients(max(order, 2)).correction(u, order) * smooth[band]
+    t_sigma = apply_multiplier(f0, multiplier)
     return TransformResult(
         t_sigma=t_sigma,
         sigma=sigma,

@@ -163,18 +163,17 @@ def test_config_file_unknown_key_exits_2(tmp_path):
     assert not Path(str(out) + ".meta.json").exists()
 
 
-@pytest.mark.parametrize("line", ["bud=5000", "burn=20"])
-def test_config_file_abbreviated_key_exits_2(tmp_path, capsys, line):
-    # argparse would otherwise take a unique prefix for the whole flag
+@pytest.mark.parametrize("via_file", [True, False], ids=["file", "command-line"])
+def test_config_file_abbreviated_key_exits_2(tmp_path, capsys, via_file):
+    # argparse would otherwise take the unique prefix bud for --budget
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(line + "\n")
+    cfg.write_text("bud=5000\n")
     out = tmp_path / "c.csv"
-    command = ["nig-check", "--alphas", "1,1"] if line.startswith("bud") else \
-        ["fit", "--data", "d.txt"]
+    flags = [f"@{cfg}"] if via_file else ["--bud=5000"]
     with pytest.raises(SystemExit) as exc:
-        main([*command, f"@{cfg}", "--out", str(out)])
+        main(["nig-check", "--alphas", "1,1", *flags, "--out", str(out)])
     assert exc.value.code == 2
-    assert f"unrecognized arguments: --{line}" in capsys.readouterr().err
+    assert "unrecognized arguments: --bud=5000" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == [cfg]
 
 
@@ -195,19 +194,18 @@ def test_config_file_gives_required_flags(tmp_path):
     assert meta["config"]["out"] == str(out)
 
 
-@pytest.mark.parametrize("argv", [["@missing.cfg", "nig-check", "--alphas", "1,1"],
-                                  ["nig-check", "--alphas", "1,1", "@missing.cfg"]],
-                         ids=["before-the-subcommand", "missing-file"])
-def test_config_file_misplaced_or_missing_exits_2(tmp_path, argv):
+@pytest.mark.parametrize("before", [True, False], ids=["before-the-subcommand", "missing-file"])
+def test_config_file_misplaced_or_missing_exits_2(tmp_path, before):
     # keys before the subcommand are not its flags; a missing file is a usage error
-    cfg = tmp_path / "missing.cfg"
-    if argv[0].startswith("@"):
+    cfg = tmp_path / "run.cfg"
+    out = tmp_path / "n.csv"
+    if before:
         cfg.write_text("budget=100\n")
-    argv = [f"@{cfg}" if a == "@missing.cfg" else a for a in argv]
+    argv = [f"@{cfg}", "nig-check"] if before else ["nig-check", f"@{cfg}"]
     with pytest.raises(SystemExit) as exc:
-        main(argv + ["--out", str(tmp_path / "n.csv")])
+        main(argv + ["--alphas", "1,1", "--out", str(out)])
     assert exc.value.code == 2
-    assert not (tmp_path / "n.csv").exists()
+    assert list(tmp_path.iterdir()) == ([cfg] if before else [])
 
 
 def test_negative_threads_exits_2(tmp_path):
@@ -352,9 +350,21 @@ def test_nig_check_marginal_ks_at_unequal_masses(tmp_path, alphas):
     assert float(rows["marginal_ks"]) <= 0.05
 
 
-@pytest.mark.parametrize("alphas, masses", [("1e100,1", "1 and 1e+100"),
-                                            ("1e-8,1e-8", "1e-08 and 1e-08")])
+@pytest.mark.parametrize("alphas", ["1e16,1", "1e100,1"])
+def test_nig_check_marginal_ks_at_far_apart_masses(tmp_path, alphas):
+    # the log density formed sum(alpha) - root(sum alpha_j^2 / z_j) as a
+    # difference, whose rounding grew with sum(alpha); both exited 2
+    out = tmp_path / "n.csv"
+    assert main(["nig-check", "--alphas", alphas, "--budget", "100000", "--out", str(out)]) == 0
+    rows = dict(line.split(",") for line in out.read_text().splitlines()[1:])
+    assert float(rows["marginal_ks"]) < 0.01
+
+
+@pytest.mark.parametrize("alphas, masses", [("1e-8,1e-8", "1e-08 and 1e-08"),
+                                            ("1e30,1e30", "1e+30 and 1e+30")])
 def test_nig_check_of_unrepresentable_marginal_law_exits_2(tmp_path, capsys, alphas, masses):
+    # at 1e-8 the range's ends round to 0 and 1; at 1e30 the law's width,
+    # about 1e-15, spans a few floats, and marginal_ks came out 0.08 (nan at 1e50)
     assert main(["nig-check", "--alphas", alphas, "--budget", "100",
                  "--out", str(tmp_path / "n.csv")]) == 2
     assert f"cannot represent the marginal law of cell masses {masses}" in capsys.readouterr().err
@@ -412,9 +422,9 @@ def test_monte_carlo_commands_exit_0_or_2(command, flags, edges):
 
 def check_exit_0_or_2(argv, first, inf_column=None):
     """Run ``argv`` within 10 s: exit 2 must write nothing, and exit 0 only
-    finite numbers from column ``first`` on, apart from a literal ``inf``
-    in column ``inf_column``.  Returns the data rows of exit 0, as lists of
-    fields, and None on exit 2."""
+    finite numbers from column ``first`` on, in a field of its own or in a
+    ``;`` list, apart from a literal ``inf`` in column ``inf_column``.
+    Returns the data rows of exit 0, as lists of fields, and None on exit 2."""
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out.csv"
         code = main_within(10, argv + ["--out", str(out)])
@@ -424,8 +434,8 @@ def check_exit_0_or_2(argv, first, inf_column=None):
             return None
         rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
     for row in rows:
-        values = [float(v) for i, v in enumerate(row) if i >= first and
-                  not (i == inf_column and v == "inf")]
+        values = [float(x) for i, v in enumerate(row) if i >= first and
+                  not (i == inf_column and v == "inf") for x in v.split(";")]
         assert np.all(np.isfinite(values)), row
     return rows
 
@@ -536,6 +546,188 @@ def test_construction_commands_exit_0_or_2(command, density, sigma, order, p):
             assert sup * lo * (1 - 1e-9) <= err <= sup * hi * (1 + 1e-9), row
 
 
+#: flags whose fuzzed value is the text of a file, written for the run
+_FILE_FLAGS = ("--atoms-csv", "--data")
+
+
+def _run_with_inputs(argv, flags, via_file, **check):
+    """``check_exit_0_or_2`` of ``argv`` plus ``flags``, given as
+    ``--flag=value`` tokens or, if ``via_file``, as the lines of an
+    ``@file``; the value of a ``_FILE_FLAGS`` flag is written to a file,
+    whose path replaces it."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for flag in set(_FILE_FLAGS) & set(flags):
+            path = Path(tmp) / flag.strip("-")
+            path.write_text(flags[flag])
+            flags = {**flags, flag: str(path)}
+        if via_file:
+            cfg = Path(tmp) / "run.cfg"
+            cfg.write_text("".join(f"{flag[2:]}={value}\n" for flag, value in flags.items()))
+            return check_exit_0_or_2(argv + [f"@{cfg}"], **check)
+        return check_exit_0_or_2(argv + [f"{flag}={value}" for flag, value in flags.items()],
+                                 **check)
+
+
+#: extreme values of a real flag; "" is an empty number
+_REAL_EDGES = ["0", "-0", "5e-324", "-5e-324", "1e300", "-1e300", "1e-300", "-1e-300", "inf",
+               "-inf", "nan", ""]
+_KERNEL_IDS = ["gaussian:1", "cauchy:1", "stable:1.5:1", "student_t:3:1", "fvp:1", "sinc:1",
+               "superkernel:1:2:1"]
+_KERNEL_EDGES = ["gaussian:5e-324", "gaussian:1e300", "cauchy:1e-300", "stable:5e-324:1",
+                 "stable:0.1:1", "stable:2:1e300", "student_t:5e-324:1", "student_t:1e-300:1",
+                 "student_t:1e300:1", "fvp:1e300", "sinc:5e-324", "superkernel:1e-300:1:1",
+                 "superkernel:1:1e300:1", "superkernel:1:2:5e-324"]
+_ATOMS_EDGES = ["", "-1,0.5\nnan,0.5\n", "-1,0.5\n1,inf\n", "-1,0.5\n1,-0.25\n",
+                "-1,0\n1,0\n", "0,-1\n", "-1,5e-324\n1,5e-324\n", "-1,1e308\n1,1e308\n",
+                "-1e300,1\n"]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    source=st.one_of(
+        st.tuples(st.just("--density"),
+                  st.sampled_from(["gaussian:1", "cauchy:1", "student_t:3:1", "fvp:1"])),
+        st.tuples(st.just("--atoms-csv"), st.one_of(
+            st.sampled_from(_ATOMS_EDGES),
+            st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(0.01, 1.0)),
+                     min_size=1, max_size=20)
+            .map(lambda rows: "".join(f"{x!r},{w!r}\n" for x, w in rows))))),
+    flags=st.tuples(
+        st.fixed_dictionaries({
+            "--epsilon": st.floats(1e-4, 0.5).map(repr),
+            "--a": st.floats(1.0, 3.0).map(repr),
+            "--sigma": st.floats(0.2, 2.0).map(repr),
+            "--kernel": st.sampled_from(_KERNEL_IDS + _KERNEL_EDGES),
+        }),
+        st.dictionaries(st.sampled_from(["--epsilon", "--a", "--sigma"]),
+                        st.sampled_from(_REAL_EDGES), max_size=2),
+    ).map(lambda drawn: {**drawn[0], **drawn[1]}),
+    via_file=st.sampled_from([False, False, False, True]),
+)
+@pytest.mark.filterwarnings("ignore:loadtxt. input contained no data:UserWarning")
+@example(("--density", "gaussian:1"),  # exit 1: an infinite log(1 / epsilon)
+         {"--epsilon": "5e-324", "--a": "2", "--sigma": "0.5", "--kernel": "cauchy:1"}, False)
+@example(("--density", "gaussian:1"),  # exit 1: the budget's power overflowed
+         {"--epsilon": "1e-3", "--a": "1e300", "--sigma": "0.5", "--kernel": "gaussian:1"}, False)
+@example(("--density", "gaussian:1"),
+         {"--epsilon": "1e-3", "--a": "2", "--sigma": "1e-300", "--kernel": "gaussian:1"}, True)
+@example(("--density", "gaussian:1"),  # ran for over 30 s on 3.9e8 partition cells
+         {"--epsilon": "1e-3", "--a": "2", "--sigma": "0.5", "--kernel": "stable:0.1:1"}, False)
+def test_discretize_exits_0_or_2(source, flags, via_file):
+    _run_with_inputs(["discretize"], dict([source], **flags), via_file, first=0)
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [(["--epsilon", "5e-324", "--kernel", "cauchy:1"], "moment order inf, above 1000"),
+     (["--a", "1e300"], "moment order inf, above 1000"),
+     (["--sigma", "1e-300"], "moment order inf, above 1000"),
+     (["--epsilon", "1e-300", "--kernel", "cauchy:1"], "moment order 2763, above 1000"),
+     (["--a", "40", "--sigma", "0.5"], "moment order 2.56e+04, above 1000"),
+     (["--sigma", "1e-9", "--kernel", "cauchy:1"], "needs 5.437e+09 cells, above 10000"),
+     (["--kernel", "stable:0.1:1"], "no closed-form density for stable"),
+     (["--kernel", "stable:0.01:1"], "no closed-form density for stable")],
+    ids=["subnormal-epsilon", "huge-a", "tiny-sigma", "tiny-epsilon-partition", "wide-window",
+         "partition-cells", "stable-partition", "stable-huge-partition"],
+)
+def test_discretize_budget_out_of_range_exits_2_at_once(tmp_path, capsys, flags, message):
+    # the first three exited 1 with OverflowError, the wide window ran for
+    # over a minute, 5.4e9 partition cells exited 1 with "Unable to
+    # allocate", and stable kernels failed only after the discretization
+    # (stable:0.1:1 after more than 30 s on 3.9e8 partition cells)
+    base = {"--epsilon": "1e-3", "--a": "2", "--sigma": "0.5"}
+    base.update(zip(flags[::2], flags[1::2]))
+    argv = ["discretize", "--density", "gaussian:1", *[t for kv in base.items() for t in kv]]
+    assert main_within(1, argv + ["--out", str(tmp_path / "d.csv")]) == 2
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+#: values that replace a fit flag
+_FIT_EDGES = {
+    "--iterations": ["0", "-1", "", "nan", "1e300", str(10 ** 7), str(10 ** 12)],
+    "--burn-in": ["-1", "", "nan", str(10 ** 12)],
+    "--thinning": ["0", "-1", "", str(10 ** 12)],
+    "--truncation": ["0", "9", "-1", "", str(10 ** 8), str(10 ** 12)],
+    "--prior": ["DP", "bogus", ""],
+}
+#: values a fit's data file may hold
+_DATA_EDGES = ["nan", "inf", "-inf", "5e-324", "-5e-324", "1e153", "-1e153", "0"]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    flags=st.tuples(
+        st.fixed_dictionaries({
+            "--prior": st.sampled_from(["dp", "py", "nig"]),
+            "--iterations": st.integers(6, 30).map(str),
+            "--burn-in": st.integers(0, 5).map(str),
+            "--thinning": st.integers(1, 3).map(str),
+            "--truncation": st.integers(10, 15).map(str),
+            "--seed": st.integers(0, 2 ** 64).map(str),
+        }),
+        st.lists(st.sampled_from(sorted(_FIT_EDGES)).flatmap(
+            lambda flag: st.tuples(st.just(flag), st.sampled_from(_FIT_EDGES[flag]))),
+            max_size=2),
+    ).map(lambda drawn: {**drawn[0], **dict(drawn[1])}),
+    values=st.tuples(st.lists(st.floats(-3.0, 3.0).map(repr), min_size=10, max_size=30),
+                     st.lists(st.sampled_from(_DATA_EDGES), max_size=2))
+    .map(lambda parts: parts[0] + parts[1]),
+    layout=st.sampled_from(["column"] * 4 + ["two-columns", "empty", "nine-values", "all-edges"]),
+    via_file=st.sampled_from([False, False, False, True]),
+)
+@pytest.mark.filterwarnings("ignore:loadtxt. input contained no data:UserWarning")
+@example({"--iterations": str(10 ** 12)}, ["0.5"] * 20, "column", False)  # exit 1: allocation
+@example({"--truncation": str(10 ** 8)}, ["0.5"] * 20, "column", False)  # exit 1: allocation
+@example({"--iterations": str(10 ** 7)}, ["0.5"] * 20, "column", True)  # ran for hours
+def test_fit_exits_0_or_2(flags, values, layout, via_file):
+    if layout == "all-edges":
+        values = [v for v in values if v in _DATA_EDGES] * 10
+    rows = {"two-columns": [f"{v} {v}" for v in values], "empty": [], "nine-values": values[:9]}
+    text = "".join(f"{row}\n" for row in rows.get(layout, values))
+    _run_with_inputs(["fit"], {**flags, "--data": text}, via_file, first=0)
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [(["--iterations", str(10 ** 12)], f"iterations must be <= 20000, got {10 ** 12}"),
+     (["--iterations", str(10 ** 7)], f"iterations must be <= 20000, got {10 ** 7}"),
+     (["--truncation", str(10 ** 8)], f"truncation level must be in 10..500, got {10 ** 8}")],
+    ids=["trillion-sweeps", "ten-million-sweeps", "huge-truncation"],
+)
+def test_fit_above_its_caps_exits_2_at_once(tmp_path, capsys, flags, message):
+    # the first and last exited 1 with "Unable to allocate"; 10^7 sweeps
+    # would have run for hours
+    data_file = tmp_path / "data.txt"
+    data_file.write_text("\n".join(["0.5", "-0.5"] * 10) + "\n")
+    argv = ["fit", "--data", str(data_file), *flags, "--out", str(tmp_path / "fit.csv")]
+    assert main_within(1, argv) == 2
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [data_file]
+
+
+@pytest.mark.parametrize("sigma", ["1e10", "1e150"])
+def test_transform_at_huge_bandwidth_warns_nothing(tmp_path, sigma):
+    # the correction series ran at every frequency, out of band too, where
+    # it overflowed into numpy warnings; the kept in-band values were finite
+    out = tmp_path / "t.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["transform", "--density", "gaussian:1", "--sigma", sigma, "--out", str(out)])
+    assert code == 0
+    row = out.read_text().splitlines()[1].split(",")
+    assert np.all(np.isfinite([float(v) for v in row]))
+
+
+def test_student_t_with_vanishing_half_degrees_exits_2(tmp_path, capsys):
+    # nu / 2 rounds to 0 and lgamma(0) raised a bare "math domain error"
+    assert main(["approx", "--density", "student_t:5e-324:1", "--sigma", "0.5",
+                 "--out", str(tmp_path / "a.csv")]) == 2
+    assert "error: student_t degrees of freedom nu = 5e-324 have nu / 2 = 0" in \
+        capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("order", ["0", "1", "3", "5"])
 def test_transform_unconverged_order_exits_2(tmp_path, capsys, order):
     assert main(["transform", "--density", "gaussian:1", "--sigma", "0.5",
@@ -618,9 +810,10 @@ def test_discretize_roundtrip(tmp_path):
      ("-1.0\n1.0\n", "need atom,weight rows"),
      ("-1.0,0.5,1\n1.0,0.5,1\n", "need atom,weight rows"),
      ("-1.0,0\n1.0,0\n", "weights must sum to a positive value"),
+     ("-1.0,1e308\n1.0,1e308\n", "weights must sum to a positive value, got inf"),
      ("atom,weight\n", "could not convert")],
     ids=["nan_atom", "nan_weight", "one_column", "three_columns", "zero_weights",
-         "header_only"],
+         "overflowing_weights", "header_only"],
 )
 def test_discretize_bad_atoms_csv_exits_2(tmp_path, capsys, text, message):
     src = tmp_path / "atoms.csv"

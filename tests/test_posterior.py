@@ -28,6 +28,8 @@ from supermix.errors import InvalidConfig, ScaleTooSmall, TooFewDraws
 from supermix.gridfn import GridFunction
 from supermix.posterior import (
     LOG_2PI,
+    MAX_ITERATIONS,
+    MAX_TRUNCATION,
     _Allocation,
     _w2_draws,
     _worker_count,
@@ -65,6 +67,13 @@ class TestConfigValidation:
     def test_iterations_exceed_burn_in(self):
         with pytest.raises(InvalidConfig):
             FitConfig(iterations=100, burn_in=100)
+
+    def test_size_caps(self):
+        FitConfig(iterations=MAX_ITERATIONS, truncation=MAX_TRUNCATION)
+        with pytest.raises(InvalidConfig, match=f"iterations must be <= {MAX_ITERATIONS}"):
+            FitConfig(iterations=MAX_ITERATIONS + 1)
+        with pytest.raises(InvalidConfig, match=f"must be in 10..{MAX_TRUNCATION}"):
+            FitConfig(truncation=MAX_TRUNCATION + 1)
 
     @pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf, 0.0, -1.0])
     def test_fixed_sigma_finite_positive(self, sigma):

@@ -202,6 +202,24 @@ class TestNIGDensity:
             nig_log_density(z, params) - nig_log_density(z[[2, 0, 1]], perm)
         ) <= 1e-12
 
+    def test_far_apart_masses_against_mpmath(self):
+        # sum(alpha) - root(quad) was a difference of two floats near 1e16,
+        # which rounds by about 2: an O(1) error in the log density
+        import mpmath
+
+        alphas = np.array([1.0, 1e16])
+        small = np.array([0.3e-16, 1e-16, 3e-16])  # around the mode alpha_1 / sum(alpha)
+        got = nig_log_density(np.stack([small, 1.0 - small], axis=-1), NIGParams(alphas))
+        with mpmath.workdps(60):
+            a = [mpmath.mpf(v) for v in alphas]
+            for z_small, value in zip(small, got):
+                z = [mpmath.mpf(z_small), 1 - mpmath.mpf(z_small)]
+                quad = sum(aj ** 2 / zj for aj, zj in zip(a, z))
+                want = (sum(a) + sum(map(mpmath.log, a)) - mpmath.log(mpmath.pi)
+                        + mpmath.log(mpmath.besselk(1, mpmath.sqrt(quad))) - mpmath.log(quad) / 2
+                        - 1.5 * sum(map(mpmath.log, z)))
+                assert abs(value - float(want)) <= 1e-9
+
     def test_barycenter_against_mpmath(self):
         # term-by-term evaluation with an extended-precision Bessel routine
         import mpmath
