@@ -13,7 +13,9 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
+import warnings
 from dataclasses import astuple, fields, replace
 from pathlib import Path
 from typing import Optional
@@ -23,9 +25,9 @@ import numpy as np
 from . import __version__
 from .errors import SupermixError
 from .kernels import catalog_density, parse_kernel_id, sinc_approx_error
-from .posterior import FitConfig
+from .posterior import FitConfig, stick_truncation
 from .prior_mass import lemma_verification_table
-from .priors import NIGParams, nig_marginal_cdf, nig_sample
+from .priors import NIGParams, PYParams, nig_marginal_cdf, nig_sample
 from .transforms import gaussian_smoothing_error, spectral_symbol_check, transform_analytic
 
 
@@ -110,13 +112,25 @@ def _config_line_to_args(line: str) -> list[str]:
     return [f"--{key.strip().replace('_', '-')}={value.strip()}"]
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that takes a token of a minus sign and then a
+    digit, a dot and a digit, ``inf`` or ``nan`` for a value, not a flag:
+    ``-1e-3`` and ``-inf`` as well as the ``-2`` and ``-.5`` that argparse
+    alone accepts.  No flag of this parser starts that way, so none is
+    read as a value; subparsers are built from the same class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The ``supermix`` parser.  An argument ``@FILE`` after the subcommand
     stands for FILE's ``key=value`` lines, each read as ``--key=value``, so
     argparse checks file values by each flag's type and choices like any
     other; a later flag wins.  Flags are never abbreviated, so a misspelt
     key cannot prefix-match a flag."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="supermix",
         description="Spectral approximation, discretization, prior-mass and "
         "posterior-contraction experiments for kernel mixtures",
@@ -180,7 +194,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iterations", type=int, default=fit_defaults.iterations)
     p.add_argument("--burn-in", type=int, default=fit_defaults.burn_in)
     p.add_argument("--thinning", type=int, default=fit_defaults.thinning)
-    p.add_argument("--truncation", type=int, default=fit_defaults.truncation)
+    p.add_argument("--truncation", type=int, default=fit_defaults.truncation,
+                   help="most sticks a dp or py fit may use")
 
     p = add_parser("contract", help="contraction-rate experiment")
     experiment(p, "gaussian:1")
@@ -215,6 +230,14 @@ def cmd_transform(args) -> Output:
     return ["sigma", "sup_error", "mass_defect", "identity_deviation"], rows, {}
 
 
+def _load_table(path: Path, **kwargs) -> np.ndarray:
+    """``np.loadtxt(path, **kwargs)``; an empty file gives an empty array
+    without numpy's warning, and the caller's checks reject it."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        return np.loadtxt(path, **kwargs)
+
+
 def cmd_discretize(args) -> Output:
     from .discretize import DiscreteMixingMeasure, moment_match, partition_discretize, support_budget
     from .errors import RegimeUnavailable
@@ -227,10 +250,11 @@ def cmd_discretize(args) -> Output:
         raise ValueError(f"no closed-form density for {kernel.family}: "
                          "discretize cannot compare the mixtures")
     if args.atoms_csv is not None:
-        raw = np.loadtxt(args.atoms_csv, delimiter=",", ndmin=2)
+        raw = _load_table(args.atoms_csv, delimiter=",", ndmin=2)
         if raw.shape[0] == 0 or raw.shape[1] != 2:
             raise ValueError(f"{args.atoms_csv}: need atom,weight rows, got shape {raw.shape}")
-        total = raw[:, 1].sum()
+        with np.errstate(over="ignore"):  # an infinite total is rejected below
+            total = raw[:, 1].sum()
         if not 0 < total < math.inf:
             raise ValueError(f"{args.atoms_csv}: weights must sum to a positive value, got {total}")
         source = DiscreteMixingMeasure(raw[:, 0], raw[:, 1] / total)
@@ -346,7 +370,7 @@ def cmd_nig_check(args) -> Output:
 def cmd_fit(args) -> Output:
     from .posterior import blocked_gibbs_fit, default_py_config
 
-    data = np.loadtxt(args.data)
+    data = _load_table(args.data)
     cfg = replace(
         default_py_config(args.prior),
         iterations=args.iterations,
@@ -361,34 +385,53 @@ def cmd_fit(args) -> Output:
         (i, sigma, loglik, len(atoms), ";".join(map(_fmt, atoms)), ";".join(map(_fmt, weights)))
         for i, (atoms, weights, sigma, loglik) in enumerate(zip(*(c.tolist() for c in columns)))
     ]
-    return ["draw", "sigma", "loglik", "n_atoms", "atoms", "weights"], rows, {}
+    header = ["draw", "sigma", "loglik", "n_atoms", "atoms", "weights"]
+    return header, rows, _stick_meta(cfg, [data.size])
+
+
+def _stick_meta(cfg: FitConfig, ns) -> dict:
+    """Sidecar entries of a Pitman-Yor config: for each number of
+    observations n, the sticks L of its fits and their truncation bound
+    4 n E[R_L] (:func:`~supermix.posterior.stick_truncation`); none for
+    an N-IG config."""
+    if not isinstance(cfg.prior, PYParams):
+        return {}
+    entries = []
+    for n in ns:
+        sticks, bound = stick_truncation(cfg.prior, n, cfg.truncation)
+        entries.append({"n": n, "sticks": sticks, "bound": bound})
+    return {"stick_truncation": entries}
 
 
 def cmd_contract(args) -> Output:
-    from .posterior import ContractionRow, contraction_experiment
+    from .posterior import ContractionRow, contraction_experiment, default_py_config
 
+    cfg = default_py_config(args.prior)
     rows = contraction_experiment(
         args.truth,
         args.prior,
         args.n_ladder,
         args.replicates,
+        cfg=cfg,
         seed=args.seed,
         threads=args.threads,
     )
-    return (*_dataclass_table(ContractionRow, rows), {})
+    return (*_dataclass_table(ContractionRow, rows), _stick_meta(cfg, args.n_ladder))
 
 
 def cmd_w2(args) -> Output:
-    from .posterior import W2Row, wasserstein_recovery_experiment
+    from .posterior import W2Row, default_w2_config, wasserstein_recovery_experiment
 
+    cfg = default_w2_config()
     rows = wasserstein_recovery_experiment(
         args.truth,
         args.n_ladder,
         args.replicates,
+        cfg=cfg,
         seed=args.seed,
         threads=args.threads,
     )
-    return (*_dataclass_table(W2Row, rows), {})
+    return (*_dataclass_table(W2Row, rows), _stick_meta(cfg, args.n_ladder))
 
 
 COMMANDS = {

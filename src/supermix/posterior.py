@@ -90,13 +90,19 @@ W2_THETA_HALF_WIDTH = 4.0
 MIN_OBSERVATIONS = 10
 
 #: most sweeps of one fit, 13 times the default 1500: at n = 4000 they take
-#: about 9 s on one core at L = 50 and 80 s at L = MAX_TRUNCATION
+#: about 7 s on one core at the 35 sticks of a ``dp`` fit, 9 s at the 50 of
+#: a ``py`` fit and 80 s at L = MAX_TRUNCATION
 MAX_ITERATIONS = 20_000
 
-#: most stick-breaking components L of one fit, 10 times the default 50: the
-#: allocation buffers take about 9 L n bytes (18 MB at n = 4000), and the
-#: kept atoms and weights at most 16 L MAX_ITERATIONS bytes (160 MB)
+#: largest stick cap ``FitConfig.truncation``, 10 times the default 50: at
+#: L sticks the allocation buffers take about 9 L n bytes (18 MB at
+#: n = 4000 and L = 500), and the kept atoms and weights at most
+#: 16 L MAX_ITERATIONS bytes (160 MB)
 MAX_TRUNCATION = 500
+
+#: a Pitman-Yor fit of n observations uses the fewest sticks L >= 10, up to
+#: its cap, whose truncation bound 4 n E[R_L] is at most this
+TRUNCATION_TOL = 1e-6
 
 #: bandwidth prior of every fit whose ``FitConfig.fixed_sigma`` is None
 SCALE_PRIOR = ScalePriorA0()
@@ -139,7 +145,11 @@ class NIGPartitionPrior:
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Sampler configuration; validated on construction."""
+    """Sampler configuration; validated on construction.
+
+    ``truncation`` is the most sticks a Pitman-Yor fit may use; the fit
+    takes the fewest that :func:`stick_truncation` allows.
+    """
 
     prior: Union[PYParams, NIGPartitionPrior] = field(default_factory=PYParams)
     fixed_sigma: Optional[float] = None
@@ -299,6 +309,25 @@ class _Allocation:
         return alloc, float((shift + np.log(tot)).sum()) + data.size * const
 
 
+def stick_truncation(prior: PYParams, n: int, cap: int) -> tuple[int, float]:
+    """Sticks L of a fit of ``n`` observations and its truncation bound.
+
+    Ishwaran & James (JASA 96, 2001, Thm 1) bound the L1 distance between
+    the marginal laws of n observations under the sticks truncated at L
+    (last stick 1) and under the full Pitman-Yor process by 4 n E[R_L],
+    where E[R_L] = prod_{k=1}^{L-1} (c + d k) / (c + d k + 1 - d).  L is
+    the smallest value in [10, cap] whose bound is at most
+    ``TRUNCATION_TOL``, or ``cap`` when none is; returns ``(L, 4 n E[R_L])``.
+    """
+    k = np.arange(1, cap)
+    log_ratio = np.log(prior.c + prior.d * k) - np.log(prior.c + prior.d * k + 1.0 - prior.d)
+    # log 4 n E[R_L] for L = 1, ..., cap
+    log_bound = math.log(4.0 * n) + np.concatenate([[0.0], np.cumsum(log_ratio)])
+    within = np.flatnonzero(log_bound[9:] <= math.log(TRUNCATION_TOL))
+    sticks = 10 + int(within[0]) if within.size else cap
+    return sticks, math.exp(log_bound[sticks - 1])
+
+
 def blocked_gibbs_fit(data: np.ndarray, cfg: FitConfig, rng: np.random.Generator) -> Chain:
     """Run the blocked Gibbs sampler; returns the kept draws as one :class:`Chain`.
 
@@ -317,9 +346,10 @@ def blocked_gibbs_fit(data: np.ndarray, cfg: FitConfig, rng: np.random.Generator
         raise InvalidConfig("data must be finite")
     n = data.size
     nig = isinstance(cfg.prior, NIGPartitionPrior)
-    allocation = _Allocation(data, cfg.prior.n_cells if nig else cfg.truncation)
+    components = cfg.prior.n_cells if nig else stick_truncation(cfg.prior, n, cfg.truncation)[0]
+    allocation = _Allocation(data, components)
     sigma = _init_sigma(data, cfg, rng)
-    block = _NIGCells(cfg.prior) if nig else _PYSticks(cfg.prior, cfg.truncation, rng)
+    block = _NIGCells(cfg.prior) if nig else _PYSticks(cfg.prior, components, rng)
     kept = len(range(cfg.burn_in, cfg.iterations, cfg.thinning))
     atoms, weights = np.empty((2, kept, block.atoms.size))
     sigmas, logliks = np.empty(kept), np.empty(cfg.iterations)
@@ -554,8 +584,9 @@ EXPERIMENT_HALF_WIDTH = 16.0
 EXPERIMENT_N_POINTS = 2 ** 11
 
 #: largest n ladder entry, 25 times the largest in use (4000): a fit's
-#: allocation buffers take about 9 L n bytes, 45 MB at L = 50, and its 1500
-#: sweeps about 15 s on one core
+#: allocation buffers take about 9 L n bytes, 36 MB at the 40 sticks of a
+#: ``dp`` fit and 45 MB at the 50 of a ``py`` fit, and its 1500 sweeps about
+#: 12 s and 14 s on one core
 MAX_LADDER_N = 10 ** 5
 
 #: most tasks (ladder entries times replicates) of one experiment: the task

@@ -546,6 +546,9 @@ def test_construction_commands_exit_0_or_2(command, density, sigma, order, p):
             assert sup * lo * (1 - 1e-9) <= err <= sup * hi * (1 + 1e-9), row
 
 
+#: a valid discretize window for checks of its source
+_SMALL_WINDOW = ["--epsilon", "1e-3", "--a", "1.5", "--sigma", "0.5"]
+
 #: flags whose fuzzed value is the text of a file, written for the run
 _FILE_FLAGS = ("--atoms-csv", "--data")
 
@@ -604,7 +607,6 @@ _ATOMS_EDGES = ["", "-1,0.5\nnan,0.5\n", "-1,0.5\n1,inf\n", "-1,0.5\n1,-0.25\n",
     ).map(lambda drawn: {**drawn[0], **drawn[1]}),
     via_file=st.sampled_from([False, False, False, True]),
 )
-@pytest.mark.filterwarnings("ignore:loadtxt. input contained no data:UserWarning")
 @example(("--density", "gaussian:1"),  # exit 1: an infinite log(1 / epsilon)
          {"--epsilon": "5e-324", "--a": "2", "--sigma": "0.5", "--kernel": "cauchy:1"}, False)
 @example(("--density", "gaussian:1"),  # exit 1: the budget's power overflowed
@@ -676,7 +678,6 @@ _DATA_EDGES = ["nan", "inf", "-inf", "5e-324", "-5e-324", "1e153", "-1e153", "0"
     layout=st.sampled_from(["column"] * 4 + ["two-columns", "empty", "nine-values", "all-edges"]),
     via_file=st.sampled_from([False, False, False, True]),
 )
-@pytest.mark.filterwarnings("ignore:loadtxt. input contained no data:UserWarning")
 @example({"--iterations": str(10 ** 12)}, ["0.5"] * 20, "column", False)  # exit 1: allocation
 @example({"--truncation": str(10 ** 8)}, ["0.5"] * 20, "column", False)  # exit 1: allocation
 @example({"--iterations": str(10 ** 7)}, ["0.5"] * 20, "column", True)  # ran for hours
@@ -766,7 +767,11 @@ def test_nig_check_non_finite_alphas_exits_2(tmp_path, capsys, alphas):
      (["--a", "0", "--sigma", "0.5"], "--a must be finite and positive, got 0.0"),
      (["--a", "inf", "--sigma", "0.5"], "--a must be finite and positive, got inf"),
      (["--a", "2", "--sigma", "-0.5"], "--sigma must be finite and positive, got -0.5"),
-     (["--a", "2", "--sigma", "nan"], "--sigma must be finite and positive, got nan")],
+     (["--a", "2", "--sigma", "nan"], "--sigma must be finite and positive, got nan"),
+     # a negative value in exponent or inf form is a value, not a flag
+     (["--a", "-1e-3", "--sigma", "0.5"], "--a must be finite and positive, got -0.001"),
+     (["--a", "2", "--sigma", "-inf"], "--sigma must be finite and positive, got -inf"),
+     (["--a", "-2E+1", "--sigma", "-Infinity"], "--a must be finite and positive, got -20.0")],
 )
 def test_discretize_bad_window_exits_2(tmp_path, capsys, flags, message):
     # the check comes before the window: no divide-by-zero warning on the way
@@ -777,6 +782,25 @@ def test_discretize_bad_window_exits_2(tmp_path, capsys, flags, message):
     assert code == 2
     assert f"error: {message}" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv, text, message",
+    [(["fit", "--data"], "", "error: need at least 10 observations"),
+     (["discretize", *_SMALL_WINDOW, "--atoms-csv"], "",
+      "error: {path}: need atom,weight rows, got shape (0, 1)"),
+     (["discretize", *_SMALL_WINDOW, "--atoms-csv"], "-1,1e308\n1,1e308\n",
+      "error: {path}: weights must sum to a positive value, got inf")],
+    ids=["empty-data", "empty-atoms", "overflowing-weights"],
+)
+def test_bad_input_file_prints_only_the_error(tmp_path, argv, text, message):
+    # numpy's loadtxt and overflow warnings came before the error line
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    res = run_cli([*argv, str(path), "--out", str(tmp_path / "out.csv")])
+    assert res.returncode == 2
+    assert res.stderr == message.format(path=path) + "\n"
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_prior_mass_csv_shape(tmp_path):
@@ -858,6 +882,11 @@ def test_fit_contract_smoke(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0].startswith("draw,sigma,loglik")
     assert len(lines) > 10
+    # an explicit cap of 10 sticks is kept; its bound 4 n 2^-9 says it is loose
+    meta = json.loads(Path(str(out) + ".meta.json").read_text())["config"]
+    [entry] = meta["stick_truncation"]
+    assert (entry["n"], entry["sticks"]) == (80, 10)
+    assert entry["bound"] == pytest.approx(0.625, rel=1e-12)
 
     out2 = tmp_path / "contract.csv"
     code = main(["contract", "--truth", "gaussian:1", "--prior", "dp",
@@ -867,6 +896,9 @@ def test_fit_contract_smoke(tmp_path):
     rows = out2.read_text().splitlines()
     assert rows[0] == "n,replicate,l1,l2,sup,w2,kl"
     assert len(rows) == 3
+    meta = json.loads(Path(str(out2) + ".meta.json").read_text())["config"]
+    assert [(e["n"], e["sticks"]) for e in meta["stick_truncation"]] == [(60, 29), (120, 30)]
+    assert all(e["bound"] <= posterior.TRUNCATION_TOL for e in meta["stick_truncation"])
 
 
 def _fit_wide_data(tmp_path, scale, prior):
@@ -1065,7 +1097,10 @@ def test_fit_independent_of_blas_threads():
 
 def test_spectral_means_independent_of_blas_threads():
     # the spectral sums are BLAS products too; a matrix-matrix product
-    # moved the seed-0 py prior predictive between one and two threads
+    # moved the seed-0 py prior predictive between one and two threads.
+    # The chain is a py fit: its truncation bound stays above TRUNCATION_TOL
+    # up to L = 300 (0.012 at n = 400), so it keeps all 300 sticks and its
+    # mean is a wide product
     code = (
         "import dataclasses, hashlib, numpy as np; from supermix import posterior; "
         "grid, h = posterior.experiment_grid(), hashlib.sha256(); "
@@ -1073,9 +1108,10 @@ def test_spectral_means_independent_of_blas_threads():
         "np.random.default_rng(0)).values.tobytes()) for p in ('py', 'dp', 'nig')]; "
         "rng = np.random.default_rng(11); "
         "data = posterior.resolve_truth('gaussian:1').sample(400, rng); "
-        "cfg = dataclasses.replace(posterior.default_py_config('dp'), "
+        "cfg = dataclasses.replace(posterior.default_py_config('py'), "
         "iterations=110, burn_in=10, thinning=1, truncation=300); "
         "chain = posterior.blocked_gibbs_fit(data, cfg, rng); "
+        "assert chain.atoms.shape[1] == 300, chain.atoms.shape; "
         "h.update(posterior.posterior_mean_density(chain, grid).values.tobytes()); "
         "print(h.hexdigest())"
     )

@@ -29,7 +29,10 @@ from supermix.gridfn import GridFunction
 from supermix.posterior import (
     LOG_2PI,
     MAX_ITERATIONS,
+    MAX_LADDER_N,
     MAX_TRUNCATION,
+    MIN_OBSERVATIONS,
+    TRUNCATION_TOL,
     _Allocation,
     _w2_draws,
     _worker_count,
@@ -39,6 +42,7 @@ from supermix.posterior import (
     experiment_grid,
     prior_predictive_density,
     resolve_truth,
+    stick_truncation,
     wasserstein_recovery_experiment,
 )
 from supermix.priors import BaseMeasure, ScalePriorA0, nig_sample, py_sample
@@ -114,6 +118,76 @@ class TestConfigValidation:
         assert _worker_count(2, 0, cpu_count=4) == 1
         with pytest.raises(InvalidConfig):
             _worker_count(-3, 30, cpu_count=4)
+
+
+#: numbers of observations from the smallest a fit accepts to the largest
+#: ladder entry, with the ladders in use
+_STICK_NS = sorted({MIN_OBSERVATIONS, 11, 60, 120, 150, 250, 999, 1000, 4000, 4001,
+                    MAX_LADDER_N, *np.geomspace(10, MAX_LADDER_N, 40).astype(int).tolist()})
+
+
+def _direct_sticks(prior, n, cap):
+    """Smallest L in [10, cap] with 4 n prod_{k<L} (c + d k) / (c + d k + 1 - d)
+    <= TRUNCATION_TOL by a running product, else cap."""
+    c, d = prior.c, prior.d
+    for L in range(10, cap + 1):
+        bound = 4.0 * n * math.prod((c + d * k) / (c + d * k + 1.0 - d) for k in range(1, L))
+        if bound <= TRUNCATION_TOL:
+            return L
+    return cap
+
+
+class TestStickTruncation:
+    @pytest.mark.parametrize("cap", [10, 26, 27, 35, 50, MAX_TRUNCATION])
+    def test_dp_closed_form(self, cap):
+        # E[R_L] = 2^-(L-1) at c = 1, d = 0
+        prior = default_py_config("dp").prior
+        for n in _STICK_NS:
+            sticks, bound = stick_truncation(prior, n, cap)
+            want = min(max(1 + math.ceil(math.log2(4 * n / TRUNCATION_TOL)), 10), cap)
+            assert sticks == want, n
+            assert bound == pytest.approx(4 * n * 2.0 ** -(sticks - 1), rel=1e-12)
+
+    def test_dp_sticks_at_the_ladder(self):
+        prior = default_py_config("dp").prior
+        got = [stick_truncation(prior, n, 50)[0] for n in (250, 1000, 4000, MAX_LADDER_N)]
+        assert got == [31, 33, 35, 40]
+
+    @pytest.mark.parametrize("c, d", [(1.0, 0.0), (1.0, 0.25), (2.5, 0.1), (0.5, 0.0),
+                                      (0.2, 0.5)])
+    def test_matches_the_direct_product(self, c, d):
+        prior = PYParams(c=c, d=d)
+        for n in (10, 250, 4000, MAX_LADDER_N):
+            assert stick_truncation(prior, n, MAX_TRUNCATION)[0] == _direct_sticks(
+                prior, n, MAX_TRUNCATION), n
+
+    @pytest.mark.parametrize("prior_id", ["dp", "py"])
+    def test_non_decreasing_in_n(self, prior_id):
+        prior = default_py_config(prior_id).prior
+        sticks = [stick_truncation(prior, n, MAX_TRUNCATION)[0] for n in _STICK_NS]
+        assert np.all(np.diff(sticks) >= 0)
+
+    def test_py_default_keeps_its_cap(self):
+        # E[R_50] = 1.3e-3 at d = 0.25: the bound is vacuous, and says so
+        cfg = default_py_config("py")
+        for n in _STICK_NS:
+            assert stick_truncation(cfg.prior, n, cfg.truncation)[0] == cfg.truncation
+        assert stick_truncation(cfg.prior, 4000, cfg.truncation)[1] == pytest.approx(20.2, abs=0.1)
+
+    @pytest.mark.parametrize("prior_id", ["dp", "py"])
+    def test_caps_up_to_26_are_kept(self, prior_id):
+        # the dp bound needs L >= 27 already at n = 10, and d > 0 needs more
+        prior = default_py_config(prior_id).prior
+        for cap in range(10, 27):
+            assert {stick_truncation(prior, n, cap)[0] for n in _STICK_NS} == {cap}
+
+    @pytest.mark.parametrize("prior_id, n, sticks",
+                             [("dp", 250, 31), ("dp", 40, 29), ("py", 40, 50), ("nig", 40, 64)])
+    def test_fit_uses_the_chosen_sticks(self, prior_id, n, sticks):
+        cfg = dataclasses.replace(default_py_config(prior_id), iterations=12, burn_in=2)
+        data = np.random.default_rng(4).standard_normal(n)
+        chain = blocked_gibbs_fit(data, cfg, np.random.default_rng(5))
+        assert chain.atoms.shape[1] == sticks
 
 
 def _stick_updates(prior, counts, n_updates, seed):
