@@ -1,34 +1,33 @@
 """Desk-scale posterior inference for Gaussian-location mixtures.
 
-One blocked Gibbs sweep (allocation, exact bandwidth draw, log
-likelihood) serves two priors through a per-prior weight/atom block,
-chosen so that the stationary laws are exactly the stated truncated
-priors:
+One blocked Gibbs sweep serves two priors.  Its state, :class:`_Sweep`,
+holds a per-prior weight/atom block, the bandwidth sigma, the config and
+the data's :class:`_Allocation` workspace; :meth:`_Sweep.step` allocates
+every observation, updates the block and draws sigma exactly from its
+full conditional.  The blocks make the stationary laws exactly the stated
+truncated priors:
 
-* Pitman-Yor / Dirichlet: truncated stick-breaking with conjugate Beta
-  stick updates, conjugate (or truncated-conjugate) atom updates, and an
-  exact ratio-of-uniforms draw of the bandwidth from its full conditional.
-* Normalized inverse-Gaussian on a fixed partition: the exact
-  finite-dimensional law of the weights is preserved by a latent-scale
-  augmentation that makes the un-normalized cell increments conditionally
-  generalized-inverse-Gaussian (GIG), drawn for all cells in one
-  :func:`~supermix.variates.gig_sample` call per sweep.
+* Pitman-Yor / Dirichlet (:class:`_PYSticks`): truncated stick-breaking
+  with conjugate Beta sticks and conjugate (or truncated-conjugate) atoms.
+* Normalized inverse-Gaussian on a fixed partition (:class:`_NIGCells`): a
+  latent-scale augmentation makes the un-normalized cell increments
+  conditionally generalized-inverse-Gaussian (GIG), drawn for all cells in
+  one :func:`~supermix.variates.gig_sample` call per sweep.
 
-Allocation and log likelihood come from one :class:`_Allocation`
-workspace per fit, which holds what no sweep changes: the data mean and
-centred design, a components x observations buffer with the row pairs
-of its cumulative sum, a boolean buffer for the label count and the
-coefficient buffer.  Per sweep, one matrix product writes the
-log-density relative to the largest log-weight, then one
-exponentiation, one cumulative sum and one comparison draw the labels.
-The exponent is rounded differently from the direct difference-and-square
-form, so a label could in principle move when a uniform falls within a
-few ulps of a cumulative-sum boundary; over 12,000 sweeps of DP
-(n = 4000) and N-IG (n = 1000) fits the labels and the RNG stream equal
-the direct form's, and the log likelihood agrees within 2e-15 relative.
+The state has two constructors: :meth:`_Sweep.for_data` starts a fit, and
+:meth:`_Sweep.from_prior` draws the truncated prior itself, the start of
+the successive-conditional (Geweke) test.  :func:`blocked_gibbs_fit` is
+``for_data``, a loop of ``step`` and the record: one :class:`Chain` of
+read-only arrays, one row per kept draw, filled in place.
 
-A fit returns one :class:`Chain` of read-only arrays, one row per kept
-draw, filled in place during the sweep; the summaries read its rows.
+Per sweep, the workspace's one matrix product writes the log-density
+relative to the largest log-weight; one exponentiation, one cumulative
+sum and one comparison draw the labels.  Its exponent is rounded unlike
+the direct difference-and-square form, so a label could move when a
+uniform falls within a few ulps of a cumulative-sum boundary; over 12,000
+sweeps of DP (n = 4000) and N-IG (n = 1000) fits the labels and the RNG
+stream equal the direct form's, and the log likelihood agrees within
+2e-15 relative.
 
 The posterior mean and the prior predictive are means of Gaussian
 mixtures, summed as spectra by :func:`_mixture_mean`; they agree with the
@@ -328,47 +327,78 @@ def stick_truncation(prior: PYParams, n: int, cap: int) -> tuple[int, float]:
     return sticks, math.exp(log_bound[sticks - 1])
 
 
-def blocked_gibbs_fit(data: np.ndarray, cfg: FitConfig, rng: np.random.Generator) -> Chain:
-    """Run the blocked Gibbs sampler; returns the kept draws as one :class:`Chain`.
+class _Sweep:
+    """One blocked Gibbs chain: the prior's weight/atom ``block``, the
+    bandwidth ``sigma``, the config and the data's ``allocation`` workspace.
+    :meth:`step` is the sweep; :meth:`for_data` and :meth:`from_prior`
+    build the state."""
 
-    One sweep allocates every observation, updates the prior's weight and
-    atom block, draws the bandwidth exactly from its full conditional
-    (:meth:`~supermix.priors.ScalePriorA0.posterior_sample`) and records
-    the log likelihood.  Sweeps ``burn_in, burn_in + thinning, ...`` are
-    kept, each filling one row of the chain's arrays in place.
-    """
-    data = np.asarray(data, dtype=float)
-    if data.ndim != 1:
-        raise InvalidConfig("data must be one value per observation")
-    if data.size < MIN_OBSERVATIONS:
-        raise InvalidConfig(f"need at least {MIN_OBSERVATIONS} observations")
-    if not np.all(np.isfinite(data)):
-        raise InvalidConfig("data must be finite")
-    n = data.size
-    nig = isinstance(cfg.prior, NIGPartitionPrior)
-    components = cfg.prior.n_cells if nig else stick_truncation(cfg.prior, n, cfg.truncation)[0]
-    allocation = _Allocation(data, components)
-    sigma = _init_sigma(data, cfg, rng)
-    block = _NIGCells(cfg.prior) if nig else _PYSticks(cfg.prior, components, rng)
-    kept = len(range(cfg.burn_in, cfg.iterations, cfg.thinning))
-    atoms, weights = np.empty((2, kept, block.atoms.size))
-    sigmas, logliks = np.empty(kept), np.empty(cfg.iterations)
+    def __init__(self, block, sigma: float, cfg: FitConfig, allocation: Optional[_Allocation]):
+        self.block, self.sigma, self.cfg, self.allocation = block, sigma, cfg, allocation
 
-    for it in range(cfg.iterations):
-        alloc, logliks[it] = allocation.draw(block.atoms, block.log_weights(), sigma, rng)
+    @classmethod
+    def for_data(cls, data, cfg: FitConfig, rng: np.random.Generator) -> "_Sweep":
+        """A fit's start: the prior's sticks and atoms or N-IG increments y =
+        alpha, and ``fixed_sigma`` or a prior sigma clipped to within three
+        decades of the data's spread, so the first log likelihoods are of order 1e6 n at most."""
+        data = np.asarray(data, dtype=float)
+        if data.ndim != 1:
+            raise InvalidConfig("data must be one value per observation")
+        if data.size < MIN_OBSERVATIONS:
+            raise InvalidConfig(f"need at least {MIN_OBSERVATIONS} observations")
+        if not np.all(np.isfinite(data)):
+            raise InvalidConfig("data must be finite")
+        nig = isinstance(cfg.prior, NIGPartitionPrior)
+        components = (cfg.prior.n_cells if nig
+                      else stick_truncation(cfg.prior, data.size, cfg.truncation)[0])
+        allocation = _Allocation(data, components)
+        spread = float(data.std()) or 1.0
+        sigma = cfg.fixed_sigma or min(max(SCALE_PRIOR.sample(rng), 1e-3 * spread), 10.0 * spread)
+        block = _NIGCells(cfg.prior) if nig else _PYSticks(cfg.prior, components, rng)
+        return cls(block, float(sigma), cfg, allocation)
+
+    @classmethod
+    def from_prior(cls, cfg: FitConfig, n: int, rng: np.random.Generator) -> "_Sweep":
+        """A state drawn from the truncated prior of a fit of ``n``
+        observations: the sticks of :func:`stick_truncation` and atoms from
+        the base, or IG(alpha_k, alpha_k^2) cell increments, and sigma from
+        ``SCALE_PRIOR`` (or ``fixed_sigma``).  It holds no data: a driver
+        sets ``allocation`` before each :meth:`step`."""
+        if isinstance(cfg.prior, NIGPartitionPrior):
+            block = _NIGCells(cfg.prior)
+            block.y = gig_sample(-0.5, 1.0, block.alphas_sq, rng)
+        else:
+            block = _PYSticks(cfg.prior, stick_truncation(cfg.prior, n, cfg.truncation)[0], rng)
+        return cls(block, float(cfg.fixed_sigma or SCALE_PRIOR.sample(rng)), cfg, None)
+
+    def step(self, rng: np.random.Generator):
+        """Allocate, update the block, draw sigma exactly from its full
+        conditional; returns the labels and the log likelihood."""
+        block, data = self.block, self.allocation.data
+        alloc, loglik = self.allocation.draw(block.atoms, block.log_weights(), self.sigma, rng)
         counts = np.bincount(alloc, minlength=block.atoms.size)
-
-        block.update(data, alloc, counts, sigma, rng)
-
-        if cfg.fixed_sigma is None:
+        block.update(data, alloc, counts, self.sigma, rng)
+        if self.cfg.fixed_sigma is None:
             ss = float(((data - block.atoms[alloc]) ** 2).sum())
-            sigma = SCALE_PRIOR.posterior_sample(n, ss, rng)
+            self.sigma = SCALE_PRIOR.posterior_sample(data.size, ss, rng)
+        return alloc, loglik
 
+
+def blocked_gibbs_fit(data: np.ndarray, cfg: FitConfig, rng: np.random.Generator) -> Chain:
+    """Step :meth:`_Sweep.for_data` ``cfg.iterations`` times; returns the
+    kept sweeps ``burn_in, burn_in + thinning, ...`` as one :class:`Chain`,
+    each filling one row of its arrays in place."""
+    sweep = _Sweep.for_data(data, cfg, rng)
+    kept = len(range(cfg.burn_in, cfg.iterations, cfg.thinning))
+    atoms, weights = np.empty((2, kept, sweep.block.atoms.size))
+    sigmas, logliks = np.empty(kept), np.empty(cfg.iterations)
+    for it in range(cfg.iterations):
+        logliks[it] = sweep.step(rng)[1]
         row, off = divmod(it - cfg.burn_in, cfg.thinning)
         if row >= 0 and off == 0:
-            atoms[row] = block.atoms
-            weights[row] = block.weights()
-            sigmas[row] = sigma
+            atoms[row] = sweep.block.atoms
+            weights[row] = sweep.block.weights()
+            sigmas[row] = sweep.sigma
     _monitor_burn_in(logliks, cfg.burn_in)
     order = np.argsort(atoms, axis=1)
     arrays = (np.take_along_axis(atoms, order, axis=1), np.take_along_axis(weights, order, axis=1),
@@ -391,16 +421,6 @@ def _monitor_burn_in(logliks: np.ndarray, burn_in: int) -> None:
             NonConvergenceWarning,
             stacklevel=3,
         )
-
-
-def _init_sigma(data: np.ndarray, cfg: FitConfig, rng: np.random.Generator) -> float:
-    if cfg.fixed_sigma is not None:
-        return float(cfg.fixed_sigma)
-    sigma = float(SCALE_PRIOR.sample(rng))
-    spread = float(data.std()) or 1.0
-    # within three decades of the data's spread on either side, so the first
-    # sweeps' log likelihood stays of order n (x - atom)^2 / sigma^2 <= 1e6 n
-    return min(max(sigma, 1e-3 * spread), 10.0 * spread)
 
 
 class _PYSticks:
@@ -428,27 +448,21 @@ class _PYSticks:
 
     def update(self, data, alloc, counts, sigma, rng) -> None:
         self._draw_sticks(rng, counts, counts.sum() - counts.cumsum())
-        self.atoms = _update_atoms_py(
-            data, alloc, counts, sigma, self.prior.base, rng, self.js.size
-        )
-
-
-def _update_atoms_py(data, alloc, counts, sigma, base: BaseMeasure, rng, L):
-    sums = np.bincount(alloc, weights=data, minlength=L)
-    if base.family == "gaussian":
-        prec = counts / sigma ** 2 + 1.0 / base.scale ** 2
-        mean = (sums / sigma ** 2) / prec
-        return mean + rng.standard_normal(L) / np.sqrt(prec)
-    # uniform base: prior draws for empty components (none is a size-0 draw,
-    # which leaves the generator as it is), truncated-conjugate updates for
-    # the occupied ones, of which there is at least one
-    flat = counts == 0
-    out = np.empty(L)
-    out[flat] = base.sample(rng, int(flat.sum()))
-    occ = ~flat
-    out[occ] = truncated_normal_sample(sums[occ] / counts[occ], sigma / np.sqrt(counts[occ]),
-                                       -base.scale, base.scale, rng)
-    return out
+        base, L = self.prior.base, self.js.size
+        sums = np.bincount(alloc, weights=data, minlength=L)
+        if base.family == "gaussian":
+            prec = counts / sigma ** 2 + 1.0 / base.scale ** 2
+            self.atoms = (sums / sigma ** 2) / prec + rng.standard_normal(L) / np.sqrt(prec)
+            return
+        # uniform base: prior draws for empty components (none is a size-0 draw,
+        # which leaves the generator as it is), truncated-conjugate updates for
+        # the occupied ones, of which there is at least one
+        flat, self.atoms = counts == 0, np.empty(L)
+        self.atoms[flat] = base.sample(rng, int(flat.sum()))
+        occ = ~flat
+        self.atoms[occ] = truncated_normal_sample(sums[occ] / counts[occ],
+                                                  sigma / np.sqrt(counts[occ]),
+                                                  -base.scale, base.scale, rng)
 
 
 class _NIGCells:

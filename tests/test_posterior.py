@@ -5,7 +5,8 @@ import warnings
 import numpy as np
 import pytest
 from scipy.stats import beta as beta_dist
-from scipy.stats import kstest
+from scipy.stats import invgamma, ks_2samp, kstest
+from scipy.stats import uniform as uniform_dist
 
 from supermix import (
     Chain,
@@ -316,6 +317,60 @@ class TestGibbsPY:
         for d in draws[::50]:
             assert d.sigma == 1.0
             assert np.all(np.abs(d.mixing.atoms) <= 4.0)
+
+
+class TestSweep:
+    @pytest.mark.parametrize("prior_id", ["dp", "py", "nig", "w2"])
+    def test_fit_is_for_data_then_step(self, prior_id):
+        # the fit's rows equal, bit for bit, the kept states of a plain loop
+        # of _Sweep.step from _Sweep.for_data at the same seed
+        cfg = default_w2_config() if prior_id == "w2" else default_py_config(prior_id)
+        cfg = dataclasses.replace(cfg, iterations=41, burn_in=10, thinning=3)
+        data = resolve_truth("gaussian:1").sample(120, np.random.default_rng(8))
+        chain = blocked_gibbs_fit(data, cfg, np.random.default_rng(9))
+        rng = np.random.default_rng(9)
+        sweep = posterior._Sweep.for_data(data, cfg, rng)
+        atoms, weights, sigma, loglik = [], [], [], []
+        for it in range(cfg.iterations):
+            ll = sweep.step(rng)[1]
+            if it >= cfg.burn_in and (it - cfg.burn_in) % cfg.thinning == 0:
+                order = np.argsort(sweep.block.atoms)
+                atoms.append(sweep.block.atoms[order])
+                weights.append(sweep.block.weights()[order])
+                sigma.append(sweep.sigma)
+                loglik.append(ll)
+        assert len(chain) == 11
+        assert chain.atoms.tobytes() == np.array(atoms).tobytes()
+        assert chain.weights.tobytes() == np.array(weights).tobytes()
+        assert chain.sigma.tobytes() == np.array(sigma).tobytes()
+        assert chain.loglik.tobytes() == np.array(loglik).tobytes()
+
+    def test_from_prior_nig_weights_follow_nig_sample(self):
+        cfg = FitConfig(prior=NIGPartitionPrior(n_cells=8))
+        rng = np.random.default_rng(31)
+        states = [posterior._Sweep.from_prior(cfg, 15, rng) for _ in range(4000)]
+        weights = np.array([s.block.weights() for s in states])
+        ref = nig_sample(cfg.prior.nig_params(), np.random.default_rng(32), 4000)
+        for cell in (0, 3):  # an outer cell (alpha 1.3e-3) and a central one
+            assert ks_2samp(weights[:, cell], ref[:, cell]).pvalue > 0.01, cell
+        sigma = [s.sigma for s in states]
+        assert kstest(sigma, invgamma(2.0, scale=0.5).cdf).pvalue > 0.01
+        assert all(s.allocation is None for s in states)
+
+    def test_from_prior_py_sticks_follow_beta(self):
+        c, d = 1.0, 0.25
+        cfg = default_w2_config()
+        cfg = dataclasses.replace(cfg, prior=dataclasses.replace(cfg.prior, d=d))
+        rng = np.random.default_rng(33)
+        states = [posterior._Sweep.from_prior(cfg, 15, rng) for _ in range(4000)]
+        sticks = np.array([s.block.sticks for s in states])
+        assert sticks.shape[1] == stick_truncation(cfg.prior, 15, cfg.truncation)[0]
+        assert (sticks[:, -1] == 1.0).all()
+        for j in (1, 2):
+            assert kstest(sticks[:, j - 1], beta_dist(1 - d, c + d * j).cdf).pvalue > 0.01, j
+        atoms = np.array([s.block.atoms[0] for s in states])
+        assert kstest(atoms, uniform_dist(-4.0, 8.0).cdf).pvalue > 0.01
+        assert {s.sigma for s in states} == {1.0}
 
 
 def _oracle_allocate(data, atoms, log_w, sigma, rng):
