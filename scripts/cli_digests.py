@@ -26,13 +26,14 @@ statistics of the draws.  For one small ``dp`` fit and one small
 ``gaussian:1`` mixing measure (``metrics.quantile_distance`` over the
 chain's atom and weight rows) and of the chain's sigma and log
 likelihood arrays; the CSVs round floats to
-17 digits, these do not.  It also prints the raw-byte digest of
+17 digits, these do not.  For the ``dp`` fit it also digests the
+posterior mean with two draws edited so that they take the direct
+``mixture_density`` evaluation: draw 3 at sigma = 0.04, too narrow for
+the grid's band, and draw 7 with mass 0.1 at 15.9, inside the period's
+edge.  It then prints the raw-byte digest of
 ``mixture_density`` for the 64 N-IG cell midpoints with seed-0 Dirichlet
 weights on ``experiment_grid()`` at sigma = 0.15, 0.4 and 1.0 (each
-midpoint is a grid point), and of ``prior_predictive_density`` for the
-``nig``, ``dp`` and ``py`` configs at seed 0 (sigma from the prior, so
-most Gaussian terms underflow) and for ``default_w2_config()`` (sigma
-fixed at 1, uniform base).  Last, for d = 0 and d = 0.25 (c = 1),
+midpoint is a grid point).  Last, for d = 0 and d = 0.25 (c = 1),
 it prints the raw-byte digests of the sticks, the atoms, the weights and
 the remainders of 50 ``py_sample`` draws at seed 0 and tolerance 1e-4,
 each concatenated over the draws.  Outputs are named relative to OUTDIR,
@@ -72,13 +73,12 @@ from supermix.discretize import finite_gaussian_mixture, mixture_density
 from supermix.kernels import KernelSpec, catalog_density
 from supermix.metrics import quantile_distance
 from supermix.posterior import (
+    Chain,
     NIGPartitionPrior,
     blocked_gibbs_fit,
     default_py_config,
-    default_w2_config,
     experiment_grid,
     posterior_mean_density,
-    prior_predictive_density,
     resolve_truth,
 )
 from supermix.priors import NIGParams, PYParams, nig_sample, py_sample
@@ -253,12 +253,19 @@ def posterior_digests() -> list[tuple[str, str]]:
         }
         for part, values in arrays.items():
             out.append((_array_digest(values), f"posterior_{prior}.{part}"))
+        if prior == "dp":
+            atoms, weights, sigma = chain.atoms.copy(), chain.weights.copy(), chain.sigma.copy()
+            sigma[3] = 0.04
+            atoms[7, -1], weights[7] = 15.9, np.append(0.9 * weights[7, :-1], 0.1)
+            edited = Chain(atoms, weights, sigma, chain.loglik)
+            values = posterior_mean_density(edited, experiment_grid()).values
+            out.append((_array_digest(values), "posterior_dp.mean_density_direct"))
     return out
 
 
 def density_digests() -> list[tuple[str, str]]:
     """(sha256, name) of ``mixture_density`` for the N-IG cell midpoints
-    on the experiment grid, and of the seed-0 prior predictive densities."""
+    on the experiment grid."""
     x = experiment_grid().grid()
     atoms = NIGPartitionPrior().cell_midpoints()
     weights = np.random.default_rng(0).dirichlet(np.ones(atoms.size))
@@ -266,11 +273,6 @@ def density_digests() -> list[tuple[str, str]]:
     for sigma in (0.15, 0.4, 1.0):
         values = mixture_density(atoms, weights, KernelSpec("gaussian"), sigma, x)
         out.append((_array_digest(values), f"mixture_density_nig_midpoints_sigma{sigma}"))
-    configs = {prior: default_py_config(prior) for prior in ("nig", "dp", "py")}
-    for name, cfg in {**configs, "w2": default_w2_config()}.items():
-        values = prior_predictive_density(cfg, experiment_grid(),
-                                          np.random.default_rng(0)).values
-        out.append((_array_digest(values), f"prior_predictive_{name}"))
     return out
 
 

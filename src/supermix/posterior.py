@@ -29,10 +29,10 @@ sweeps of DP (n = 4000) and N-IG (n = 1000) fits the labels and the RNG
 stream equal the direct form's, and the log likelihood agrees within
 2e-15 relative.
 
-The posterior mean and the prior predictive are means of Gaussian
-mixtures, summed as spectra by :func:`_mixture_mean`; they agree with the
-per-draw sum to a few 1e-16, and far tails may round to about -1e-16,
-which is not clipped.
+The posterior mean density is a mean of Gaussian mixtures, summed as
+spectra by :func:`posterior_mean_density`; it agrees with the per-draw sum
+to a few 1e-16, and far tails may round to about -1e-16, which is not
+clipped.
 
 Experiments report directional contraction diagnostics (L^p errors of the
 posterior mean density, Wasserstein recovery of the mixing measure); all
@@ -62,8 +62,6 @@ from .priors import (
     NIGParams,
     PYParams,
     ScalePriorA0,
-    nig_sample,
-    py_sample,
     py_sticks,
     stick_log_weights,
 )
@@ -71,11 +69,6 @@ from .variates import gig_sample, truncated_normal_sample
 
 LOG_2PI = math.log(2.0 * math.pi)
 _GAUSSIAN = KernelSpec("gaussian")
-
-#: prior predictive: Monte-Carlo draws and the stick-breaking remainder
-#: at which each PY draw is truncated
-PRIOR_PREDICTIVE_DRAWS = 200
-PRIOR_PREDICTIVE_TRUNC_TOL = 1e-4
 
 #: draw d's spectrum is summed over 0 <= t <= SPECTRAL_BAND / sigma_d; a
 #: draw whose periodic images may add more than WRAP_TOL is evaluated directly
@@ -250,12 +243,14 @@ class _Allocation:
 
     The data mean, the centred design, the buffers and the row pairs of
     the cumulative sum depend only on the data and L, so they are built
-    here.  Raises ``InvalidConfig`` when a centred square or the sum of
-    the squares overflows: the residual sum of squares of the bandwidth
-    draw would too.
+    here.  Raises ``InvalidConfig`` when a value is not finite, or when a
+    centred square or the sum of the squares overflows: the residual sum
+    of squares of the bandwidth draw would too.
     """
 
     def __init__(self, data: np.ndarray, n_components: int):
+        if not np.all(np.isfinite(data)):
+            raise InvalidConfig("data must be finite")
         self.data = data
         with np.errstate(over="ignore", invalid="ignore"):
             self.centre = data.mean()
@@ -346,8 +341,6 @@ class _Sweep:
             raise InvalidConfig("data must be one value per observation")
         if data.size < MIN_OBSERVATIONS:
             raise InvalidConfig(f"need at least {MIN_OBSERVATIONS} observations")
-        if not np.all(np.isfinite(data)):
-            raise InvalidConfig("data must be finite")
         nig = isinstance(cfg.prior, NIGPartitionPrior)
         components = (cfg.prior.n_cells if nig
                       else stick_truncation(cfg.prior, data.size, cfg.truncation)[0])
@@ -507,8 +500,9 @@ def _wrap_bound(atoms, weights, sigma, half_width: float):
         return (weights * image / sigma).sum(axis=-1) * (2.0 / math.sqrt(2.0 * math.pi))
 
 
-def _mixture_mean(grid: GridFunction, atoms, weights, sigma) -> GridFunction:
-    """Mean over draws d of sum_j w_dj phi_{sigma_d}(x - a_dj) on ``grid``.
+def posterior_mean_density(chain: Chain, grid: GridFunction, min_draws: int = 50) -> GridFunction:
+    """Mean over the chain's draws d of sum_j w_dj phi_{sigma_d}(x - a_dj)
+    on ``grid``.
 
     Draw d adds its spectrum e^{-sigma_d^2 t^2 / 2} sum_j w_dj e^{i t a_dj}
     at the grid frequencies 0 <= t <= SPECTRAL_BAND / sigma_d (beyond, it
@@ -517,16 +511,13 @@ def _mixture_mean(grid: GridFunction, atoms, weights, sigma) -> GridFunction:
     share one phase table.  A draw whose band reaches Nyquist, or whose
     :func:`_wrap_bound` exceeds WRAP_TOL, is added by
     :func:`~supermix.discretize.mixture_density` instead, and the result
-    then caches no spectrum.
+    then caches no spectrum.  Raises ``TooFewDraws`` below ``min_draws``.
     """
-    if len({len(a) for a in atoms}) == 1:
-        atoms, weights = np.asarray(atoms), np.asarray(weights)
+    if len(chain) < min_draws:
+        raise TooFewDraws(f"need at least {min_draws} draws, got {len(chain)}")
+    atoms, weights, sigma = chain.atoms, chain.weights, chain.sigma
     t, half_width, n = grid.freqs(), grid.half_width, grid.n_points
-    sigma = np.asarray(sigma, dtype=float)
-    if isinstance(atoms, np.ndarray):
-        wrap = _wrap_bound(atoms, weights, sigma[:, None], half_width)
-    else:
-        wrap = np.array([_wrap_bound(*row, half_width) for row in zip(atoms, weights, sigma)])
+    wrap = _wrap_bound(atoms, weights, sigma[:, None], half_width)
     # a nan bound fails the comparison too
     spectral = (sigma > SPECTRAL_BAND / grid.nyquist) & (wrap <= WRAP_TOL)
     keep = np.flatnonzero(spectral)
@@ -535,7 +526,7 @@ def _mixture_mean(grid: GridFunction, atoms, weights, sigma) -> GridFunction:
         bands = np.minimum(SPECTRAL_BAND / t[1] / sigma[keep], n // 2 - 1).astype(int)
         top = int(bands.max()) + 1
         damp = np.exp(-0.5 * (sigma[keep, None] * t[:top]) ** 2)
-        shared = isinstance(atoms, np.ndarray) and (atoms == atoms[:1]).all()
+        shared = (atoms == atoms[:1]).all()
         phases = np.exp(1j * np.outer(t[:top], atoms[0])) if shared else None
         # only C-ordered (frequencies, atoms) tables times a vector: then each
         # sum is one dot product, in an order no BLAS thread count changes
@@ -559,35 +550,11 @@ def _mixture_mean(grid: GridFunction, atoms, weights, sigma) -> GridFunction:
     return GridFunction(half_width, mean.values + acc / sigma.size)
 
 
-def posterior_mean_density(chain: Chain, grid: GridFunction, min_draws: int = 50) -> GridFunction:
-    """Average of the draw densities on the reference grid (:func:`_mixture_mean`)."""
-    if len(chain) < min_draws:
-        raise TooFewDraws(f"need at least {min_draws} draws, got {len(chain)}")
-    return _mixture_mean(grid, chain.atoms, chain.weights, chain.sigma)
-
-
 def _w2_draws(chain: Chain, truth: "TruthSpec") -> np.ndarray:
     """W2 distance from each draw's mixing measure to the truth's."""
     t = truth.mixing
     return np.array([quantile_distance(a, w, t.atoms, t.weights, 2.0)
                      for a, w in zip(chain.atoms, chain.weights)])
-
-
-def prior_predictive_density(cfg: FitConfig, grid: GridFunction,
-                             rng: np.random.Generator) -> GridFunction:
-    """Monte-Carlo prior predictive; the no-data baseline for dominance checks."""
-    nig = isinstance(cfg.prior, NIGPartitionPrior)
-    if nig:
-        params, midpoints = cfg.prior.nig_params(), cfg.prior.cell_midpoints()
-    mixes, sigma = [], np.empty(PRIOR_PREDICTIVE_DRAWS)
-    for i in range(PRIOR_PREDICTIVE_DRAWS):
-        if nig:
-            mixes.append(DiscreteMixingMeasure(midpoints, nig_sample(params, rng)[0]))
-        else:
-            draw = py_sample(cfg.prior, PRIOR_PREDICTIVE_TRUNC_TOL, rng)
-            mixes.append(DiscreteMixingMeasure(draw.atoms, draw.weights / draw.weights.sum()))
-        sigma[i] = cfg.fixed_sigma if cfg.fixed_sigma is not None else SCALE_PRIOR.sample(rng)
-    return _mixture_mean(grid, [m.atoms for m in mixes], [m.weights for m in mixes], sigma)
 
 
 # ---------------------------------------------------------------------

@@ -3,7 +3,8 @@ committed ``tests/data/cli_digests.txt``.
 
 A change that keeps every output bit leaves the file as it is; one that
 moves bits regenerates it with ``--write`` and its diff shows the moved
-lines.  Matmul and ``exp`` rounding may differ on another numpy, CPU
+lines; a failure names each digest that moved, is missing or is new.
+Matmul and ``exp`` rounding may differ on another numpy, CPU
 architecture or BLAS, so the test skips where the file's fingerprint
 differs from this machine's and names the field.
 """
@@ -37,6 +38,15 @@ def test_cli_digests_match_committed_listing(tmp_path):
     result = subprocess.run([sys.executable, str(SCRIPT), str(tmp_path)],
                             capture_output=True, text=True, check=True)
     got = result.stdout.splitlines()
-    moved = [f"{want!r} -> {have!r}" for want, have in zip(expected, got) if want != have]
-    assert not moved, "digest lines moved:\n" + "\n".join(moved)
-    assert len(got) == len(expected)
+    report = _differences(expected, got)
+    assert got == expected, "digest listing differs:\n" + "\n".join(report or ["(line order)"])
+
+
+def _differences(expected, got):
+    """One line per digest name whose digest moved, that is missing from
+    ``got``, or that is new in it; lines are ``sha256  name``."""
+    want, have = (dict(line.split("  ", 1)[::-1] for line in lines) for lines in (expected, got))
+    return ([f"moved: {name} {want[name]} -> {have[name]}"
+             for name in want if name in have and want[name] != have[name]]
+            + [f"missing: {name}" for name in want if name not in have]
+            + [f"new: {name}" for name in have if name not in want])
