@@ -11,9 +11,10 @@ parent in the first batch and with the change in the second.  For every
 pair the script prints the five end-to-end metrics of both sides and the
 failed-task counts.  It then prints, for each batch and over all batches,
 each metric's median on both sides, the interquartile range of the
-parent's runs, and the number of pairs in which the change was better.
-The metric names and their better direction come from CHANGE_DIR's
-``BENCHMARK.json``.
+parent's runs, the number of pairs in which the change was better, and a
+verdict (see :func:`verdict`).  The metric names, their better direction
+and their bounds come from CHANGE_DIR's ``BENCHMARK.json``, which the
+script only reads.  It exits 1 when any run reports ``"correct": false``.
 
 ``--batches 2`` repeats the pairs as a second batch after ``--gap``
 seconds: on a shared host one batch of pairs can read one side slower in
@@ -73,16 +74,44 @@ def quartiles(values):
     return q[0], q[2]
 
 
+def verdict(old, new, better, bound):
+    """One metric's verdict over pairs of parent (``old``) and change
+    (``new``) values, ``better`` being "lower" or "higher":
+
+    * "gain": the change is better in at least 9 of 10 pairs and its median
+      is better than the parent's by more than the parent's IQR;
+    * "worse": the change's median is worse than the parent's by more than
+      ``bound`` times the parent's median;
+    * "unresolved": neither, and the parent's IQR exceeds ``bound`` times
+      its median, so the runs spread too widely to tell, unless every run
+      of the change is better than every run of the parent;
+    * "no worse" otherwise.
+    """
+    sign = 1.0 if better == "lower" else -1.0
+    med_old, med_new = statistics.median(old), statistics.median(new)
+    lo, hi = quartiles(old)
+    wins = sum(sign * (n - o) < 0 for o, n in zip(old, new))
+    if 10 * wins >= 9 * len(old) and sign * (med_old - med_new) > hi - lo:
+        return "gain"
+    if sign * (med_new - med_old) > bound * abs(med_old):
+        return "worse"
+    separated = max(sign * n for n in new) < min(sign * o for o in old)
+    if hi - lo > bound * abs(med_old) and not separated:
+        return "unresolved"
+    return "no worse"
+
+
 def summary(title, pairs, metrics):
     print(f"{title}: {len(pairs)} pairs")
-    for name, better in metrics:
+    for name, better, bound in metrics:
         old = [p["parent"][name] for p in pairs]
         new = [p["change"][name] for p in pairs]
         wins = sum((n < o) if better == "lower" else (n > o) for o, n in zip(old, new))
         lo, hi = quartiles(old)
         print(f"  {name:12s} median parent {statistics.median(old):.4g}  "
               f"change {statistics.median(new):.4g}  parent IQR {hi - lo:.3g}  "
-              f"change better in {wins}/{len(pairs)} ({better} is better)")
+              f"change better in {wins}/{len(pairs)} ({better} is better)  "
+              f"{verdict(old, new, better, bound)}")
     failed = {side: sum(p["failed"][side] for p in pairs) for side in SIDES}
     print(f"  failed tasks: parent {failed['parent']}, change {failed['change']}")
 
@@ -90,7 +119,7 @@ def summary(title, pairs, metrics):
 def main(argv=None) -> int:
     args = parse_args(argv)
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
-    metrics = [(m["name"], m["better"]) for m in spec["end_to_end"]]
+    metrics = [(m["name"], m["better"], m["bound"]) for m in spec["end_to_end"]]
     batches = []
     for batch in range(args.batches):
         if batch:
@@ -99,12 +128,13 @@ def main(argv=None) -> int:
         for i in range(args.pairs):
             order = SIDES if (i + batch) % 2 == 0 else SIDES[::-1]
             results = {side: run_once(getattr(args, side), args) for side in order}
-            pair = {side: {name: results[side]["metrics"][name]["value"] for name, _ in metrics}
+            pair = {side: {name: results[side]["metrics"][name]["value"] for name, *_ in metrics}
                     for side in SIDES}
             pair["failed"] = {side: results[side]["failed"] for side in SIDES}
+            pair["correct"] = all(results[side]["correct"] for side in SIDES)
             pairs.append(pair)
             cells = "  ".join(f"{name} {pair['parent'][name]:.4g}/{pair['change'][name]:.4g}"
-                              for name, _ in metrics)
+                              for name, *_ in metrics)
             print(f"batch {batch + 1} pair {i + 1} ({order[0]} first) parent/change: {cells}  "
                   f"failed {pair['failed']['parent']}/{pair['failed']['change']}", flush=True)
         batches.append(pairs)
@@ -112,6 +142,10 @@ def main(argv=None) -> int:
         summary(f"batch {batch + 1}", pairs, metrics)
     if len(batches) > 1:
         summary("all batches", [p for pairs in batches for p in pairs], metrics)
+    incorrect = sum(not p["correct"] for pairs in batches for p in pairs)
+    if incorrect:
+        print(f"{incorrect} pairs hold a run that reports \"correct\": false")
+        return 1
     return 0
 
 

@@ -48,12 +48,15 @@ NODES_PER_CELL = 16
 #: 2^11-point experiment grid
 _DENSITY_BUFFER = 2 ** 18
 
+#: least exponent that numpy 2.4's AVX-512 exp takes at full speed.  Per
+#: element on a 2-CPU x86 host: 0.5 ns at -707.0, 10 ns at -708, 71 ns at
+#: -720, 99 ns at -745 (a subnormal result), 10 ns at -746 (an exact 0)
+#: and 2.4 ns at -1e4; the slow band starts near -707.7
+FAST_EXP_MIN = -707.0
+
 #: exponent of the smallest normal float; Gaussian terms whose exponent
-#: is at or below it are set to 0.  numpy 2.4's AVX-512 exp is slow on
-#: the whole band below about -707.7, this value included: on a 2-CPU
-#: x86 host ~1 ns per element above it, ~16-20 ns from -707.75 to
-#: -708.4 and below -745.2, and 110-200 ns in between, where the result
-#: is subnormal; so those exponents are skipped, not clamped
+#: is at or below it are set to 0.  It lies in the slow band of
+#: ``FAST_EXP_MIN``, so those exponents are skipped, not clamped
 _LOG_TINY = math.log(np.finfo(float).tiny)
 _EXP_LOG_TINY = math.exp(_LOG_TINY)
 

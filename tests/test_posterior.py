@@ -24,7 +24,7 @@ from supermix import (
     posterior_mean_density,
     wasserstein,
 )
-from supermix.discretize import mixture_density
+from supermix.discretize import FAST_EXP_MIN, mixture_density
 from supermix.errors import InvalidConfig, ScaleTooSmall, TooFewDraws
 from supermix.gridfn import GridFunction
 from supermix.posterior import (
@@ -372,6 +372,17 @@ class TestSweep:
         assert {s.sigma for s in states} == {1.0}
 
 
+def _assert_band(work, data, atoms, log_w, sigma):
+    """Over 5% of the exponents lie below -745, some in (-745, -708), and
+    the draw took the clamp branch: every row of its cumulative sum is at
+    least e^FAST_EXP_MIN, which no unclamped exponent below it gives."""
+    z = (data[None, :] - atoms[:, None]) / sigma
+    e = (log_w - log_w.max())[:, None] - 0.5 * z ** 2
+    assert (e < -745.0).mean() > 0.05
+    assert ((e > -745.0) & (e < -708.0)).any()
+    assert work.out.min() >= math.exp(FAST_EXP_MIN)
+
+
 def _oracle_allocate(data, atoms, log_w, sigma, rng):
     """The allocation step as separate passes: the full n x L log-density
     matrix, a categorical draw per row, and a log-sum-exp per row."""
@@ -388,7 +399,7 @@ def _oracle_allocate(data, atoms, log_w, sigma, rng):
 class TestAllocate:
     @pytest.mark.parametrize("n,L", [(15, 10), (1000, 64), (4000, 50)])
     # False and True are the near and far cases
-    @pytest.mark.parametrize("case", [False, True, "offset", "mixed", "light"])
+    @pytest.mark.parametrize("case", [False, True, "offset", "mixed", "light", "band"])
     def test_matches_oracle(self, n, L, case):
         for seed in range(5):
             g = np.random.default_rng(seed)
@@ -404,6 +415,12 @@ class TestAllocate:
                     # every other point sits on an atom, so only the far
                     # half needs the max subtraction
                     data[::2] -= 0.05
+            elif case == "band":
+                # N-IG cell midpoints at sigma = 0.15: the far cells' exponents
+                # fall into and below exp's slow band, so the draw clamps them
+                sigma = 0.15
+                atoms = NIGPartitionPrior(n_cells=L).cell_midpoints()
+                data = g.standard_normal(n)
             else:
                 sigma = g.uniform(0.05, 2.0)
                 atoms = 2.0 * g.standard_normal(L)
@@ -422,7 +439,10 @@ class TestAllocate:
                     atoms[0] = data.max() + 60.0 * sigma
             ref_rng, rng = np.random.default_rng(seed + 100), np.random.default_rng(seed + 100)
             want, want_ll = _oracle_allocate(data, atoms, log_w, sigma, ref_rng)
-            got, got_ll = _Allocation(data, L).draw(atoms, log_w, sigma, rng)
+            work = _Allocation(data, L)
+            got, got_ll = work.draw(atoms, log_w, sigma, rng)
+            if case == "band":
+                _assert_band(work, data, atoms, log_w, sigma)
             assert np.array_equal(got, want)
             assert rng.bit_generator.state == ref_rng.bit_generator.state
             assert math.isfinite(got_ll)
@@ -432,8 +452,9 @@ class TestAllocate:
     @pytest.mark.parametrize("offset", [0.0, 1e4])
     def test_reused_workspace_matches_oracle(self, n, L, offset):
         """One workspace serves every call of a fit: cycling the near, far,
-        mixed and light cases through it in turn, each call must match the
-        oracle, so a stale mask, row pair or coefficient row fails."""
+        mixed, light and band cases through it in turn, each call must match
+        the oracle, so a stale mask, row pair, coefficient row or floor
+        fails."""
         g = np.random.default_rng(7)
         lattice = offset + 0.1 * np.arange(L)
         # half the points on an atom of the lattice, half between two atoms
@@ -442,7 +463,7 @@ class TestAllocate:
         work = _Allocation(data, L)
         rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
         for seed in range(3):
-            for case in ("near", "far", "near", "mixed", "light", "far"):
+            for case in ("near", "far", "band", "near", "mixed", "light", "band", "far"):
                 log_w = np.log(g.dirichlet(np.ones(L)))
                 if case == "mixed":
                     # sigma = 1e-3: the points between two atoms sit 50
@@ -451,6 +472,9 @@ class TestAllocate:
                 elif case == "far":
                     # every point 25 sigma or more from its nearest atom
                     sigma, atoms = 5e-4, lattice + 0.025
+                elif case == "band":
+                    sigma = 0.15
+                    atoms = offset + NIGPartitionPrior(n_cells=L).cell_midpoints()
                 else:
                     sigma = g.uniform(0.05, 2.0)
                     atoms = offset + 2.0 * g.standard_normal(L)
@@ -460,9 +484,82 @@ class TestAllocate:
                         atoms[0] = data.max() + 60.0 * sigma
                 want, want_ll = _oracle_allocate(data, atoms, log_w, sigma, ref_rng)
                 got, got_ll = work.draw(atoms, log_w, sigma, rng)
+                if case == "band":
+                    _assert_band(work, data, atoms, log_w, sigma)
                 assert np.array_equal(got, want), (seed, case)
                 assert rng.bit_generator.state == ref_rng.bit_generator.state
                 assert abs(got_ll - want_ll) <= 1e-12 * abs(want_ll), (seed, case)
+
+    @pytest.mark.parametrize("case", ["near", "offset", "far", "light", "edge"])
+    def test_plain_branch_keeps_every_exponent_above_the_clamp(self, case):
+        """Whenever the bound at the smallest and largest observation lets a
+        sweep skip the clamp, no exponent of the full product lies below
+        ``FAST_EXP_MIN``."""
+        g = np.random.default_rng(11)
+        branches = set()
+        for _ in range(200):
+            n, L = int(g.integers(15, 200)), int(g.integers(2, 65))
+            data = g.standard_normal(n) * g.uniform(0.5, 3.0)
+            atoms = 2.0 * g.standard_normal(L)
+            log_w = np.log(g.dirichlet(np.ones(L)))
+            sigma = math.exp(g.uniform(math.log(0.05), math.log(2.0)))
+            if case == "offset":
+                data += 1e4
+                atoms += 1e4
+            elif case == "far":
+                sigma = 5e-4
+                atoms = data[g.integers(0, n, L)] + 0.025 * g.choice([-1.0, 1.0], L)
+            elif case == "light":
+                log_w[1:] -= 730.0
+                log_w[0] = 0.0
+                atoms[0] = data.max() + 60.0 * sigma
+            elif case == "edge":
+                # equal weights and sigma set so that the least exponent
+                # lies within 3 of FAST_EXP_MIN
+                log_w[:] = -math.log(L)
+                reach = np.abs(data[:, None] - atoms).max()
+                sigma = reach / math.sqrt(2.0 * (g.uniform(-3.0, 3.0) - FAST_EXP_MIN))
+            work = _Allocation(data, L)
+            work.draw(atoms, log_w, sigma, np.random.default_rng(0))
+            plain = float((work.coef @ work.ends).min()) >= FAST_EXP_MIN + 1.0
+            branches.add(plain)
+            if plain:
+                assert (work.coef @ work.design).min() > FAST_EXP_MIN
+        # every far and light state has exponents near -1250 or -730: it clamps
+        assert branches == ({False} if case in ("far", "light") else {True, False})
+
+    def test_clamped_sweep_rescues_below_the_raised_floor(self):
+        """On a clamped sweep, a column whose total lies between ``tiny *
+        2^53`` and ``clamp_floor`` is rebuilt with its own shift (its last
+        row is then at least 1) and one above ``clamp_floor`` is not; both
+        match the oracle."""
+        g = np.random.default_rng(3)
+        L, sigma = 64, 0.15
+        atoms = NIGPartitionPrior(n_cells=L).cell_midpoints()
+        log_w = np.full(L, -math.log(L))
+        # log totals -669 (between the floors) and -664 (above both), each
+        # set by the distance to the last atom
+        window, above = (atoms[-1] + sigma * math.sqrt(2.0 * t) for t in (669.0, 664.0))
+        data = np.concatenate([g.standard_normal(200), [window, above]])
+        work = _Allocation(data, L)
+        log_floors = math.log(np.finfo(float).tiny * 2.0 ** 53), math.log(work.clamp_floor)
+        assert log_floors[0] < -669.0 < log_floors[1] < -664.0
+        ref_rng, rng = np.random.default_rng(4), np.random.default_rng(4)
+        want, want_ll = _oracle_allocate(data, atoms, log_w, sigma, ref_rng)
+        got, got_ll = work.draw(atoms, log_w, sigma, rng)
+        assert float((work.coef @ work.ends).min()) < FAST_EXP_MIN + 1.0
+        assert work.out[-1, -2] >= 1.0
+        assert work.out[-1, -1] < 1e-280
+        assert np.array_equal(got, want)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert abs(got_ll - want_ll) <= 1e-12 * abs(want_ll)
+
+    @pytest.mark.parametrize("n", [15, 1000, 4001])
+    def test_buffer_starts_on_a_64_byte_boundary(self, n):
+        for _ in range(4):
+            work = _Allocation(np.linspace(-1.0, 1.0, n), 50)
+            assert work.out.ctypes.data % 64 == 0
+            assert work.out.shape == (50, n) and work.out.flags.c_contiguous
 
     def test_overflowing_spread_is_rejected(self):
         data = np.linspace(-1.0, 1.0, 40) * 1e160
