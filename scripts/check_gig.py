@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
-"""Kolmogorov-Smirnov check of both ratio-of-uniforms samplers:
-``supermix.variates.gig_sample`` (the array engine ``_ratio_of_uniforms``)
-on a dense (p, omega) grid and ``supermix.priors.ScalePriorA0.posterior_sample``
-(its own float loop, sharing only the v-bound roots
-``variates._rou_roots``) on a dense (k, s) grid.
+"""Kolmogorov-Smirnov check of the two exact posterior draws:
+``supermix.variates.gig_sample`` (the closed-form half-integer draw, an
+inverse Gaussian plus a gamma mixture) on a dense (p, omega) grid and
+``supermix.priors.ScalePriorA0.posterior_sample`` (a ratio-of-uniforms
+float loop) on a dense (k, s) grid.
 
 Every GIG cell draws GIG(p, a, b) variates, with density proportional to
 y^(p-1) exp(-(a y + b / y) / 2), in the form the N-IG Gibbs sweep uses:
@@ -12,8 +12,9 @@ draws are compared with a reference cdf:
 
 * |p| = 1/2: the closed-form inverse-Gaussian cdf (``scipy.stats.invgauss``);
   ``geninvgauss.cdf`` is not used, its quadrature is wrong at small omega;
-* |p| >= 1: the trapezoid rule on the density of log y over a 200,001-point
-  grid that spans the density down to e^-60 of its peak.
+* |p| >= 3/2: the trapezoid rule on the density of log y over a
+  200,001-point grid that spans the density down to e^-60 of its peak,
+  which shares nothing with the closed form.
 
 Every bandwidth cell draws sigma given n = k - nu residuals with sum of
 squares s under the default prior ``ScalePriorA0()`` (nu = 2, lam = 1/2),
@@ -25,7 +26,7 @@ independent of the sampler's algebra.
 Prints one KS p-value per cell and exits 1 if any falls below its grid's
 Bonferroni threshold 0.001 / cells.  The tier-1 suite runs small grids
 through :func:`ks_pvalue` and :func:`sigma_ks_pvalue`; this script is the
-long variant (about 45 s at the default draws).
+long variant (about 50 s at the default draws on a 2-CPU x86 host).
 
     python3 scripts/check_gig.py [--draws 100000] [--seed 0]
 """
@@ -47,7 +48,8 @@ from supermix.variates import gig_sample
 #: at n = 1000
 GIBBS_A = 1.0 + 2.0 * 1000.0
 
-P_GRID = (-10.5, -1.5, -0.5, 0.5, 1.0, 1.5, 2.5, 4.5, 10.5, 30.5, 100.5, 309.5, 492.5)
+#: the domain of ``gig_sample`` is the half-integers
+P_GRID = (-10.5, -1.5, -0.5, 0.5, 1.5, 2.5, 4.5, 10.5, 30.5, 100.5, 309.5, 492.5)
 #: from one end of ``variates.GIG_AB`` to the other
 OMEGA_GRID = (1e-12, 1e-8, 1e-4, 8e-4, 4e-3, 0.03, 0.37, 1.0, 2.4, 4.0, 10.0, 1e4)
 

@@ -11,8 +11,10 @@ truncated priors:
   with conjugate Beta sticks and conjugate (or truncated-conjugate) atoms.
 * Normalized inverse-Gaussian on a fixed partition (:class:`_NIGCells`): a
   latent-scale augmentation makes the un-normalized cell increments
-  conditionally generalized-inverse-Gaussian (GIG), drawn for all cells in
-  one :func:`~supermix.variates.gig_sample` call per sweep.
+  conditionally generalized-inverse-Gaussian (GIG) of half-integer order
+  count - 1/2, drawn for all cells in closed form (an inverse Gaussian
+  plus a gamma mixture, no rejection loop) in one
+  :func:`~supermix.variates.gig_sample` call per sweep.
 
 The state has two constructors: :meth:`_Sweep.for_data` starts a fit, and
 :meth:`_Sweep.from_prior` draws the truncated prior itself, the start of
@@ -59,14 +61,13 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .discretize import FAST_EXP_MIN, DiscreteMixingMeasure, mixture_density
+from .discretize import FAST_EXP_MIN, DiscreteMixingMeasure, aligned_empty, mixture_density
 from .errors import InvalidConfig, NonConvergenceWarning, TooFewDraws
 from .gridfn import GridFunction, lp_norm
 from .kernels import KernelSpec, check_resolution, parse_kernel_id
 from .metrics import kl_divergence, quantile_distance
 from .priors import (
     BaseMeasure,
-    NIGParams,
     PYParams,
     ScalePriorA0,
     py_sticks,
@@ -137,9 +138,6 @@ class NIGPartitionPrior:
             ]
         )
         return self.base.total_mass * mass / mass.sum()
-
-    def nig_params(self) -> NIGParams:
-        return NIGParams(self.cell_alphas())
 
 
 @dataclass(frozen=True)
@@ -284,11 +282,7 @@ class _Allocation:
             )
         self.ends = self.design[:, [int(data.argmin()), int(data.argmax())]]
         self.clamp_floor = n_components * 2.0 ** 53 * math.exp(FAST_EXP_MIN)
-        # numpy's AVX-512 loops over the buffer take about 12% longer when it
-        # does not start on a 64-byte boundary (n = 1000 and 4000)
-        raw = np.empty(n_components * data.size + 8)
-        start = (-raw.ctypes.data % 64) // 8
-        self.out = raw[start : start + n_components * data.size].reshape(n_components, -1)
+        self.out = aligned_empty(n_components * data.size).reshape(n_components, -1)
         # cumulative sum over components, one row at a time: np.cumsum(axis=0)
         # runs its inner loop down each column (stride n) and takes about five
         # times as long; the additions, and so the sums, are the same

@@ -1,12 +1,13 @@
-"""Exact variate generators: the generalized inverse Gaussian (GIG), the
-truncated normal and the pieces they share with the N-IG law and the
-bandwidth draw.  Each public generator checks the domain its docstring
-states in one place and raises ``ValueError`` naming the first value
-outside it; inside, every draw is finite and every GIG draw positive.
+"""Exact variate generators: the generalized inverse Gaussian (GIG) of
+half-integer order, the truncated normal and the pieces they share with the
+N-IG law and the bandwidth draw.  Each public generator checks the domain its
+docstring states in one place and raises ``ValueError`` naming the first
+value outside it; inside, every draw is finite and every GIG draw positive.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import statistics
 
@@ -41,69 +42,62 @@ def _require(inside, domain: str, **values) -> None:
         raise ValueError(f"{domain}, got {got}")
 
 
-#: rejection rounds after which :func:`_ratio_of_uniforms` gives up; a
-#: round accepts each pending draw with probability at least 0.67 for the
-#: GIG (measured for p from 1 to 1e8 and sqrt(ab) from 1e-12 to 1e4) and
-#: at least 0.71 for the bandwidth (k = nu + n from 1.5 to 1e6, sums of
-#: squares from 0 to 1e12; 0.61 at k = 1.01), so the cap is only reached
-#: when the bounding rectangle is broken.  The normal tail's rejection in
-#: :func:`_normal_tail` has the same cap
+#: rejection rounds of the bandwidth draw and of :func:`_normal_tail`; a
+#: bandwidth round accepts with probability >= 0.61, so the cap is only
+#: reached when the bounding rectangle is broken
 GIG_MAX_ROUNDS = 100
 
-#: the domain of :func:`gig_sample`: ``scripts/check_gig.py`` KS-tests
-#: sqrt(ab) over it (default N-IG fits reach 2e-4 to 6); draws were positive
-#: up to sqrt(b/a) = 1e140 and matched the gamma limit up to |p| = 1e10
+#: the domain of :func:`gig_sample`: ``scripts/check_gig.py`` KS-tests sqrt(ab)
+#: over it (N-IG fits reach 3e-4 to 5); draws are finite and positive at its
+#: corners, and the mixture index's window grows like sqrt(ab)
 GIG_P_MAX = 1e8
 GIG_AB = (1e-24, 1e8)
 GIG_B_OVER_A = (1e-200, 1e200)
-_GIG_DOMAIN = (f"gig_sample needs |p| = 1/2 or 1 <= |p| <= {GIG_P_MAX:g}, and a, b > 0 with ab "
-               f"in {GIG_AB} and b/a in {GIG_B_OVER_A}")
+_GIG_DOMAIN = (f"gig_sample needs p = m + 1/2 for an integer m with |p| <= {GIG_P_MAX:g}, "
+               f"and a, b > 0 with ab in {GIG_AB} and b/a in {GIG_B_OVER_A}")
 
 
 def gig_sample(p, a, b, rng: np.random.Generator) -> np.ndarray:
     """Generalized inverse-Gaussian draws, one per broadcast (p, a, b).
 
     The density is proportional to ``y^(p-1) exp(-(a y + b / y) / 2)``.
-    Domain: |p| = 1/2 or 1 <= |p| <= ``GIG_P_MAX`` (the Gibbs sweep needs
-    p = count - 1/2), and a > 0, b > 0 with ab in ``GIG_AB`` and b/a in
-    ``GIG_B_OVER_A``.  Uses GIG(p, a, b) = 1 / GIG(-p, b, a).  |p| = 1/2 is
-    an inverse Gaussian, GIG(-1/2, a, b) = IG(mean sqrt(b/a), shape b);
-    |p| >= 1 uses the ratio-of-uniforms with mode shift of Hoermann &
-    Leydold, "Generating generalized inverse Gaussian random variates",
-    Stat. Comput. 24 (2014), on GIG(p, a, b) = sqrt(b/a) GIG(p, sqrt(ab),
-    sqrt(ab)).
+    Domain: p = m + 1/2 for an integer m with |p| <= ``GIG_P_MAX`` (the
+    Gibbs sweep needs p = count - 1/2), and a > 0, b > 0 with ab in
+    ``GIG_AB`` and b/a in ``GIG_B_OVER_A``.  p = 1/2 and p < -1/2 use
+    GIG(p, a, b) = 1 / GIG(-p, b, a).  K_{m+1/2} is a finite sum, so the
+    draw is closed-form, with no rejection loop (Barndorff-Nielsen &
+    Halgreen, Z. Wahrsch. verw. Gebiete 38 (1977)): GIG(m + 1/2, a, b) =
+    IG(mean sqrt(b/a), shape b) + Gamma((2m + 1 - j) / 2, rate a/2), with
+    j from :func:`_mixture_index`.  It takes a standard normal and a
+    uniform per element for the IG (:func:`_ig_transform`; m = -1 is the IG
+    alone), then a uniform and a gamma variate per element with m >= 1.
     """
     p, a, b = (np.asarray(v, dtype=float) for v in (p, a, b))
-    q = np.abs(p)
-    half = q == 0.5
-    _require(half | ((q >= 1.0) & (q <= GIG_P_MAX)), _GIG_DOMAIN, p=p)
+    given, given_shape = {"p": p, "a": a, "b": b}, np.broadcast(p, a, b).shape
+    shape = given_shape or (1,)  # the transform works in place, which needs arrays
+    flip = (p == 0.5) | (p < -0.5)
+    if flipped := flip.any():
+        p, a, b = np.where(flip, -p, p), np.where(flip, b, a), np.where(flip, a, b)
     with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
-        ab, ratio = a * b, b / a
-    # a > 0 and ab > 0 make b > 0
-    _require((a > 0.0) & (ab >= GIG_AB[0]) & (ab <= GIG_AB[1])
-             & (ratio >= GIG_B_OVER_A[0]) & (ratio <= GIG_B_OVER_A[1]), _GIG_DOMAIN, a=a, b=b)
-    # flip to the canonical sign of each branch, p = -1/2 or p >= 1; the
-    # swap broadcasts a and b to the full shape
-    flip = (p > 0) == half
-    a, b = np.where(flip, b, a), np.where(flip, a, b)
-    if q.shape != a.shape:
-        q, half = np.broadcast_to(q, a.shape), np.broadcast_to(half, a.shape)
-    x = np.empty(a.shape)
-    lam = b[half]
-    nu = rng.standard_normal(lam.size) ** 2
-    x[half] = _ig_transform(np.sqrt(lam / a[half]), lam, nu, rng.random(lam.size))
-    # |p| >= 1: GIG(q, w, w) with w = sqrt(ab), around its mode m
-    rou = ~half
-    a, b = a[rou], b[rou]
-    q, w = q[rou], np.sqrt(a * b)
-    qm1 = q - 1.0
-    m = (qm1 + np.sqrt(qm1 ** 2 + w ** 2)) / w
-    a2 = -2.0 * (q + 1.0) / w - m
-    a1 = 2.0 * m * qm1 / w - 1.0
-    params = (qm1, 0.5 * w, m, 1.0 / m)
-    x[rou] = np.sqrt(b / a) * _ratio_of_uniforms(m, a2, a1, m, _gig_log_ratio, rng, params)
-    np.divide(1.0, x, out=x, where=flip)
-    return x
+        m, ab, ratio = p - 0.5, a * b, b / a
+    # m = -1 or m >= 1 by the flip, and a > 0 and ab > 0 make b > 0
+    _require((m == np.floor(m)) & (m <= GIG_P_MAX - 0.5) & (a > 0.0)
+             & (ab >= GIG_AB[0]) & (ab <= GIG_AB[1])
+             & (ratio >= GIG_B_OVER_A[0]) & (ratio <= GIG_B_OVER_A[1]), _GIG_DOMAIN, **given)
+    nu = np.square(rng.standard_normal(shape))
+    x = _ig_transform(np.sqrt(ratio), b, nu, rng.random(shape))
+    mixed = m >= 0.0
+    if mixed.any():
+        m, ab, mixed = (v if v.shape == shape else np.broadcast_to(v, shape)
+                        for v in (m, ab, mixed))
+        if a.ndim:  # a 0-d a broadcasts against the draws as it stands
+            a = (a if a.shape == shape else np.broadcast_to(a, shape))[mixed]
+        m, w = m[mixed], np.sqrt(ab[mixed])
+        j = _mixture_index(m, w, rng.random(m.size))
+        x[mixed] += rng.standard_gamma(0.5 * (m + m + 1.0 - j)) * (2.0 / a)
+    if flipped:
+        np.divide(1.0, x, out=x, where=flip)
+    return x.reshape(given_shape)
 
 
 def _ig_transform(mu, lam, nu: np.ndarray, u) -> np.ndarray:
@@ -140,54 +134,54 @@ def _ig_transform(mu, lam, nu: np.ndarray, u) -> np.ndarray:
     return nu
 
 
-def _gig_log_ratio(x, params):
-    """log h(x) - log h(m) for h(x) = x^(q-1) exp(-w (x + 1/x) / 2), from the
-    rows (q - 1, w / 2, m, 1 / m); nan or -inf at x <= 0."""
-    qm1, half_w, m, inv_m = params
-    return qm1 * np.log(x / m) - half_w * ((x - m) + (1.0 / x - inv_m))
+@functools.lru_cache(maxsize=None)
+def _window(e: int) -> int:
+    """The least J with sum_{j > J} w^j / j! <= 2^-60 at w = 2^e, by the
+    bound term_{J+1} / (1 - w / (J + 2)) on that sum."""
+    w, log_term, j = 2.0 ** e, 0.0, 0
+    while True:
+        j += 1
+        log_term += math.log(w / j)  # log(w^j / j!)
+        if j + 1 > w and log_term - math.log1p(-w / (j + 1)) <= -60.0 * math.log(2.0):
+            return j - 1
 
 
-def _ratio_of_uniforms(m, a2, a1, a0, log_ratio, rng: np.random.Generator,
-                       params=()) -> np.ndarray:
-    """One draw per element of the mode array ``m`` from a density h on
-    (0, inf) by ratio-of-uniforms with mode shift (Leydold, ACM TOMS 26
-    (2000)): one rejection loop over the draws still pending.
+def _mixture_index(m, w, u, width: int | None = None) -> np.ndarray:
+    """The j of :func:`gig_sample` for m >= 0 and w = sqrt(ab) at the
+    uniforms u: the least j whose cumulative weight exceeds u times the
+    total, for weights pi_j on 0..m proportional to (2m - j)! / (j! (m -
+    j)!) (2w)^j, over j < ``width``.
 
-    ``log_ratio(x, rows)`` is log h(x) - log h(m) at the draws x, and nan
-    or -inf at x <= 0, which rejects them; ``rows`` stacks the entries of
-    the per-draw arrays ``params`` for those draws.  The pending draws'
-    modes, v-bounds and ``params`` sit in one array, compacted once per
-    round.  The v-bounds sit at the roots that :func:`_rou_roots` gives
-    for (a2, a1, a0)."""
-    roots = np.array(_rou_roots(a2, a1, a0))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # rows: mode, vmin, width, then params; vmin and width are set below
-        state = np.array([m, m, m, *params])
-        vmin, vmax = (roots - m) * np.exp(0.5 * log_ratio(roots, state[3:]))
-        if not ((vmin < 0.0) & (vmax > 0.0)).all():
-            raise RuntimeError("ratio-of-uniforms bounds are not finite and of opposite sign")
-        state[1], state[2] = vmin, vmax - vmin
-        x = np.empty(m.shape)
-        pending = np.arange(m.size)
-        for _ in range(GIG_MAX_ROUNDS):
-            if not pending.size:
-                return x
-            u = 1.0 - rng.random(pending.size)  # (0, 1]: v / u stays finite
-            cand = rng.random(pending.size)
-            cand *= state[2]
-            cand += state[1]
-            cand /= u
-            cand += state[0]
-            np.log(u, out=u)
-            u *= 2.0
-            accept = u <= log_ratio(cand, state[3:])
-            x[pending[accept]] = cand[accept]
-            keep = ~accept
-            pending, state = pending[keep], state[:, keep]
-    raise RuntimeError(
-        f"ratio-of-uniforms stalled: {pending.size} draws still rejected "
-        f"after {GIG_MAX_ROUNDS} rounds"
-    )
+    The ratios pi_{j+1} / pi_j = 2w (m - j) / ((2m - j)(j + 1)) fall with
+    j and are at most w / (j + 1), so pi_j / pi_0 <= w^j / j!.  The
+    default width, min(m, J) + 1 with J = :func:`_window` of the largest
+    w, leaves out less than 2^-60 of each element's mass, so the total
+    rounds as the full range's and every draw is the full range's.  The
+    work, O(elements x width), runs in blocks of at most 2^16 weights.
+    """
+    top = float(w.max())
+    if width is None:
+        width = int(min(_window(math.frexp(top)[1]), m.max())) + 1
+        step = max(1, 2 ** 16 // width)
+        if m.size > step:
+            return np.concatenate([_mixture_index(m[s : s + step], w[s : s + step], u[s : s + step],
+                                                  width) for s in range(0, m.size, step)])
+    j = np.arange(width - 1.0)
+    # zero from j = m on; the floor of 1 only meets those zeros
+    r = np.maximum(m[:, None] - j, 0.0)
+    r /= np.maximum((m + m)[:, None] - j, 1.0)
+    r *= np.multiply.outer(w + w, 1.0 / (j + 1.0))
+    pi = np.empty((m.size, width))
+    if top >= 2.0 ** 9:  # pi_j / pi_0 <= e^w may overflow: in logs, each row over its top
+        pi[:, 0] = 0.0
+        with np.errstate(divide="ignore"):
+            np.cumsum(np.log(r), axis=1, out=pi[:, 1:])
+        np.exp(pi - pi.max(axis=1, keepdims=True), out=pi)
+    else:
+        pi[:, 0] = 1.0
+        np.cumprod(r, axis=1, out=pi[:, 1:])
+    np.cumsum(pi, axis=1, out=pi)
+    return (pi[:, :-1] <= (u * pi[:, -1])[:, None]).sum(axis=1)
 
 
 def _rou_roots(a2, a1, a0):

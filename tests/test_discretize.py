@@ -16,6 +16,7 @@ from supermix.discretize import (
     _LOG_TINY,
     _cellwise_gauss,
     _gauss_from_recurrence,
+    aligned_empty,
     mixture_density,
 )
 from supermix.errors import IllConditionedMoments, InvalidSupport, RegimeUnavailable
@@ -41,6 +42,14 @@ def per_atom_density(mixing, kernel, sigma, x):
         out += term
         scale += np.abs(term)
     return out, scale
+
+
+@pytest.mark.parametrize("size", [1, 15, 1000, 2 ** 18])
+def test_aligned_empty_starts_on_a_64_byte_boundary(size):
+    for _ in range(5):
+        buf = aligned_empty(size)
+        assert buf.shape == (size,) and buf.dtype == np.float64
+        assert buf.ctypes.data % 64 == 0
 
 
 class TestMixtureDensity:

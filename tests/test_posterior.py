@@ -13,6 +13,7 @@ from supermix import (
     DiscreteMixingMeasure,
     FitConfig,
     KernelSpec,
+    NIGParams,
     NIGPartitionPrior,
     PYParams,
     blocked_gibbs_fit,
@@ -349,7 +350,7 @@ class TestSweep:
         rng = np.random.default_rng(31)
         states = [posterior._Sweep.from_prior(cfg, 15, rng) for _ in range(4000)]
         weights = np.array([s.block.weights() for s in states])
-        ref = nig_sample(cfg.prior.nig_params(), np.random.default_rng(32), 4000)
+        ref = nig_sample(NIGParams(cfg.prior.cell_alphas()), np.random.default_rng(32), 4000)
         for cell in (0, 3):  # an outer cell (alpha 1.3e-3) and a central one
             assert ks_2samp(weights[:, cell], ref[:, cell]).pvalue > 0.01, cell
         sigma = [s.sigma for s in states]
@@ -787,7 +788,7 @@ def direct_prior_predictive(cfg, grid, rng):
     for _ in range(PRIOR_PREDICTIVE_DRAWS):
         if isinstance(cfg.prior, NIGPartitionPrior):
             mix = DiscreteMixingMeasure(cfg.prior.cell_midpoints(),
-                                        nig_sample(cfg.prior.nig_params(), rng)[0])
+                                        nig_sample(NIGParams(cfg.prior.cell_alphas()), rng)[0])
         else:
             draw = py_sample(cfg.prior, PRIOR_PREDICTIVE_TRUNC_TOL, rng)
             mix = DiscreteMixingMeasure(draw.atoms, draw.weights / draw.weights.sum())

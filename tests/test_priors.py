@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import beta as beta_dist
-from scipy.stats import invgamma, kstest
+from scipy.special import gammaln
+from scipy.stats import chisquare, invgamma, kstest
 
 from supermix import (
     BaseMeasure,
@@ -38,7 +39,15 @@ from supermix.prior_mass import (
     simulate_py_stick_event,
 )
 from supermix.priors import log_bessel_k_scaled, nig_marginal_cdf
-from supermix.variates import gig_sample, ndtr, ndtri, truncated_normal_sample
+from supermix.variates import (
+    GIG_AB,
+    GIG_MAX_ROUNDS,
+    _rou_roots,
+    gig_sample,
+    ndtr,
+    ndtri,
+    truncated_normal_sample,
+)
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
 from check_gig import GIBBS_A, ks_pvalue, sigma_ks_pvalue  # noqa: E402
@@ -442,7 +451,7 @@ class TestGIGSample:
         assert not low, low
 
     def test_broadcasts_mixed_branches_and_reciprocal_symmetry(self):
-        p = np.array([-0.5, 0.5, 1.5, -1.5, 3.0])
+        p = np.array([-0.5, 0.5, 1.5, -1.5, 3.5])
         a = np.array([2.0, 3.0, 0.5, 4.0, 1.0])
         b = np.array([0.7, 0.2, 6.0, 0.3, 2.0])
         y = gig_sample(p, a, b, np.random.default_rng(0))
@@ -451,7 +460,7 @@ class TestGIGSample:
         z = gig_sample(-p, b, a, np.random.default_rng(0))
         assert np.allclose(y * z, 1.0, rtol=1e-12)
 
-    @pytest.mark.parametrize("p", [0.0, 0.25, -0.75, 0.9, np.nan, np.inf])
+    @pytest.mark.parametrize("p", [0.0, 0.25, -0.75, 0.9, 1.0, 3.0, np.nan, np.inf])
     def test_unsupported_order_raises(self, p):
         with pytest.raises(ValueError):
             gig_sample(np.array([1.5, p]), 1.0, 1.0, np.random.default_rng(0))
@@ -460,19 +469,6 @@ class TestGIGSample:
     def test_nonpositive_or_infinite_scale_raises(self, a, b):
         with pytest.raises(ValueError):
             gig_sample(2.5, a, b, np.random.default_rng(0))
-
-    def test_stalled_rejection_loop_raises(self):
-        class StuckUniforms:
-            """u = 1 and v = vmin: every candidate is x = m + vmin, and
-            u = 1 would need h(x) >= h(m), so each one is rejected."""
-
-            def random(self, size):
-                return np.zeros(size)
-
-            standard_normal = random
-
-        with pytest.raises(RuntimeError, match="stalled"):
-            gig_sample(np.full(3, 2.5), GIBBS_A, 1e-3, StuckUniforms())
 
     def test_scalar_parameters_match_full_arrays(self):
         # the sweep's call: counts 0, 1 and >= 2 (both branches, flipped and
@@ -487,6 +483,70 @@ class TestGIGSample:
                 want = gig_sample(counts - 0.5, *full, want_rng)
                 assert got.tobytes() == want.tobytes()
                 assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    @staticmethod
+    def mixture_log_weights(m: int, w: float, top: int) -> np.ndarray:
+        """log pi_j for j = 0..top, up to a constant, from log-gamma:
+        pi_j is proportional to (2m - j)! / (j! (m - j)!) (2w)^j."""
+        j = np.arange(top + 1.0)
+        return gammaln(2 * m - j + 1) - gammaln(j + 1) - gammaln(m - j + 1) + j * math.log(2 * w)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(m=st.integers(0, 10 ** 6),
+           log_w=st.floats(0.5 * math.log10(GIG_AB[0]), 0.5 * math.log10(GIG_AB[1])),
+           u=st.floats(0.0, 1.0, exclude_max=True))
+    def test_window_holds_the_mass_and_the_full_range_draw(self, m, log_w, u):
+        w = 10.0 ** log_w
+        last = variates._window(math.frexp(w)[1])
+        if m > last:
+            # log-concavity bounds the omitted tail by pi_{J+1} / (1 - r_{J+1})
+            log_pi = self.mixture_log_weights(m, w, last + 1)
+            ratio = 2 * w * (m - last - 1) / ((2 * m - last - 1) * (last + 2))
+            top = log_pi[:-1].max()
+            log_mass = top + math.log(np.exp(log_pi[:-1] - top).sum())
+            assert ratio < 1.0
+            assert log_pi[-1] - math.log1p(-ratio) - log_mass <= -60 * math.log(2.0)
+        us = np.array([u, 0.0, 1.0 - 2.0 ** -53])
+        rows = np.full(us.size, float(m)), np.full(us.size, w)
+        window = variates._mixture_index(*rows, us)
+        full = variates._mixture_index(*rows, us, m + 1)
+        assert window.tolist() == full.tolist()
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 3, 7, 12])
+    @pytest.mark.parametrize("w", [0.05, 0.8, 3.0, 9.0])
+    def test_mixture_index_chi_square_against_enumeration(self, m, w):
+        draws = 20_000
+        rng = np.random.default_rng(1000 * m + int(10 * w))
+        j = variates._mixture_index(np.full(draws, float(m)), np.full(draws, w), rng.random(draws))
+        log_pi = self.mixture_log_weights(m, w, m)
+        expected = np.exp(log_pi - log_pi.max())
+        expected *= draws / expected.sum()
+        observed = np.bincount(j, minlength=m + 1).astype(float)
+        # pool the cells expected below 5 into their neighbour nearest the mode
+        keep = expected >= 5.0
+        mode = int(np.argmax(expected))
+        for k in np.flatnonzero(~keep):
+            near = k + 1 if k < mode else k - 1
+            while not keep[near]:
+                near += 1 if k < mode else -1
+            expected[near] += expected[k]
+            observed[near] += observed[k]
+        if keep.sum() == 1:
+            assert observed[keep][0] == draws
+            return
+        assert chisquare(observed[keep], expected[keep]).pvalue >= self.KS_P_MIN
+
+    @pytest.mark.parametrize("count", [400, 1000, 4000])
+    @pytest.mark.parametrize("w", [0.01, 0.6, 4.0, 30.0])
+    def test_mean_at_large_counts(self, count, w):
+        # scipy's geninvgauss cdf is nan from count 300 on; E[Y] =
+        # sqrt(b/a) K_{p+1}(w) / K_p(w) from the half-integer closed form
+        p, b = count - 0.5, w * w / GIBBS_A
+        y = gig_sample(np.full(20_000, p), GIBBS_A, b, np.random.default_rng(count))
+        log_ratio = log_bessel_k_half(2 * count + 1, w)[0] - log_bessel_k_half(2 * count - 1, w)[0]
+        mean = math.sqrt(b / GIBBS_A) * math.exp(log_ratio)
+        z = (y.mean() - mean) / (y.std() / math.sqrt(y.size))
+        assert abs(z) <= 4.0, z
 
 
 class TestScalePrior:
@@ -550,6 +610,51 @@ def test_unknown_base_family_raises(family):
         BaseMeasure(family, 1.0)
 
 
+# the array form of the bandwidth draw's ratio-of-uniforms, the bitwise
+# oracle of its float loop
+def _ratio_of_uniforms(m, a2, a1, a0, log_ratio, rng: np.random.Generator,
+                       params=()) -> np.ndarray:
+    """One draw per element of the mode array ``m`` from a density h on
+    (0, inf) by ratio-of-uniforms with mode shift (Leydold, ACM TOMS 26
+    (2000)): one rejection loop over the draws still pending.
+
+    ``log_ratio(x, rows)`` is log h(x) - log h(m) at the draws x, and nan
+    or -inf at x <= 0, which rejects them; ``rows`` stacks the entries of
+    the per-draw arrays ``params`` for those draws.  The pending draws'
+    modes, v-bounds and ``params`` sit in one array, compacted once per
+    round.  The v-bounds sit at the roots that :func:`_rou_roots` gives
+    for (a2, a1, a0)."""
+    roots = np.array(_rou_roots(a2, a1, a0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # rows: mode, vmin, width, then params; vmin and width are set below
+        state = np.array([m, m, m, *params])
+        vmin, vmax = (roots - m) * np.exp(0.5 * log_ratio(roots, state[3:]))
+        if not ((vmin < 0.0) & (vmax > 0.0)).all():
+            raise RuntimeError("ratio-of-uniforms bounds are not finite and of opposite sign")
+        state[1], state[2] = vmin, vmax - vmin
+        x = np.empty(m.shape)
+        pending = np.arange(m.size)
+        for _ in range(GIG_MAX_ROUNDS):
+            if not pending.size:
+                return x
+            u = 1.0 - rng.random(pending.size)  # (0, 1]: v / u stays finite
+            cand = rng.random(pending.size)
+            cand *= state[2]
+            cand += state[1]
+            cand /= u
+            cand += state[0]
+            np.log(u, out=u)
+            u *= 2.0
+            accept = u <= log_ratio(cand, state[3:])
+            x[pending[accept]] = cand[accept]
+            keep = ~accept
+            pending, state = pending[keep], state[:, keep]
+    raise RuntimeError(
+        f"ratio-of-uniforms stalled: {pending.size} draws still rejected "
+        f"after {GIG_MAX_ROUNDS} rounds"
+    )
+
+
 class TestScalePosteriorSample:
     """The exact draw of sigma given n residuals with sum of squares s."""
 
@@ -584,7 +689,7 @@ class TestScalePosteriorSample:
 
     @staticmethod
     def array_engine_draw(prior, n, ss, rng):
-        """The draw through ``_ratio_of_uniforms`` on size-1 arrays, the
+        """The draw through :func:`_ratio_of_uniforms` on size-1 arrays, the
         array form of ``posterior_sample``'s float loop."""
         lam, k = prior.lam, prior.nu + n
         m = (lam + math.sqrt(lam * lam + 4.0 * ss * (k + 1.0))) / (2.0 * (k + 1.0))
@@ -597,7 +702,7 @@ class TestScalePosteriorSample:
 
         coefs = (-lam - (k + 1.0) * m, lam * m - ss, m * ss)
         a2, a1, a0 = (np.array([c / (k - 1.0)]) for c in coefs)
-        return float(variates._ratio_of_uniforms(np.array([m]), a2, a1, a0, log_ratio, rng)[0])
+        return float(_ratio_of_uniforms(np.array([m]), a2, a1, a0, log_ratio, rng)[0])
 
     def test_float_loop_matches_array_engine_bitwise(self):
         grid = [(n, ss) for n in (1, 2, 37, 1000, 4000)

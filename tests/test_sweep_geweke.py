@@ -38,7 +38,7 @@ from supermix.posterior import (
     default_w2_config,
     stick_truncation,
 )
-from supermix.priors import nig_sample
+from supermix.priors import NIGParams, nig_sample
 
 N_OBS = 15
 SWEEPS = 20_000
@@ -88,7 +88,7 @@ def _direct_prior(cfg, draws, rng):
     """Weights, atoms and sigma of ``draws`` independent truncated-prior states."""
     prior = cfg.prior
     if isinstance(prior, NIGPartitionPrior):
-        weights = nig_sample(prior.nig_params(), rng, draws)
+        weights = nig_sample(NIGParams(prior.cell_alphas()), rng, draws)
         atoms = np.broadcast_to(prior.cell_midpoints(), weights.shape)
     else:
         js = np.arange(1, stick_truncation(prior, N_OBS, cfg.truncation)[0])

@@ -43,9 +43,13 @@ def draws_of(sample):
         return None
 
 
+#: m + 1/2 for m from 0 to 1e10, across ``GIG_P_MAX``
+HALF_INTEGERS = log_uniform(-0.5, 10.0).map(lambda v: math.floor(v) + 0.5)
+
+
 @CONTRACT
 @given(
-    p=st.one_of(st.sampled_from([0.5, -0.5]), signed(log_uniform(-1.0, 10.0)), BAD),
+    p=st.one_of(signed(HALF_INTEGERS), signed(log_uniform(-1.0, 10.0)), BAD),
     w=log_uniform(-30.0, 14.0),
     r=log_uniform(-250.0, 250.0),
     bad=st.one_of(st.none(), st.tuples(st.sampled_from("ab"), BAD)),
@@ -58,7 +62,7 @@ def test_gig_sample_contract(p, w, r, bad):
     q = abs(p)
     with np.errstate(all="ignore"):
         ab, ratio = np.multiply(a, b), np.divide(b, a)
-    inside = ((q == 0.5 or 1.0 <= q <= GIG_P_MAX) and a > 0.0
+    inside = ((q - 0.5).is_integer() and q <= GIG_P_MAX and a > 0.0
               and GIG_AB[0] <= ab <= GIG_AB[1] and GIG_B_OVER_A[0] <= ratio <= GIG_B_OVER_A[1])
     draws = draws_of(lambda: gig_sample(np.full(16, p), a, b, np.random.default_rng(0)))
     if inside:
