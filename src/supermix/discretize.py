@@ -34,9 +34,9 @@ BUDGET_CONSTANT = 4.0
 #: holds a 2^14 x 501 float64 basis (66 MB); ~1.5 s on a 2-CPU x86 host
 MAX_BUDGET_ORDER = 1000
 
-#: most cells of :func:`partition_discretize`: each cell scans every
-#: source atom, 1.6e8 comparisons for the 2^14 atoms of a catalog density;
-#: ~0.5 s on a 2-CPU x86 host
+#: most cells of :func:`partition_discretize`: the cell arrays of
+#: ``_cellwise_gauss`` and the output grow with the count; 10^4 cells over
+#: the 2^14 atoms of a catalog density take ~8 ms on a 2-CPU x86 host
 MAX_PARTITION_CELLS = 10 ** 4
 
 #: Gauss nodes per cell of ``finite_gaussian_mixture``, before the cap
@@ -47,6 +47,11 @@ NODES_PER_CELL = 16
 #: elements (2 MiB): blocks of 16 atoms on a 2^14-point grid, 128 on the
 #: 2^11-point experiment grid
 _DENSITY_BUFFER = 2 ** 18
+
+#: padded Lanczos basis of one chunk of cells of ``_cellwise_gauss``, in
+#: float64 elements (2 MiB): 234 cells of 70 atoms at 16 nodes; a larger
+#: single cell, up to 2^14 atoms x 501 nodes, is a chunk of its own
+_GAUSS_BUFFER = 2 ** 18
 
 #: least exponent that numpy 2.4's AVX-512 exp takes at full speed.  Per
 #: element on a 2-CPU x86 host: 0.5 ns at -707.0, 10 ns at -708, 71 ns at
@@ -191,34 +196,7 @@ def mixture_density(atoms, weights, kernel: KernelSpec, sigma: float, x) -> np.n
 
 
 # ---------------------------------------------------------------------
-# Gauss rules: from a discrete measure (stable Lanczos) or raw moments
-
-
-def _lanczos_jacobi(atoms: np.ndarray, weights: np.ndarray, n_nodes: int):
-    """Recurrence coefficients of the discrete measure by Lanczos with
-    full reorthogonalization (discretized Stieltjes)."""
-    m = atoms.size
-    n_nodes = min(n_nodes, m)
-    w = weights / weights.sum()
-    Q = np.zeros((m, n_nodes))
-    alpha = np.zeros(n_nodes)
-    beta = np.zeros(max(n_nodes - 1, 0))
-    Q[:, 0] = np.sqrt(w)
-    for k in range(n_nodes):
-        z = atoms * Q[:, k]
-        alpha[k] = Q[:, k] @ z
-        z = z - alpha[k] * Q[:, k]
-        if k > 0:
-            z = z - beta[k - 1] * Q[:, k - 1]
-        for _ in range(2):  # twice-is-enough reorthogonalization
-            z = z - Q[:, : k + 1] @ (Q[:, : k + 1].T @ z)
-        if k + 1 < n_nodes:
-            nz = float(np.linalg.norm(z))
-            if nz < 1e-14:
-                return alpha[: k + 1], beta[:k]
-            beta[k] = nz
-            Q[:, k + 1] = z / nz
-    return alpha, beta
+# Gauss rules: from discrete measures (batched Lanczos) or raw moments
 
 
 def _moment_jacobi(moments: np.ndarray, n_nodes: int):
@@ -249,30 +227,118 @@ def _moment_jacobi(moments: np.ndarray, n_nodes: int):
 
 
 def _gauss_from_recurrence(alpha, beta, total_mass: float = 1.0):
-    if alpha.size == 1:
-        return alpha.copy(), np.array([total_mass])
-    jacobi = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
+    """Gauss nodes and weights of the Jacobi matrices with diagonals
+    ``alpha`` (..., n) and off-diagonals ``beta`` (..., n - 1), by one
+    stacked ``eigh``: the weights are ``total_mass`` times the squared
+    first components of the eigenvectors (Golub & Welsch, Math. Comp. 23
+    (1969))."""
+    n = alpha.shape[-1]
+    jacobi = np.zeros(alpha.shape + (n,))
+    diag = np.arange(n)
+    jacobi[..., diag, diag] = alpha
+    jacobi[..., diag[1:], diag[:-1]] = beta
+    jacobi[..., diag[:-1], diag[1:]] = beta
     nodes, vecs = np.linalg.eigh(jacobi)
-    weights = total_mass * vecs[0] ** 2
-    return nodes, weights
+    return nodes, total_mass * vecs[..., 0, :] ** 2
 
 
-def _gauss_rule(atoms: np.ndarray, weights: np.ndarray, lo: float, hi: float, n_nodes: int):
-    """``n_nodes``-point Gauss rule of a discrete measure on [lo, hi].
+def _lanczos_rows(x: np.ndarray, w: np.ndarray, steps: np.ndarray):
+    """Recurrence coefficients of the discrete measures in the rows of
+    ``x`` (atoms) and ``w`` (weights summing to 1; padding atoms have
+    weight 0), by Lanczos with full twice-is-enough reorthogonalization
+    (discretized Stieltjes; Gautschi, Orthogonal Polynomials (2004)), run
+    on every row at once.  Row c takes at most ``steps[c]`` steps and stops
+    where its recurrence breaks down (a residual norm below 1e-14).
 
-    The atoms are recentred at the midpoint for conditioning (Gauss nodes
-    are translation-equivariant) and the nodes shifted back.  Returns
-    (nodes, weights), the weights summing to 1 up to rounding.
+    Returns (alpha, beta, sizes): row c's Jacobi matrix has diagonal
+    ``alpha[c, :sizes[c]]`` and off-diagonal ``beta[c, :sizes[c] - 1]``.
     """
-    mid = 0.5 * (lo + hi)
-    alpha, beta = _lanczos_jacobi(atoms - mid, weights, n_nodes)
-    nodes, weights = _gauss_from_recurrence(alpha, beta)
-    return nodes + mid, weights
+    rows, width = x.shape
+    n = int(steps.max())
+    q = np.zeros((rows, n, width))  # row c's basis vectors are q[c, 0], q[c, 1], ...
+    alpha = np.zeros((rows, n))
+    beta = np.zeros((rows, n))
+    sizes = steps.copy()
+    np.sqrt(w, out=q[:, 0])
+    for k in range(n):
+        qk = q[:, k]
+        z = x * qk
+        alpha[:, k] = np.vecdot(qk, z)
+        z -= alpha[:, k, None] * qk
+        if k > 0:
+            z -= beta[:, k - 1, None] * q[:, k - 1]
+        if k + 1 == n:
+            break
+        basis = q[:, : k + 1]
+        for _ in range(2):
+            z -= np.vecmat(np.matvec(basis, z), basis)
+        norm = np.sqrt(np.vecdot(z, z))
+        np.minimum(sizes, np.where(norm < 1e-14, k + 1, n), out=sizes)  # breakdown
+        grow = k + 1 < sizes
+        beta[:, k] = norm  # read only in rows that grow
+        np.divide(z, norm[:, None], out=q[:, k + 1], where=grow[:, None])
+    return alpha, beta, sizes
 
 
 def _n_gauss_nodes(order: int) -> int:
     """Nodes of the Gauss rule exact for moments up to ``order`` (at least 1)."""
     return max((order + 1) // 2 + ((order + 1) % 2), 1)
+
+
+def _cellwise_gauss(source: DiscreteMixingMeasure, edges: np.ndarray, n_nodes: int):
+    """Composite Gauss rule: an ``n_nodes``-point rule for the source
+    restricted to each closed cell ``[edges[k], edges[k+1]]``, weighted by
+    the cell's mass; empty cells give no atoms.  A source atom on an
+    interior edge gives half its weight to each neighbouring cell, so on
+    mirror-symmetric edges the rule commutes with x -> -x.  A cell with
+    fewer atoms than ``n_nodes``, or whose recurrence breaks down, gets
+    fewer nodes.  Returns (atoms, weights), cell by cell.
+
+    Every cell's rule comes from one batched pass: the atoms are assigned
+    to cells by binary search on the edges, each cell is recentred at its
+    midpoint (Gauss nodes are translation-equivariant) and padded with
+    zero-weight atoms, and :func:`_lanczos_rows` and one stacked ``eigh``
+    per node count serve all cells together.  The cells go in order of
+    atom count, in chunks whose padded Lanczos basis stays within
+    ``_GAUSS_BUFFER`` elements, or one cell where a single cell is larger.
+    """
+    atoms, weights = source.atoms, source.weights
+    first = np.searchsorted(atoms, edges[:-1], side="left")
+    counts = np.searchsorted(atoms, edges[1:], side="right") - first
+    if edges.size > 2:
+        # the atoms are distinct, so an interior edge holds at most one,
+        # the first of the cell it opens; halved once, it counts in both cells
+        hit = first[1:][atoms[np.minimum(first[1:], atoms.size - 1)] == edges[1:-1]]
+        weights = weights.copy()
+        weights[hit] *= 0.5
+    positive = np.concatenate(([0], np.cumsum(weights > 0)))
+    cells = np.flatnonzero(positive[first + counts] > positive[first])
+    cells = cells[np.argsort(counts[cells], kind="stable")]
+    cost = counts[cells] * np.minimum(counts[cells], n_nodes)  # padded basis of each cell
+    owner, nodes, masses = [], [], []
+    start = 0
+    while start < cells.size:
+        # cost ascends, so a chunk's padding is set by its last cell
+        most = max(1, _GAUSS_BUFFER // int(cost[start]))
+        fits = np.arange(1, 1 + min(most, cells.size - start)) * cost[start : start + most]
+        chunk = cells[start : start + max(1, int(np.count_nonzero(fits <= _GAUSS_BUFFER)))]
+        start += chunk.size
+        count = counts[chunk]
+        slot = np.arange(count[-1])
+        index = np.minimum(first[chunk, None] + slot, atoms.size - 1)
+        w = np.where(slot < count[:, None], weights[index], 0.0)
+        mass = w.sum(axis=1)
+        mid = 0.5 * (edges[chunk] + edges[chunk + 1])
+        alpha, beta, sizes = _lanczos_rows(atoms[index] - mid[:, None], w / mass[:, None],
+                                           np.minimum(count, n_nodes))
+        for n in np.flatnonzero(np.bincount(sizes)):
+            rows = np.flatnonzero(sizes == n)
+            x, rule = _gauss_from_recurrence(alpha[rows, :n], beta[rows, : n - 1])
+            owner.append(np.repeat(chunk[rows], n))
+            nodes.append((x + mid[rows, None]).ravel())
+            masses.append((rule / rule.sum(axis=1, keepdims=True) * mass[rows, None]).ravel())
+    order = np.argsort(np.concatenate(owner), kind="stable")
+    return np.concatenate(nodes)[order], np.concatenate(masses)[order]
 
 
 def _check_support(source: DiscreteMixingMeasure, lo: float, hi: float) -> None:
@@ -294,9 +360,10 @@ def moment_match(
     source's moments up to ``order`` (in fact up to ``2 n - 1`` with
     n = number of nodes, which is stronger).
 
-    ``source`` is either a discrete measure (stable Lanczos route) or a
-    raw moment vector ``[m_0, m_1, ...]`` (Hankel route, guarded by a
-    condition-number cap).
+    ``source`` is either a discrete measure, whose rule is the one-cell
+    case of :func:`_cellwise_gauss` (stable Lanczos route), or a raw
+    moment vector ``[m_0, m_1, ...]`` (Hankel route, guarded by a
+    condition-number cap); both end in :func:`_gauss_from_recurrence`.
     """
     lo, hi = support
     if not lo < hi:
@@ -304,7 +371,9 @@ def moment_match(
     n_nodes = _n_gauss_nodes(order)
     if isinstance(source, DiscreteMixingMeasure):
         _check_support(source, lo, hi)
-        nodes, weights = _gauss_rule(source.atoms, source.weights, lo, hi, n_nodes)
+        # one cell; atoms within the slack outside [lo, hi] stay in it
+        cell = np.array([min(lo, source.atoms[0]), max(hi, source.atoms[-1])], dtype=float)
+        nodes, weights = _cellwise_gauss(source, cell, n_nodes)
     else:
         moments = np.asarray(source, dtype=float)
         n_nodes = min(n_nodes, moments.size // 2)
@@ -429,28 +498,6 @@ def partition_discretize(
     edges = np.linspace(-a, a, max(1, int(math.ceil(cells))) + 1)
     atoms, weights = _cellwise_gauss(source, edges, _n_gauss_nodes(order))
     return DiscreteMixingMeasure(atoms, weights / weights.sum())
-
-
-def _cellwise_gauss(source: DiscreteMixingMeasure, edges: np.ndarray, n_nodes: int):
-    """Composite Gauss rule: an ``n_nodes``-point rule for the source
-    restricted to each closed cell ``[edges[k], edges[k+1]]``, weighted by
-    the cell's mass; empty cells give no atoms.  A source atom on an
-    interior edge gives half its weight to each neighbouring cell, so on
-    mirror-symmetric edges the rule commutes with x -> -x.
-    Returns (atoms, weights)."""
-    atoms_list, weights_list = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        inside = (source.atoms >= lo) & (source.atoms <= hi)
-        atoms, weights = source.atoms[inside], source.weights[inside]
-        on_edge = ((atoms == lo) & (lo != edges[0])) | ((atoms == hi) & (hi != edges[-1]))
-        weights = np.where(on_edge, 0.5 * weights, weights)
-        mass = weights.sum()
-        if mass <= 0:
-            continue
-        nodes, weights = _gauss_rule(atoms, weights, lo, hi, n_nodes)
-        atoms_list.append(nodes)
-        weights_list.append(weights / weights.sum() * mass)
-    return np.concatenate(atoms_list), np.concatenate(weights_list)
 
 
 # ---------------------------------------------------------------------

@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from supermix import catalog_density, posterior, sinc_approx_error
-from supermix.cli import MC_BUDGET_CAP, main, parse_args
+from supermix.cli import MC_BUDGET_CAP, build_parser, main, parse_args
 
 
 def run_python(args, env=None):
@@ -134,6 +134,30 @@ def test_config_file_override(tmp_path):
     main(["nig-check", f"@{cfg}", "--alphas", "1,1", "--budget", "7000", "--out", str(out2)])
     meta2 = json.loads(Path(str(out2) + ".meta.json").read_text())
     assert meta2["config"]["budget"] == 7000
+
+
+def test_shared_parser_keeps_no_state_between_calls(tmp_path, capsys):
+    # main parses with one parser per process: after a call that exits 2
+    # mid-parse, another subcommand writes the bytes it writes alone
+    out = tmp_path / "c.csv"
+    argv = ["nig-check", "--alphas", "1,1", "--budget", "2000", "--out", str(out)]
+    outputs = [out, Path(str(out) + ".meta.json")]
+    build_parser.cache_clear()
+    assert main(argv) == 0
+    alone = [path.read_bytes() for path in outputs]
+    for path in outputs:
+        path.unlink()
+    with pytest.raises(SystemExit) as exc:
+        main(["prior-mass", "--seed", "5", "--budget", "300", "--lemma", "bogus",
+              "--out", str(out)])
+    assert exc.value.code == 2
+    assert main(argv) == 0
+    assert [path.read_bytes() for path in outputs] == alone
+    # an @FILE is read again by every call
+    cfg = tmp_path / "run.cfg"
+    for budget in (3000, 4000):
+        cfg.write_text(f"budget={budget}\n")
+        assert parse_args(["nig-check", f"@{cfg}", "--alphas", "1,1", "--out", "c.csv"]).budget == budget
 
 
 def test_config_file_values_parse_by_flag_type(tmp_path):

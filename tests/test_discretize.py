@@ -11,9 +11,12 @@ from supermix import (
     partition_discretize,
     support_budget,
 )
+from supermix import discretize
 from supermix.discretize import (
     _EXP_LOG_TINY,
+    _GAUSS_BUFFER,
     _LOG_TINY,
+    MAX_PARTITION_CELLS,
     _cellwise_gauss,
     _gauss_from_recurrence,
     aligned_empty,
@@ -42,6 +45,55 @@ def per_atom_density(mixing, kernel, sigma, x):
         out += term
         scale += np.abs(term)
     return out, scale
+
+
+def _lanczos_jacobi(atoms: np.ndarray, weights: np.ndarray, n_nodes: int):
+    """Recurrence coefficients of the discrete measure by Lanczos with
+    full reorthogonalization (discretized Stieltjes)."""
+    m = atoms.size
+    n_nodes = min(n_nodes, m)
+    w = weights / weights.sum()
+    Q = np.zeros((m, n_nodes))
+    alpha = np.zeros(n_nodes)
+    beta = np.zeros(max(n_nodes - 1, 0))
+    Q[:, 0] = np.sqrt(w)
+    for k in range(n_nodes):
+        z = atoms * Q[:, k]
+        alpha[k] = Q[:, k] @ z
+        z = z - alpha[k] * Q[:, k]
+        if k > 0:
+            z = z - beta[k - 1] * Q[:, k - 1]
+        for _ in range(2):  # twice-is-enough reorthogonalization
+            z = z - Q[:, : k + 1] @ (Q[:, : k + 1].T @ z)
+        if k + 1 < n_nodes:
+            nz = float(np.linalg.norm(z))
+            if nz < 1e-14:
+                return alpha[: k + 1], beta[:k]
+            beta[k] = nz
+            Q[:, k + 1] = z / nz
+    return alpha, beta
+
+
+def cell_rules_oracle(source, edges, n_nodes):
+    """Reference for ``_cellwise_gauss``: one Lanczos pass
+    (:func:`_lanczos_jacobi`) and one dense eigen-solve per closed cell.
+    Returns per cell with mass (recentred atoms, weights, midpoint, nodes,
+    node weights)."""
+    rules = []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        inside = (source.atoms >= lo) & (source.atoms <= hi)
+        atoms, weights = source.atoms[inside], source.weights[inside]
+        on_edge = ((atoms == lo) & (lo != edges[0])) | ((atoms == hi) & (hi != edges[-1]))
+        weights = np.where(on_edge, 0.5 * weights, weights)
+        mass = weights.sum()
+        if mass <= 0:
+            continue
+        mid = 0.5 * (lo + hi)
+        alpha, beta = _lanczos_jacobi(atoms - mid, weights, n_nodes)
+        nodes, vecs = np.linalg.eigh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
+        rule = vecs[0] ** 2
+        rules.append((atoms - mid, weights, mid, nodes + mid, rule / rule.sum() * mass))
+    return rules
 
 
 @pytest.mark.parametrize("size", [1, 15, 1000, 2 ** 18])
@@ -368,6 +420,107 @@ class TestPartitionDiscretize:
         order = math.ceil(4 * math.log(1 / eps))
         n_cell = (order + 1) // 2 + (order + 1) % 2
         assert len(out) <= k * n_cell
+
+
+def ragged_cells(rng):
+    """Random edges and a source on them with ragged cells: empty cells,
+    1-120 atoms, fewer atoms than nodes, zero weights (which break the
+    recurrence) and atoms on interior edges."""
+    n_cells = int(rng.integers(1, 13))
+    edges = -2.0 + np.concatenate([[0.0], np.cumsum(rng.uniform(0.2, 1.0, n_cells))])
+    atoms, weights = [], []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        m = int(rng.choice([0, 1, 2, 3, 5, 8, 15, 16, 17, 40, 120]))
+        a = rng.uniform(lo, hi, m)
+        w = rng.uniform(0.5, 1.5, m)
+        if rng.random() < 0.3:
+            w[rng.random(m) < 0.7] = 0.0
+        atoms.append(a)
+        weights.append(w)
+    interior = edges[1:-1][rng.random(n_cells - 1) < 0.5]
+    atoms = np.concatenate(atoms + [interior])
+    weights = np.concatenate(weights + [rng.uniform(0.5, 1.5, interior.size)])
+    if not weights.sum() > 0:
+        atoms, weights = np.append(atoms, edges[0]), np.append(weights, 1.0)
+    return DiscreteMixingMeasure(atoms, weights / weights.sum()), edges
+
+
+class TestBatchedCellRules:
+    @pytest.mark.parametrize("budget", [_GAUSS_BUFFER, 64], ids=["default-chunks", "small-chunks"])
+    def test_ragged_cells_match_the_per_cell_oracle(self, budget, monkeypatch):
+        # a budget of 64 elements puts most cells in chunks of their own
+        monkeypatch.setattr(discretize, "_GAUSS_BUFFER", budget)
+        rng = np.random.default_rng(33)
+        for _ in range(60):
+            source, edges = ragged_cells(rng)
+            n_nodes = int(rng.choice([1, 2, 5, 16, 33]))
+            nodes, weights = _cellwise_gauss(source, edges, n_nodes)
+            rules = cell_rules_oracle(source, edges, n_nodes)
+            counts = [rule[3].size for rule in rules]
+            assert nodes.size == sum(counts)
+            scale = np.abs(edges).max()
+            assert np.abs(nodes - np.concatenate([r[3] for r in rules])).max() <= 1e-12 * scale
+            assert np.abs(weights - np.concatenate([r[4] for r in rules])).max() <= 1e-12
+            # each cell's rule matches its moments 0..2n-1 about the midpoint,
+            # relative to max(|m_j|, mass (h/2)^j)
+            stops = np.cumsum(counts)
+            for (t, w, mid, _, _), start, stop in zip(rules, stops - counts, stops):
+                half = float(np.abs(t).max()) or 1.0
+                tn, wn = nodes[start:stop] - mid, weights[start:stop]
+                for j in range(2 * (stop - start)):
+                    m_in, m_out = (w * t ** j).sum(), (wn * tn ** j).sum()
+                    assert abs(m_in - m_out) <= 1e-8 * max(abs(m_in), w.sum() * half ** j)
+
+    def test_duplicate_atoms_break_down_row_by_row(self):
+        # a discrete measure holds distinct atoms, so exact duplicates are
+        # given to the batched recurrence directly: rows of 1-120 atoms,
+        # half of them drawn from at most four points, padded with zero
+        # weights
+        rng = np.random.default_rng(34)
+        for _ in range(20):
+            rows = []
+            for _ in range(int(rng.integers(1, 9))):
+                m = int(rng.integers(1, 121))
+                a = rng.uniform(-0.5, 0.5, m)
+                if rng.random() < 0.5:
+                    # points 1/8 apart or more: closer ones make the breakdown
+                    # depend on rounding
+                    a = rng.choice(rng.permutation(np.linspace(-0.5, 0.5, 9))[: rng.integers(1, 5)], m)
+                rows.append((a, rng.uniform(0.5, 1.5, m)))
+            n_nodes = int(rng.choice([1, 2, 5, 16, 33]))
+            width = max(a.size for a, _ in rows)
+            x, w = np.zeros((len(rows), width)), np.zeros((len(rows), width))
+            for c, (a, wc) in enumerate(rows):
+                x[c, : a.size], w[c, : a.size] = a, wc / wc.sum()
+            steps = np.minimum([a.size for a, _ in rows], n_nodes)
+            alpha, beta, sizes = discretize._lanczos_rows(x, w, steps)
+            for c, (a, wc) in enumerate(rows):
+                want_alpha, want_beta = _lanczos_jacobi(a, wc, n_nodes)
+                assert sizes[c] == want_alpha.size == min(np.unique(a).size, n_nodes)
+                assert np.abs(alpha[c, : sizes[c]] - want_alpha).max() <= 1e-12
+                assert np.abs(beta[c, : sizes[c] - 1] - want_beta).max(initial=0.0) <= 1e-12
+
+    def test_a_crowded_cell_stays_within_the_chunk_budget(self):
+        # 10^4 cells, one atom in each but cell 5000, which holds 2^14:
+        # padding every cell to the widest would take 10^4 x 2^14 x 16
+        # doubles (21 GB); the crowded cell is a chunk of its own, with a
+        # basis of 2^14 x 16 doubles (2 MiB)
+        import tracemalloc
+
+        edges = np.linspace(-1.0, 1.0, MAX_PARTITION_CELLS + 1)
+        mids = 0.5 * (edges[:-1] + edges[1:])
+        crowd = np.linspace(edges[5000], edges[5001], 2 ** 14 + 2)[1:-1]
+        atoms = np.concatenate([np.delete(mids, 5000), crowd])
+        source = DiscreteMixingMeasure(atoms, np.full(atoms.size, 1.0 / atoms.size))
+        tracemalloc.start()
+        try:
+            nodes, weights = _cellwise_gauss(source, edges, 16)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert nodes.size == MAX_PARTITION_CELLS - 1 + 16
+        assert abs(weights.sum() - 1.0) <= 1e-12
+        assert peak <= 3 * 8 * max(_GAUSS_BUFFER, 2 ** 14 * 16)
 
 
 class TestFiniteGaussianMixture:

@@ -1019,6 +1019,13 @@ class TestColumnReductions:
         want = _nig_sample_axis1(params, np.random.default_rng(4), 500)
         assert np.array_equal(got, want)
 
+    def test_nig_sample_in_blocks_matches_axis1_oracle(self):
+        # two and a half blocks of the in-place inverse-Gaussian transform
+        params = NIGParams(np.array([0.0, 1.0, 0.3]))
+        size = 2 * priors._IG_BLOCK + priors._IG_BLOCK // 2
+        got = nig_sample(params, np.random.default_rng(5), size=size)
+        assert np.array_equal(got, _nig_sample_axis1(params, np.random.default_rng(5), size))
+
     @pytest.mark.parametrize("alphas", [[0.5, 2.0], [0.0, 1.0, 0.3], np.full(64, 0.1)])
     def test_nig_sample_rows_are_c_contiguous(self, alphas):
         # callers reduce along axis 0, whose bits depend on the memory order
