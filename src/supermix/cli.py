@@ -134,8 +134,8 @@ def build_parser() -> argparse.ArgumentParser:
     key cannot prefix-match a flag.
 
     It is built once per process (~1.2 ms: eight subparsers) and shared by
-    every :func:`main` call; parsing keeps no state in it, and an ``@FILE``
-    is read by each parse."""
+    every :func:`main` call; parsing keeps no state in it, every default
+    is immutable, and an ``@FILE`` is read by each parse."""
     parser = _Parser(
         prog="supermix",
         description="Spectral approximation, discretization, prior-mass and "
@@ -157,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
         common(p)
         p.add_argument("--threads", type=_parse_threads, default=0, help="0 = one per CPU")
         p.add_argument("--truth", default=truth)
-        p.add_argument("--n-ladder", type=_parse_int_list, default=[250, 1000, 4000])
+        p.add_argument("--n-ladder", type=_parse_int_list, default=(250, 1000, 4000))
         p.add_argument("--replicates", type=int, default=10)
 
     p = add_parser("approx", help="sinc/superkernel approximation error")

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -158,6 +159,11 @@ def test_shared_parser_keeps_no_state_between_calls(tmp_path, capsys):
     for budget in (3000, 4000):
         cfg.write_text(f"budget={budget}\n")
         assert parse_args(["nig-check", f"@{cfg}", "--alphas", "1,1", "--out", "c.csv"]).budget == budget
+    # every parse shares the defaults, so each must be immutable
+    subcommands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for sub in subcommands.choices.values():
+        for action in sub._actions:
+            hash(action.default)
 
 
 def test_config_file_values_parse_by_flag_type(tmp_path):
