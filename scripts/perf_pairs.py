@@ -12,9 +12,14 @@ pair the script prints the five end-to-end metrics of both sides and the
 failed-task counts.  It then prints, for each batch and over all batches,
 each metric's median on both sides, the interquartile range of the
 parent's runs, the number of pairs in which the change was better, and a
-verdict (see :func:`verdict`).  The metric names, their better direction
-and their bounds come from CHANGE_DIR's ``BENCHMARK.json``, which the
-script only reads.  It exits 1 when any run reports ``"correct": false``.
+verdict (see :func:`verdict`).  Beside ``setup_s``, the median of a run's
+fresh-interpreter set-up probes, it prints the medians over the probes
+themselves (``setup_runs_s`` in each run's record line) and in how many
+probe pairs the change was lower, pairing probe k of the two runs of a
+pair: a set-up change of tens of milliseconds can hide in the run
+medians.  The metric names, their better direction and their bounds come
+from CHANGE_DIR's ``BENCHMARK.json``, which the script only reads.  It
+exits 1 when any run reports ``"correct": false``.
 
 ``--batches 2`` repeats the pairs as a second batch after ``--gap``
 seconds: on a shared host one batch of pairs can read one side slower in
@@ -55,16 +60,19 @@ def parse_args(argv):
 
 
 def run_once(checkout: Path, args) -> dict:
-    """One ``perfbench`` run; returns its result line."""
+    """One ``perfbench`` run; returns its result line, with the set-up
+    probe times of its run record line as ``setup_runs_s``."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", args.workload,
          "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", "0"],
         cwd=checkout, capture_output=True, text=True,
     )
     lines = proc.stdout.strip().splitlines()
-    if proc.returncode != 0 or not lines:
+    if proc.returncode != 0 or len(lines) < 2:
         raise SystemExit(f"perfbench failed in {checkout}:\n{proc.stderr}")
-    return json.loads(lines[-1])
+    result = json.loads(lines[-1])
+    result["setup_runs_s"] = json.loads(lines[-2])["run_record"]["setup_runs_s"]
+    return result
 
 
 def quartiles(values):
@@ -112,6 +120,13 @@ def summary(title, pairs, metrics):
               f"change {statistics.median(new):.4g}  parent IQR {hi - lo:.3g}  "
               f"change better in {wins}/{len(pairs)} ({better} is better)  "
               f"{verdict(old, new, better, bound)}")
+        if name == "setup_s":
+            probes = [probe for p in pairs
+                      for probe in zip(p["probes"]["parent"], p["probes"]["change"])]
+            wins = sum(n < o for o, n in probes)
+            print(f"  {'probes':12s} median parent {statistics.median(o for o, _ in probes):.4g}  "
+                  f"change {statistics.median(n for _, n in probes):.4g}  "
+                  f"change lower in {wins}/{len(probes)} probe pairs")
     failed = {side: sum(p["failed"][side] for p in pairs) for side in SIDES}
     print(f"  failed tasks: parent {failed['parent']}, change {failed['change']}")
 
@@ -131,6 +146,7 @@ def main(argv=None) -> int:
             pair = {side: {name: results[side]["metrics"][name]["value"] for name, *_ in metrics}
                     for side in SIDES}
             pair["failed"] = {side: results[side]["failed"] for side in SIDES}
+            pair["probes"] = {side: results[side]["setup_runs_s"] for side in SIDES}
             pair["correct"] = all(results[side]["correct"] for side in SIDES)
             pairs.append(pair)
             cells = "  ".join(f"{name} {pair['parent'][name]:.4g}/{pair['change'][name]:.4g}"

@@ -69,7 +69,8 @@ _EXP_LOG_TINY = math.exp(_LOG_TINY)
 
 @dataclass(frozen=True)
 class DiscreteMixingMeasure:
-    """Finitely supported mixing measure: sorted atoms with weights."""
+    """Finitely supported mixing measure: sorted atoms with weights, near
+    duplicates merged (see :func:`_merge_duplicates`)."""
 
     atoms: np.ndarray
     weights: np.ndarray
@@ -87,8 +88,7 @@ class DiscreteMixingMeasure:
             raise ValueError(f"weights must sum to 1, got {weights.sum()!r}")
         order = np.argsort(atoms)
         atoms, weights = atoms[order], np.clip(weights[order], 0.0, None)
-        if atoms.size > 1 and np.any(np.diff(atoms) <= 0):
-            atoms, weights = _merge_duplicates(atoms, weights)
+        atoms, weights = _merge_duplicates(atoms, weights)
         atoms.setflags(write=False)
         weights.setflags(write=False)
         object.__setattr__(self, "atoms", atoms)
@@ -107,9 +107,16 @@ class DiscreteMixingMeasure:
 
 
 def _merge_duplicates(atoms: np.ndarray, weights: np.ndarray):
+    """Merge each run of sorted atoms within 1e-14·max(1, |a|) of the run's
+    first atom into that atom, with the run's summed weight.  Atoms a few
+    ulps apart would otherwise reach the Lanczos recurrence, whose residual
+    of rounding noise stays above its breakdown test, giving spurious nodes."""
+    tol = 1e-14 * np.maximum(1.0, np.abs(atoms))
+    if not np.any(np.diff(atoms) <= tol[1:]):
+        return atoms, weights
     keep_a, keep_w = [atoms[0]], [weights[0]]
-    for a, w in zip(atoms[1:], weights[1:]):
-        if a - keep_a[-1] <= 1e-14 * max(1.0, abs(a)):
+    for a, w, t in zip(atoms[1:], weights[1:], tol[1:]):
+        if a - keep_a[-1] <= t:
             keep_w[-1] += w
         else:
             keep_a.append(a)

@@ -55,7 +55,6 @@ from __future__ import annotations
 import math
 import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
@@ -682,6 +681,9 @@ def _run_experiment(summarize, truth_id, n_ladder, replicates, cfg, seed, thread
     Replicate seeds are ``seed XOR task_index`` with tasks enumerated in
     (ladder, replicate) order; output order matches the enumeration, so
     equal seeds give byte-identical tables regardless of thread count.
+    With more than one worker the tasks run in a process pool; its module
+    (and ``multiprocessing`` with it) is imported only then, so a
+    single-worker run and every other entry point do not load it.
     """
     if list(n_ladder) != sorted(n_ladder):
         raise InvalidConfig("n ladder must be increasing")
@@ -699,6 +701,8 @@ def _run_experiment(summarize, truth_id, n_ladder, replicates, cfg, seed, thread
     ]
     workers = _worker_count(threads, len(tasks))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_run_task, tasks))
     return [_run_task(t) for t in tasks]

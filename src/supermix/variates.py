@@ -9,12 +9,10 @@ from __future__ import annotations
 
 import functools
 import math
-import statistics
 
 import numpy as np
 
 _SQRT_HALF = math.sqrt(0.5)
-_STANDARD_NORMAL = statistics.NormalDist()
 
 
 def ndtr(x: float) -> float:
@@ -27,10 +25,19 @@ def ndtr(x: float) -> float:
     return 1.0 - tail if z > 0 else tail
 
 
+@functools.cache
+def _standard_normal():
+    import statistics  # it imports decimal and fractions; only ndtri needs it
+
+    return statistics.NormalDist()
+
+
 def ndtri(q: float) -> float:
     """Inverse of :func:`ndtr` on (0, 1): Wichura's algorithm AS241, as
-    ``statistics.NormalDist.inv_cdf`` implements it."""
-    return _STANDARD_NORMAL.inv_cdf(q)
+    ``statistics.NormalDist.inv_cdf`` implements it.  ``statistics`` is
+    imported on the first call, so a process that never draws a
+    uniform-base truncated normal does not load it."""
+    return _standard_normal().inv_cdf(q)
 
 
 def _require(inside, domain: str, **values) -> None:

@@ -62,6 +62,26 @@ def main_within(seconds, argv):
         signal.signal(signal.SIGALRM, previous)
 
 
+def test_import_and_first_wasserstein_load_no_pool_masked_arrays_or_statistics():
+    # a fresh interpreter: numpy.ma, the process pool and statistics are
+    # imported only by the code paths that run them
+    code = "\n".join([
+        "import sys",
+        "import numpy as np",
+        "import supermix",
+        "from supermix import DiscreteMixingMeasure, metrics, variates",
+        "m = DiscreteMixingMeasure(np.array([0.0, 1.0]), np.array([0.5, 0.5]))",
+        "metrics.wasserstein(m, DiscreteMixingMeasure.point_mass(2.0), 2.0)",
+        "deferred = ['numpy.ma', 'concurrent.futures', 'multiprocessing', 'statistics']",
+        "print([name for name in deferred if name in sys.modules])",
+        "variates.ndtri(0.3)",
+        "print('statistics' in sys.modules)",
+    ])
+    result = run_python(["-c", code])
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == ["[]", "True"]
+
+
 def test_fvp_approx_error_column_zero(tmp_path):
     out = tmp_path / "approx.csv"
     code = main(

@@ -263,6 +263,15 @@ class TestDiscreteMixingMeasure:
         assert np.array_equal(m.atoms, np.array([-1.0, 1.0]))
         assert np.allclose(m.weights, [0.5, 0.5])
 
+    @pytest.mark.parametrize("atoms, merged", [
+        ([1.0, np.nextafter(1.0, 2.0)], [1.0]),
+        ([1.0, np.nextafter(1.0, 2.0), 3.0, 3.0], [1.0, 3.0]),
+    ], ids=["without-exact-tie", "with-exact-tie"])
+    def test_near_duplicates_merge_with_or_without_an_exact_tie(self, atoms, merged):
+        m = DiscreteMixingMeasure(np.array(atoms), np.full(len(atoms), 1.0 / len(atoms)))
+        assert np.array_equal(m.atoms, merged)
+        assert np.array_equal(m.weights, np.full(len(merged), 1.0 / len(merged)))
+
 
 class TestMomentMatch:
     def test_uniform_two_point_rule(self):
@@ -499,6 +508,25 @@ class TestBatchedCellRules:
                 assert sizes[c] == want_alpha.size == min(np.unique(a).size, n_nodes)
                 assert np.abs(alpha[c, : sizes[c]] - want_alpha).max() <= 1e-12
                 assert np.abs(beta[c, : sizes[c] - 1] - want_beta).max(initial=0.0) <= 1e-12
+
+    def test_ulp_neighbours_give_no_spurious_nodes(self):
+        # cells of 8-17 points at |x| in 1-4, each point with neighbours one
+        # ulp either side: unmerged, the recurrence runs on past the points
+        # on rounding noise and returns more nodes than the cell has atoms
+        rng = np.random.default_rng(71)
+        for _ in range(60):
+            edges = np.sort(rng.choice([-1.0, 1.0]) * rng.uniform(1.0, 4.0, int(rng.integers(2, 8))))
+            points = [rng.uniform(lo + 1e-3, hi - 1e-3, int(rng.integers(8, 18)))
+                      for lo, hi in zip(edges[:-1], edges[1:])]
+            points = np.concatenate(points)
+            atoms = np.concatenate([np.nextafter(points, -np.inf), points, np.nextafter(points, np.inf)])
+            weights = rng.uniform(0.5, 1.5, atoms.size)
+            source = DiscreteMixingMeasure(atoms, weights / weights.sum())
+            assert source.atoms.size == points.size
+            nodes, _ = _cellwise_gauss(source, edges, 16)
+            held = np.bincount(np.searchsorted(edges, points) - 1, minlength=edges.size - 1)
+            given = np.bincount(np.searchsorted(edges, nodes) - 1, minlength=edges.size - 1)
+            assert np.all(given <= held)
 
     def test_a_crowded_cell_stays_within_the_chunk_budget(self):
         # 10^4 cells, one atom in each but cell 5000, which holds 2^14:

@@ -16,7 +16,7 @@ from supermix import (
 )
 from supermix.errors import SupportViolation
 from supermix.kernels import kernel_grid, parse_kernel_id
-from supermix.metrics import floored_mass
+from supermix.metrics import floored_mass, quantile_distance
 
 from conftest import random_gaussian_mixture
 
@@ -49,6 +49,41 @@ def wasserstein_lp_oracle(
     if not res.success:
         raise RuntimeError(f"transport LP failed: {res.message}")
     return float(res.fun) ** (1.0 / p)
+
+
+def quantile_distance_oracle(a1, w1, a2, w2, p):
+    """``quantile_distance`` with the cdf breakpoints merged by
+    ``np.union1d``, capped at 1 and ended at exactly 1."""
+    cum1, cum2 = np.cumsum(w1), np.cumsum(w2)
+    levels = np.union1d(np.minimum(cum1, 1.0), np.minimum(cum2, 1.0))
+    levels = levels[levels > 0.0]
+    if levels[-1] < 1.0:
+        levels = np.append(levels, 1.0)
+    prev = np.concatenate([[0.0], levels[:-1]])
+    mid = 0.5 * (levels + prev)
+    q1 = a1[np.minimum(np.searchsorted(cum1, mid), a1.size - 1)]
+    q2 = a2[np.minimum(np.searchsorted(cum2, mid), a2.size - 1)]
+    gaps = np.abs(q1 - q2)
+    if p == math.inf:
+        return float(gaps.max())
+    return float(((levels - prev) * gaps ** p).sum()) ** (1.0 / p)
+
+
+def raw_measure(rng):
+    """Ascending atoms and weights summing to about 1: a single atom, exact
+    eighths (levels tie across measures and end at exactly 1, some weights
+    0), or normalized uniforms (ending a few ulps off 1), some zeroed."""
+    k = int(rng.integers(1, 7))
+    atoms = np.sort(rng.choice(np.linspace(-3.0, 3.0, 25), k, replace=False))
+    kind = rng.integers(3)
+    if k == 1 or kind == 0:
+        weights = rng.multinomial(8, np.ones(k) / k) / 8.0
+    else:
+        weights = rng.uniform(0.0, 1.0, k)
+        if kind == 2:
+            weights[rng.random(k) < 0.3] = 0.0
+        weights = weights / weights.sum() if weights.sum() > 0 else np.full(k, 1.0 / k)
+    return atoms, weights
 
 
 class TestWasserstein:
@@ -103,6 +138,33 @@ class TestWasserstein:
             a, b = random_measure(rng), random_measure(rng)
             diam = max(a.atoms.max(), b.atoms.max()) - min(a.atoms.min(), b.atoms.min())
             assert wasserstein(a, b, 2) <= diam + 1e-12
+
+    def test_merged_levels_match_the_union1d_form(self):
+        rng = np.random.default_rng(34)
+        for _ in range(1000):
+            first, second = raw_measure(rng), raw_measure(rng)
+            for p in (1.0, 2.0, math.inf):
+                assert quantile_distance(*first, *second, p) == quantile_distance_oracle(
+                    *first, *second, p)
+
+    def test_unit_shift_is_one_for_cdfs_ending_off_one(self):
+        rng = np.random.default_rng(35)
+        for _ in range(200):
+            k = int(rng.integers(1, 9))
+            atoms = np.sort(rng.choice(20, k, replace=False)).astype(float)
+            weights = rng.uniform(0.1, 1.0, k)
+            m = DiscreteMixingMeasure(atoms, weights / weights.sum())
+            shifted = DiscreteMixingMeasure(atoms + 1.0, m.weights)
+            for p in (1, 2, math.inf):
+                assert abs(wasserstein(m, shifted, p) - 1.0) <= 1e-12
+
+    def test_last_segment_kept_when_both_cdfs_end_above_one(self):
+        weights = np.array([0.56, 0.33, 0.11])
+        assert np.cumsum(weights)[-1] > 1.0
+        f1 = DiscreteMixingMeasure(np.array([0.0, 1.0, 2.0]), weights)
+        f2 = DiscreteMixingMeasure(np.array([0.0, 1.0, 3.0]), weights)
+        assert abs(wasserstein(f1, f2, 1.0) - 0.11) <= 1e-12
+        assert wasserstein(f1, f2, math.inf) == 1.0
 
 
 class TestKL:

@@ -3,6 +3,7 @@ exit code, with ``perfbench`` runs replaced by canned result lines."""
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -62,9 +63,37 @@ def test_exit_code_follows_the_correct_flag(pairs, tmp_path, monkeypatch, capsys
     def run_once(checkout, args):
         ok = correct or checkout.name == "parent"
         return {"correct": ok, "failed": 0 if ok else 1,
-                "metrics": {"task_s_p50": {"value": 0.1}}}
+                "metrics": {"task_s_p50": {"value": 0.1}}, "setup_runs_s": [0.2]}
 
     monkeypatch.setattr(pairs, "run_once", run_once)
     argv = [str(tmp_path / "parent"), str(tmp_path / "change"), "--workload", "w", "--pairs", "2"]
     assert pairs.main(argv) == (0 if correct else 1)
     assert ("correct\": false" in capsys.readouterr().out) is not correct
+
+
+def test_setup_probes_are_read_from_the_run_record_and_paired(pairs, tmp_path, monkeypatch,
+                                                              capsys):
+    spec = {"end_to_end": [{"name": "setup_s", "better": "lower", "bound": 0.25}]}
+    for side in ("parent", "change"):
+        (tmp_path / side / "perfbench").mkdir(parents=True)
+        (tmp_path / side / "perfbench" / "run.py").touch()
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps(spec))
+    # every run reports setup_s 0.30, but probe k of the change is lower
+    # than probe k of the parent in 5 of 6 probe pairs
+    probes = {"parent": [[0.31, 0.30, 0.29], [0.40, 0.30, 0.20]],
+              "change": [[0.30, 0.30, 0.28], [0.35, 0.29, 0.15]]}
+    calls = {"parent": 0, "change": 0}
+
+    def fake_run(command, cwd, capture_output, text):
+        side = cwd.name
+        setups = probes[side][calls[side]]
+        calls[side] += 1
+        record = {"run_record": {"setup_runs_s": setups}}
+        result = {"correct": True, "failed": 0, "metrics": {"setup_s": {"value": 0.30}}}
+        return subprocess.CompletedProcess(command, 0, f"{json.dumps(record)}\n{json.dumps(result)}\n", "")
+
+    monkeypatch.setattr(pairs.subprocess, "run", fake_run)
+    argv = [str(tmp_path / "parent"), str(tmp_path / "change"), "--workload", "w", "--pairs", "2"]
+    assert pairs.main(argv) == 0
+    out = capsys.readouterr().out
+    assert "probes       median parent 0.3  change 0.295  change lower in 5/6 probe pairs" in out
