@@ -10,9 +10,10 @@ y^(p-1) exp(-(a y + b / y) / 2), in the form the N-IG Gibbs sweep uses:
 a = 1 + 2u with u = 1000 and b = omega^2 / a, so omega = sqrt(ab).  The
 draws are compared with a reference cdf:
 
-* |p| = 1/2: the closed-form inverse-Gaussian cdf (``scipy.stats.invgauss``);
+* p = -1/2: the closed-form inverse-Gaussian cdf (``scipy.stats.invgauss``),
+  and p = 1/2: that of the reciprocal of an inverse Gaussian;
   ``geninvgauss.cdf`` is not used, its quadrature is wrong at small omega;
-* |p| >= 3/2: the trapezoid rule on the density of log y over a
+* p >= 3/2: the trapezoid rule on the density of log y over a
   200,001-point grid that spans the density down to e^-60 of its peak,
   which shares nothing with the closed form.
 
@@ -48,8 +49,9 @@ from supermix.variates import gig_sample
 #: at n = 1000
 GIBBS_A = 1.0 + 2.0 * 1000.0
 
-#: the domain of ``gig_sample`` is the half-integers
-P_GRID = (-10.5, -1.5, -0.5, 0.5, 1.5, 2.5, 4.5, 10.5, 30.5, 100.5, 309.5, 492.5)
+#: the domain of ``gig_sample`` is the half-integers from -1/2; 999.5 is
+#: a cell holding every observation of an n = 1000 fit
+P_GRID = (-0.5, 0.5, 1.5, 2.5, 3.5, 4.5, 10.5, 30.5, 100.5, 309.5, 492.5, 999.5)
 #: from one end of ``variates.GIG_AB`` to the other
 OMEGA_GRID = (1e-12, 1e-8, 1e-4, 8e-4, 4e-3, 0.03, 0.37, 1.0, 2.4, 4.0, 10.0, 1e4)
 

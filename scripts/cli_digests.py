@@ -16,12 +16,11 @@ Next, one line for the atoms, the weights and the grid density of
 ``finite_gaussian_mixture(catalog_density("gaussian:1"), sigma)`` at
 sigma = 0.4, 0.3 and 0.25, digesting the raw float64 bytes, and one for
 the ``gig_sample`` draws over a (p, a, b) grid that covers both of its
-forms (the inverse Gaussian at |p| = 1/2, the inverse Gaussian plus the
-gamma mixture at |p| >= 3/2, each with and without the reciprocal flip)
-at seed 0, and one for the generator state after them.  It prints the
-raw-byte digest of ``nig_sample`` at size 1000 and seed 0 for each
-alpha vector in ``NIG_ALPHAS``: ``nig-check`` writes only summary
-statistics of the draws.  For one small ``dp`` fit and one small
+forms (the inverse Gaussian at p = -1/2, the inverse Gaussian plus the
+gamma mixture at p >= 1/2) at seed 0, and one for the generator state
+after them.  It prints the raw-byte digest of ``nig_sample`` at size
+1000 and seed 0 for each alpha vector in ``NIG_ALPHAS``: ``nig-check``
+writes only summary statistics of the draws.  For one small ``dp`` fit and one small
 ``nig`` fit of the ``fit`` data, it prints the raw-byte digests of the
 ``posterior_mean_density`` values, of the per-draw W2 distances to the
 ``gaussian:1`` mixing measure (``metrics.quantile_distance`` over the
@@ -95,7 +94,7 @@ GRID_IDS = ("gaussian:1", "cauchy:1", "stable:1.5:1", "student_t:3:1", "fvp:1", 
             "superkernel:1:2:1")
 
 #: the GIG digest grid: every (p, a, b) combination, 32 draws each
-GIG_P = (-10.5, -2.5, -1.5, -0.5, 0.5, 1.5, 2.5, 30.5)
+GIG_P = (-0.5, 0.5, 1.5, 2.5, 30.5)
 GIG_AB = (1e-3, 0.5, 2.0, 2001.0)
 GIG_DRAWS_PER_CELL = 32
 

@@ -24,9 +24,20 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .errors import SupermixError
+from .discretize import DiscreteMixingMeasure, moment_match, partition_discretize, support_budget
+from .errors import RegimeUnavailable, SupermixError
 from .kernels import catalog_density, parse_kernel_id, sinc_approx_error
-from .posterior import FitConfig, stick_truncation
+from .posterior import (
+    ContractionRow,
+    FitConfig,
+    W2Row,
+    blocked_gibbs_fit,
+    contraction_experiment,
+    default_py_config,
+    default_w2_config,
+    stick_truncation,
+    wasserstein_recovery_experiment,
+)
 from .prior_mass import lemma_verification_table
 from .priors import NIGParams, PYParams, nig_marginal_cdf, nig_sample
 from .transforms import gaussian_smoothing_error, spectral_symbol_check, transform_analytic
@@ -245,9 +256,6 @@ def _load_table(path: Path, **kwargs) -> np.ndarray:
 
 
 def cmd_discretize(args) -> Output:
-    from .discretize import DiscreteMixingMeasure, moment_match, partition_discretize, support_budget
-    from .errors import RegimeUnavailable
-
     for flag, value in (("--a", args.a), ("--sigma", args.sigma)):
         if not 0.0 < value < math.inf:
             raise ValueError(f"{flag} must be finite and positive, got {value}")
@@ -374,8 +382,6 @@ def cmd_nig_check(args) -> Output:
 
 
 def cmd_fit(args) -> Output:
-    from .posterior import blocked_gibbs_fit, default_py_config
-
     data = _load_table(args.data)
     cfg = replace(
         default_py_config(args.prior),
@@ -410,8 +416,6 @@ def _stick_meta(cfg: FitConfig, ns) -> dict:
 
 
 def cmd_contract(args) -> Output:
-    from .posterior import ContractionRow, contraction_experiment, default_py_config
-
     cfg = default_py_config(args.prior)
     rows = contraction_experiment(
         args.truth,
@@ -426,8 +430,6 @@ def cmd_contract(args) -> Output:
 
 
 def cmd_w2(args) -> Output:
-    from .posterior import W2Row, default_w2_config, wasserstein_recovery_experiment
-
     cfg = default_w2_config()
     rows = wasserstein_recovery_experiment(
         args.truth,

@@ -234,11 +234,11 @@ def _moment_jacobi(moments: np.ndarray, n_nodes: int):
     return alpha.copy(), beta.copy()
 
 
-def _gauss_from_recurrence(alpha, beta, total_mass: float = 1.0):
+def _gauss_from_recurrence(alpha, beta):
     """Gauss nodes and weights of the Jacobi matrices with diagonals
     ``alpha`` (..., n) and off-diagonals ``beta`` (..., n - 1), by one
-    stacked ``eigh``: the weights are ``total_mass`` times the squared
-    first components of the eigenvectors (Golub & Welsch, Math. Comp. 23
+    stacked ``eigh``: the weights, summing to 1, are the squared first
+    components of the eigenvectors (Golub & Welsch, Math. Comp. 23
     (1969))."""
     n = alpha.shape[-1]
     jacobi = np.zeros(alpha.shape + (n,))
@@ -247,7 +247,7 @@ def _gauss_from_recurrence(alpha, beta, total_mass: float = 1.0):
     jacobi[..., diag[1:], diag[:-1]] = beta
     jacobi[..., diag[:-1], diag[1:]] = beta
     nodes, vecs = np.linalg.eigh(jacobi)
-    return nodes, total_mass * vecs[..., 0, :] ** 2
+    return nodes, vecs[..., 0, :] ** 2
 
 
 def _lanczos_rows(x: np.ndarray, w: np.ndarray, steps: np.ndarray):
@@ -392,7 +392,7 @@ def moment_match(
         if n_nodes < 1:
             raise ValueError("need at least moments m_0, m_1")
         alpha, beta = _moment_jacobi(moments / moments[0], n_nodes)
-        nodes, weights = _gauss_from_recurrence(alpha, beta, total_mass=moments[0])
+        nodes, weights = _gauss_from_recurrence(alpha, beta)
     nodes = np.clip(nodes, lo, hi)  # guard rounding at interval ends
     return DiscreteMixingMeasure(nodes, weights / weights.sum())
 

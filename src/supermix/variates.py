@@ -60,7 +60,7 @@ GIG_MAX_ROUNDS = 100
 GIG_P_MAX = 1e8
 GIG_AB = (1e-24, 1e8)
 GIG_B_OVER_A = (1e-200, 1e200)
-_GIG_DOMAIN = (f"gig_sample needs p = m + 1/2 for an integer m with |p| <= {GIG_P_MAX:g}, "
+_GIG_DOMAIN = (f"gig_sample needs p = m + 1/2 for an integer m with -1/2 <= p <= {GIG_P_MAX:g}, "
                f"and a, b > 0 with ab in {GIG_AB} and b/a in {GIG_B_OVER_A}")
 
 
@@ -68,27 +68,23 @@ def gig_sample(p, a, b, rng: np.random.Generator) -> np.ndarray:
     """Generalized inverse-Gaussian draws, one per broadcast (p, a, b).
 
     The density is proportional to ``y^(p-1) exp(-(a y + b / y) / 2)``.
-    Domain: p = m + 1/2 for an integer m with |p| <= ``GIG_P_MAX`` (the
-    Gibbs sweep needs p = count - 1/2), and a > 0, b > 0 with ab in
-    ``GIG_AB`` and b/a in ``GIG_B_OVER_A``.  p = 1/2 and p < -1/2 use
-    GIG(p, a, b) = 1 / GIG(-p, b, a).  K_{m+1/2} is a finite sum, so the
-    draw is closed-form, with no rejection loop (Barndorff-Nielsen &
+    Domain: p = m + 1/2 for an integer m with -1/2 <= p <= ``GIG_P_MAX``
+    (the Gibbs sweep needs p = count - 1/2), and a > 0, b > 0 with ab in
+    ``GIG_AB`` and b/a in ``GIG_B_OVER_A``.  K_{m+1/2} is a finite sum, so
+    the draw is closed-form, with no rejection loop (Barndorff-Nielsen &
     Halgreen, Z. Wahrsch. verw. Gebiete 38 (1977)): GIG(m + 1/2, a, b) =
     IG(mean sqrt(b/a), shape b) + Gamma((2m + 1 - j) / 2, rate a/2), with
     j from :func:`_mixture_index`.  It takes a standard normal and a
     uniform per element for the IG (:func:`_ig_transform`; m = -1 is the IG
-    alone), then a uniform and a gamma variate per element with m >= 1.
+    alone), then a uniform and a gamma variate per element with m >= 0.
     """
     p, a, b = (np.asarray(v, dtype=float) for v in (p, a, b))
     given, given_shape = {"p": p, "a": a, "b": b}, np.broadcast(p, a, b).shape
     shape = given_shape or (1,)  # the transform works in place, which needs arrays
-    flip = (p == 0.5) | (p < -0.5)
-    if flipped := flip.any():
-        p, a, b = np.where(flip, -p, p), np.where(flip, b, a), np.where(flip, a, b)
     with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
         m, ab, ratio = p - 0.5, a * b, b / a
-    # m = -1 or m >= 1 by the flip, and a > 0 and ab > 0 make b > 0
-    _require((m == np.floor(m)) & (m <= GIG_P_MAX - 0.5) & (a > 0.0)
+    # a > 0 and ab > 0 make b > 0
+    _require((m == np.floor(m)) & (m >= -1.0) & (m <= GIG_P_MAX - 0.5) & (a > 0.0)
              & (ab >= GIG_AB[0]) & (ab <= GIG_AB[1])
              & (ratio >= GIG_B_OVER_A[0]) & (ratio <= GIG_B_OVER_A[1]), _GIG_DOMAIN, **given)
     nu = np.square(rng.standard_normal(shape))
@@ -102,8 +98,6 @@ def gig_sample(p, a, b, rng: np.random.Generator) -> np.ndarray:
         m, w = m[mixed], np.sqrt(ab[mixed])
         j = _mixture_index(m, w, rng.random(m.size))
         x[mixed] += rng.standard_gamma(0.5 * (m + m + 1.0 - j)) * (2.0 / a)
-    if flipped:
-        np.divide(1.0, x, out=x, where=flip)
     return x.reshape(given_shape)
 
 

@@ -313,12 +313,12 @@ class TestMomentMatch:
         for n in (2, 3, 8, 16, 33, 60):
             alpha = rng.normal(size=n)
             beta = rng.uniform(0.01, 2.0, size=n - 1)
-            nodes, weights = _gauss_from_recurrence(alpha, beta, total_mass=2.5)
+            nodes, weights = _gauss_from_recurrence(alpha, beta)
             ref_nodes, vecs = eigh_tridiagonal(alpha, beta)
             scale = np.abs(ref_nodes).max()
             assert np.abs(nodes - ref_nodes).max() <= 1e-14 * scale
-            assert np.abs(weights - 2.5 * vecs[0] ** 2).max() <= 1e-13
-            assert abs(weights.sum() - 2.5) <= 1e-13
+            assert np.abs(weights - vecs[0] ** 2).max() <= 4e-14
+            assert abs(weights.sum() - 1.0) <= 4e-14
 
     def test_ill_conditioned_moments_raise(self):
         moments = [2.0 / (j + 1) if j % 2 == 0 else 0.0 for j in range(42)]

@@ -443,6 +443,10 @@ class TestGIGSample:
     KS_P_MIN = 1e-3
 
     def test_ks_against_reference_cdf(self):
+        """p = -1/2 against the IG cdf and p = 1/2 against the closed-form
+        cdf of a reciprocal IG, which shares none of the sampler's algebra
+        (the sampler draws p = 1/2 as IG plus Gamma(1/2)); the other orders
+        against a quadrature of the density."""
         rng = np.random.default_rng(20140401)
         pvalues = {
             (p, w): ks_pvalue(p, w, 10_000, rng) for p in self.P for w in self.OMEGA
@@ -450,17 +454,14 @@ class TestGIGSample:
         low = {cell: v for cell, v in pvalues.items() if v < self.KS_P_MIN}
         assert not low, low
 
-    def test_broadcasts_mixed_branches_and_reciprocal_symmetry(self):
-        p = np.array([-0.5, 0.5, 1.5, -1.5, 3.5])
+    def test_broadcasts_mixed_branches(self):
+        p = np.array([-0.5, 0.5, 1.5, 2.5, 3.5])
         a = np.array([2.0, 3.0, 0.5, 4.0, 1.0])
         b = np.array([0.7, 0.2, 6.0, 0.3, 2.0])
         y = gig_sample(p, a, b, np.random.default_rng(0))
         assert y.shape == p.shape and np.all(y > 0)
-        # GIG(p, a, b) = 1 / GIG(-p, b, a): the same uniforms give reciprocals
-        z = gig_sample(-p, b, a, np.random.default_rng(0))
-        assert np.allclose(y * z, 1.0, rtol=1e-12)
 
-    @pytest.mark.parametrize("p", [0.0, 0.25, -0.75, 0.9, 1.0, 3.0, np.nan, np.inf])
+    @pytest.mark.parametrize("p", [0.0, 0.25, -0.75, 0.9, 1.0, 3.0, -1.5, -10.5, np.nan, np.inf])
     def test_unsupported_order_raises(self, p):
         with pytest.raises(ValueError):
             gig_sample(np.array([1.5, p]), 1.0, 1.0, np.random.default_rng(0))
@@ -471,8 +472,8 @@ class TestGIGSample:
             gig_sample(2.5, a, b, np.random.default_rng(0))
 
     def test_scalar_parameters_match_full_arrays(self):
-        # the sweep's call: counts 0, 1 and >= 2 (both branches, flipped and
-        # not) with a scalar a; the same draws as with every parameter spelt out
+        # the sweep's call: counts 0, 1 and >= 2 (both branches) with a
+        # scalar a; the same draws as with every parameter spelt out
         counts = np.array([0, 1, 2, 0, 5, 1, 37, 0, 3, 2, 1, 400])
         b = np.linspace(1e-3, 3.0, counts.size)
         for seed in range(4):

@@ -59,10 +59,9 @@ def test_gig_sample_contract(p, w, r, bad):
     a, b = w / r, w * r
     if bad is not None:
         a, b = (bad[1], b) if bad[0] == "a" else (a, bad[1])
-    q = abs(p)
     with np.errstate(all="ignore"):
         ab, ratio = np.multiply(a, b), np.divide(b, a)
-    inside = ((q - 0.5).is_integer() and q <= GIG_P_MAX and a > 0.0
+    inside = ((p - 0.5).is_integer() and -0.5 <= p <= GIG_P_MAX and a > 0.0
               and GIG_AB[0] <= ab <= GIG_AB[1] and GIG_B_OVER_A[0] <= ratio <= GIG_B_OVER_A[1])
     draws = draws_of(lambda: gig_sample(np.full(16, p), a, b, np.random.default_rng(0)))
     if inside:
