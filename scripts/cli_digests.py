@@ -23,8 +23,8 @@ after them.  It prints the raw-byte digest of ``nig_sample`` at size
 writes only summary statistics of the draws.  For one small ``dp`` fit and one small
 ``nig`` fit of the ``fit`` data, it prints the raw-byte digests of the
 ``posterior_mean_density`` values, of the per-draw W2 distances to the
-``gaussian:1`` mixing measure (``metrics.quantile_distance`` over the
-chain's atom and weight rows) and of the chain's sigma and log
+``gaussian:1`` mixing measure (``posterior._w2_draws``, the loop that
+``contract`` and ``w2`` summarize) and of the chain's sigma and log
 likelihood arrays; the CSVs round floats to
 17 digits, these do not.  For the ``dp`` fit it also digests the
 posterior mean with two draws edited so that they take the direct
@@ -71,10 +71,10 @@ import numpy as np
 from supermix.cli import main
 from supermix.discretize import finite_gaussian_mixture, mixture_density
 from supermix.kernels import KernelSpec, catalog_density
-from supermix.metrics import quantile_distance
 from supermix.posterior import (
     Chain,
     NIGPartitionPrior,
+    _w2_draws,
     blocked_gibbs_fit,
     default_py_config,
     experiment_grid,
@@ -238,7 +238,7 @@ def posterior_digests() -> list[tuple[str, str]]:
     the ``fit`` data at the ``fit`` config, each at seed 0; reads
     ``fit_data.txt`` from the working directory that ``run_all`` set."""
     data = np.loadtxt("fit_data.txt")
-    t = resolve_truth("gaussian:1").mixing
+    truth = resolve_truth("gaussian:1")
     out = []
     for prior in ("dp", "nig"):
         cfg = replace(default_py_config(prior), iterations=200, burn_in=50,
@@ -246,8 +246,7 @@ def posterior_digests() -> list[tuple[str, str]]:
         chain = blocked_gibbs_fit(data, cfg, np.random.default_rng(0))
         arrays = {
             "mean_density": posterior_mean_density(chain, experiment_grid()).values,
-            "w2": [quantile_distance(a, w, t.atoms, t.weights, 2.0)
-                   for a, w in zip(chain.atoms, chain.weights)],
+            "w2": _w2_draws(chain, truth),
             "sigma": chain.sigma,
             "loglik": chain.loglik,
         }

@@ -32,11 +32,11 @@ stream equal the direct form's, and the log likelihood agrees within
 2e-15 relative.  numpy's exp is 10-100 times slower per element below
 ``FAST_EXP_MIN`` = -707, so a sweep whose exponents may fall there (each
 row is concave in x: checked at the smallest and largest observation,
-with a margin of 1) raises them to -707 first and rescues the columns
-whose total is below L 2^53 e^-707 instead of tiny 2^53; other sweeps
-run unclamped.  Either floor keeps an unrescued column's error below
-2^-53 of its total.  In the CLI digest run 265 of 43,000 sweeps clamp,
-and every digest is unchanged.
+with a margin of 1) raises them to -707 first; other sweeps run
+unclamped.  Every sweep rebuilds the columns whose total is below
+L 2^53 e^-707 with their own shift, which keeps an unrescued column's
+error below 2^-53 of its total.  In the CLI digest run 265 of 43,000
+sweeps clamp, and every digest is unchanged.
 
 The posterior mean density is a mean of Gaussian mixtures, summed as
 spectra by :func:`posterior_mean_density`; it agrees with the per-draw sum
@@ -222,13 +222,6 @@ class ContractionRow:
     kl: float
 
 
-#: a column total below this is rebuilt with the exact per-observation
-#: shift: a term that underflowed or was rounded as a subnormal is off by
-#: at most 2^-1075, which stays below 2^-53 of a total above 2^-969 (a
-#: clamped sweep uses ``_Allocation.clamp_floor`` instead)
-_RESCUE_FLOOR = np.finfo(float).tiny * 2.0 ** 53
-
-
 class _Allocation:
     """Allocation and log likelihood for one fit's data, over buffers built
     once per fit.
@@ -243,7 +236,7 @@ class _Allocation:
     buffer is exponentiated and accumulated over components; one uniform
     per observation is compared against that cumulative sum, and its last
     row gives the normalizer of the log likelihood.  A column whose total
-    falls below ``_RESCUE_FLOOR`` (every component far from the point) is
+    falls below ``clamp_floor`` (every component far from the point) is
     rebuilt from the difference ``x_i - atom_j`` with its own max shift.
 
     Exponents below ``FAST_EXP_MIN`` cost numpy's exp 10-100 times more per
@@ -252,11 +245,12 @@ class _Allocation:
     the smallest or largest observation: the sweep clamps when the (L, 2)
     product with those two design columns ``ends`` has a value below
     ``FAST_EXP_MIN + 1``, the 1 covering the rounding between the two
-    products.  A clamped term is off by less than e^FAST_EXP_MIN, so that
-    sweep rescues every column below ``clamp_floor`` = L 2^53
-    e^FAST_EXP_MIN instead of ``_RESCUE_FLOOR``; either way the error of an
-    unrescued column stays below 2^-53 of its total.  Other sweeps
-    exponentiate the product as it is.
+    products.  Other sweeps exponentiate the product as it is.  A clamped,
+    underflowed or subnormal term is off by less than e^FAST_EXP_MIN, so
+    every sweep rescues the columns below ``clamp_floor`` = L 2^53
+    e^FAST_EXP_MIN, and the error of an unrescued column stays below
+    2^-53 of its total; the rescue is exact, so a plain sweep loses
+    nothing by the floor that the clamp needs.
 
     The data mean, the centred design and its end columns, the buffers and
     the row pairs of the cumulative sum depend only on the data and L, so
@@ -302,15 +296,13 @@ class _Allocation:
         coef[:, 1] = (log_w - top) - 0.5 * inv_var * ac * ac
         coef[:, 2] = -0.5 * inv_var
         np.matmul(coef, self.design, out=out)
-        floor = _RESCUE_FLOOR
         if float(coef.dot(self.ends).min()) < FAST_EXP_MIN + 1.0:
             np.maximum(out, FAST_EXP_MIN, out=out)
-            floor = self.clamp_floor
         np.exp(out, out=out)
         for prev, cur in self.pairs:
             np.add(prev, cur, cur)
         tot = out[-1]
-        far = np.flatnonzero(~(tot >= floor))  # a nan total is rebuilt too
+        far = np.flatnonzero(~(tot >= self.clamp_floor))  # a nan total is rebuilt too
         if far.size:
             z = (data[far] - atoms[:, None]) / sigma
             np.square(z, out=z)

@@ -18,7 +18,7 @@ import supermix
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from supermix import catalog_density, posterior, sinc_approx_error
+from supermix import catalog_density, cli, posterior, sinc_approx_error
 from supermix.cli import MC_BUDGET_CAP, build_parser, main, parse_args
 
 
@@ -525,11 +525,20 @@ _TINY_FIT = dict(iterations=60, burn_in=10, thinning=1, truncation=10)
 def test_experiment_commands_exit_0_or_2(command, flags, edges):
     flags.update(edges)
     argv = command + [text for flag in flags.items() for text in flag]
-    tiny_py = lambda prior_id, real=posterior.default_py_config: replace(real(prior_id), **_TINY_FIT)
-    tiny_w2 = lambda real=posterior.default_w2_config: replace(real(), **_TINY_FIT)
-    with mock.patch.object(posterior, "default_py_config", tiny_py), \
-            mock.patch.object(posterior, "default_w2_config", tiny_w2):
-        check_exit_0_or_2(argv, first=0)
+    calls = []
+
+    def tiny(real):
+        def config(*args):
+            calls.append(args)
+            return replace(real(*args), **_TINY_FIT)
+        return config
+
+    # the commands call the names that ``cli`` bound at import
+    with mock.patch.object(cli, "default_py_config", tiny(posterior.default_py_config)), \
+            mock.patch.object(cli, "default_w2_config", tiny(posterior.default_w2_config)):
+        rows = check_exit_0_or_2(argv, first=0)
+    # a table means that the fits ran, so on the tiny config
+    assert rows is None or len(calls) == 1
 
 
 @pytest.mark.parametrize("command", ["contract", "w2"])

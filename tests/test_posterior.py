@@ -529,31 +529,51 @@ class TestAllocate:
         # every far and light state has exponents near -1250 or -730: it clamps
         assert branches == ({False} if case in ("far", "light") else {True, False})
 
-    def test_clamped_sweep_rescues_below_the_raised_floor(self):
-        """On a clamped sweep, a column whose total lies between ``tiny *
-        2^53`` and ``clamp_floor`` is rebuilt with its own shift (its last
-        row is then at least 1) and one above ``clamp_floor`` is not; both
-        match the oracle."""
-        g = np.random.default_rng(3)
-        L, sigma = 64, 0.15
-        atoms = NIGPartitionPrior(n_cells=L).cell_midpoints()
+    @staticmethod
+    def _draw_between_the_floors(atoms, sigma, window, above):
+        """Draw with equal weights for 200 standard normal points, then
+        ``window``, whose total lies between ``tiny * 2^53`` and
+        ``clamp_floor``, and ``above``, whose total lies above both.  The
+        first is rebuilt with its own shift (its last row is then at least
+        1) and the second is not; both match the oracle.  Returns the
+        workspace."""
+        L = atoms.size
         log_w = np.full(L, -math.log(L))
-        # log totals -669 (between the floors) and -664 (above both), each
-        # set by the distance to the last atom
-        window, above = (atoms[-1] + sigma * math.sqrt(2.0 * t) for t in (669.0, 664.0))
-        data = np.concatenate([g.standard_normal(200), [window, above]])
+        data = np.concatenate([np.random.default_rng(3).standard_normal(200), [window, above]])
         work = _Allocation(data, L)
-        log_floors = math.log(np.finfo(float).tiny * 2.0 ** 53), math.log(work.clamp_floor)
-        assert log_floors[0] < -669.0 < log_floors[1] < -664.0
+        # log totals relative to the largest log-weight, as the workspace sums them
+        z = -0.5 * ((np.array([window, above])[:, None] - atoms) / sigma) ** 2
+        log_tot = np.log(np.exp(z - z.max(axis=1, keepdims=True)).sum(axis=1)) + z.max(axis=1)
+        log_floor = math.log(np.finfo(float).tiny * 2.0 ** 53), math.log(work.clamp_floor)
+        assert log_floor[0] < log_tot[0] < log_floor[1] < log_tot[1] < -600.0
         ref_rng, rng = np.random.default_rng(4), np.random.default_rng(4)
         want, want_ll = _oracle_allocate(data, atoms, log_w, sigma, ref_rng)
         got, got_ll = work.draw(atoms, log_w, sigma, rng)
-        assert float((work.coef @ work.ends).min()) < FAST_EXP_MIN + 1.0
         assert work.out[-1, -2] >= 1.0
         assert work.out[-1, -1] < 1e-280
         assert np.array_equal(got, want)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
         assert abs(got_ll - want_ll) <= 1e-12 * abs(want_ll)
+        return work
+
+    def test_clamped_sweep_rescues_below_the_raised_floor(self):
+        # log totals near -669 and -664, each set by the distance to the
+        # last atom of the N-IG cell midpoints: the sweep clamps
+        sigma = 0.15
+        atoms = NIGPartitionPrior(n_cells=64).cell_midpoints()
+        window, above = (atoms[-1] + sigma * math.sqrt(2.0 * t) for t in (669.0, 664.0))
+        work = self._draw_between_the_floors(atoms, sigma, window, above)
+        assert float((work.coef @ work.ends).min()) < FAST_EXP_MIN + 1.0
+
+    def test_plain_sweep_rescues_below_the_same_floor(self):
+        # a tight cluster of 64 atoms: every exponent of a far point lies
+        # within 0.1 of log L - t, near -669 and -664, so the sweep does
+        # not clamp
+        sigma = 1.0
+        atoms = 1e-3 * np.linspace(-1.0, 1.0, 64)
+        window, above = (sigma * math.sqrt(2.0 * t) for t in (673.0, 668.0))
+        work = self._draw_between_the_floors(atoms, sigma, window, above)
+        assert float((work.coef @ work.ends).min()) >= FAST_EXP_MIN + 1.0
 
     @pytest.mark.parametrize("n", [15, 1000, 4001])
     def test_buffer_starts_on_a_64_byte_boundary(self, n):
