@@ -347,12 +347,6 @@ def nig_marginal_cdf(params: NIGParams, z_grid: np.ndarray) -> np.ndarray:
 # scale priors
 
 
-#: bandwidth mode above which :meth:`ScalePriorA0.posterior_sample` finds its
-#: v-bounds in units of the mode: the direct cubic's coefficients grow like
-#: m, m^2 and m^3, and :func:`_rou_roots` cubes a coefficient of order m^2,
-#: which overflows near m = 1e51 and then gives wrong roots
-_SCALE_MODE_MAX = 2.0 ** 128
-
 @dataclass(frozen=True)
 class ScalePriorA0:
     """Bandwidth prior with inverse-gamma reference implementation.
@@ -387,12 +381,17 @@ class ScalePriorA0:
         """One exact draw of sigma given n Gaussian residuals with sum of
         squares ``ss``, from h(x) = x^-(k+1) exp(-lam / x - ss / (2 x^2)),
         k = nu + n, around its mode m, the positive root of
-        (k + 1) x^2 - lam x - ss.  The v-bounds are the positive roots of
-        (1 - k) x^3 + (lam + (k + 1) m) x^2 + (ss - lam m) x - m ss.  In
-        sigma, unlike in 1 / sigma, no coefficient divides by ``ss``, so
-        the draw stays exact down to ss = 0, where it is IG(k, lam).  Domain,
-        measured: the v-bound is infinite at k = 1, and a probe failed beyond
-        k = 1e15, at lam = 1e200 and, for small ss, at lam = 1e-100."""
+        (k + 1) x^2 - lam x - ss, taken as half + sqrt(half^2 + ss / (k + 1))
+        with half = lam / (2 (k + 1)), so that no product of ``ss``
+        overflows.  The v-bounds are m t for the positive roots t of the
+        cubic in units of m,
+        (1 - k) t^3 + (lam / m + k + 1) t^2 + (r - lam / m) t - r with
+        r = ss / m^2; as lam / m and r are at most k + 1, every coefficient
+        is of order k for every input.  In sigma, unlike in 1 / sigma, no
+        coefficient divides by ``ss``, so the draw stays exact down to
+        ss = 0, where it is IG(k, lam).  Domain, measured: the v-bound is
+        infinite at k = 1, and a probe failed at k = 1e17, at lam = 1e180
+        and, for small ss, at lam = 1e-200."""
         lam, k = self.lam, self.nu + n
         for domain, value, inside in (
             ("n >= 1", n, n >= 1), ("1.01 <= nu + n <= 1e12", k, 1.01 <= k <= 1e12),
@@ -401,10 +400,8 @@ class ScalePriorA0:
         ):
             if not inside:
                 raise ValueError(f"the bandwidth draw needs {domain}, got {value!r}")
-        m = (lam + math.sqrt(lam * lam + 4.0 * ss * (k + 1.0))) / (2.0 * (k + 1.0))
-        if m == math.inf:  # 4 ss (k + 1) overflowed
-            half = lam / (2.0 * (k + 1.0))
-            m = half + math.sqrt(half * half + ss / (k + 1.0))
+        half = lam / (2.0 * (k + 1.0))
+        m = half + math.sqrt(half * half + ss / (k + 1.0))
 
         def log_ratio(x: float) -> float:
             if not x > 0.0:
@@ -416,13 +413,9 @@ class ScalePriorA0:
         # ratio-of-uniforms with mode shift (Leydold, ACM TOMS 26 (2000)) on
         # floats, as size-1 arrays cost ~100 us of dispatch per draw; np.log,
         # np.exp and np.arccos keep the array form's bits, math.log etc. do not
-        if m < _SCALE_MODE_MAX:
-            low, top = (float(r) for r in _rou_roots(
-                (-lam - (k + 1.0) * m) / (k - 1.0), (lam * m - ss) / (k - 1.0), m * ss / (k - 1.0)))
-        else:  # the roots in units of m, of a cubic with coefficients of order k
-            r = ss / m / m
-            low, top = (float(t) * m for t in _rou_roots(
-                (-lam / m - (k + 1.0)) / (k - 1.0), (lam / m - r) / (k - 1.0), r / (k - 1.0)))
+        r = ss / m / m
+        low, top = (float(t) * m for t in _rou_roots(
+            (-lam / m - (k + 1.0)) / (k - 1.0), (lam / m - r) / (k - 1.0), r / (k - 1.0)))
         vmin = (low - m) * float(np.exp(0.5 * log_ratio(low)))
         vmax = (top - m) * float(np.exp(0.5 * log_ratio(top)))
         if not (vmin < 0.0 < vmax):

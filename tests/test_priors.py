@@ -623,9 +623,9 @@ def _ratio_of_uniforms(m, a2, a1, a0, log_ratio, rng: np.random.Generator,
     or -inf at x <= 0, which rejects them; ``rows`` stacks the entries of
     the per-draw arrays ``params`` for those draws.  The pending draws'
     modes, v-bounds and ``params`` sit in one array, compacted once per
-    round.  The v-bounds sit at the roots that :func:`_rou_roots` gives
-    for (a2, a1, a0)."""
-    roots = np.array(_rou_roots(a2, a1, a0))
+    round.  The v-bounds sit at m times the roots that :func:`_rou_roots`
+    gives for (a2, a1, a0), a cubic in units of the mode."""
+    roots = np.array(_rou_roots(a2, a1, a0)) * m
     with np.errstate(divide="ignore", invalid="ignore"):
         # rows: mode, vmin, width, then params; vmin and width are set below
         state = np.array([m, m, m, *params])
@@ -693,7 +693,8 @@ class TestScalePosteriorSample:
         """The draw through :func:`_ratio_of_uniforms` on size-1 arrays, the
         array form of ``posterior_sample``'s float loop."""
         lam, k = prior.lam, prior.nu + n
-        m = (lam + math.sqrt(lam * lam + 4.0 * ss * (k + 1.0))) / (2.0 * (k + 1.0))
+        half = lam / (2.0 * (k + 1.0))
+        m = half + math.sqrt(half * half + ss / (k + 1.0))
 
         def log_ratio(x, i):
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -701,7 +702,8 @@ class TestScalePosteriorSample:
                 out = (k + 1.0) * np.log(m * y) - (y - 1.0 / m) * (lam + 0.5 * ss * (y + 1.0 / m))
             return np.where(x > 0, out, -np.inf)
 
-        coefs = (-lam - (k + 1.0) * m, lam * m - ss, m * ss)
+        r = ss / m / m
+        coefs = (-lam / m - (k + 1.0), lam / m - r, r)
         a2, a1, a0 = (np.array([c / (k - 1.0)]) for c in coefs)
         return float(_ratio_of_uniforms(np.array([m]), a2, a1, a0, log_ratio, rng)[0])
 
@@ -721,7 +723,7 @@ class TestScalePosteriorSample:
     def test_huge_sum_of_squares_scales_with_its_root(self, ss):
         # lam is negligible against sqrt(ss), so sigma / sqrt(ss) has one law
         # for every large ss: the same uniforms give the same ratio as at
-        # ss = 1e60, where the bounds come from the direct cubic
+        # ss = 1e60, far below any overflow
         prior = ScalePriorA0()
         for n in (1, 40, 4000):
             got_rng, want_rng = np.random.default_rng(n), np.random.default_rng(n)
